@@ -5,14 +5,11 @@ __version__ = "0.1.0"
 
 from .curves import (
     CurveParams,
-    SigmoidScheduleParams,
     INERTIA_DEFAULTS,
     LEADER_WEIGHT_DEFAULTS,
     cauchy_inertia,
     cauchy_pdf,
-    inverse_sigmoid_weight,
     leader_weight,
-    sigmoid,
 )
 from .errors import ConfigError, DataError, LupusError
 from .optimizer import (
@@ -27,14 +24,11 @@ from .optimizer import (
 
 __all__ = [
     "CurveParams",
-    "SigmoidScheduleParams",
     "INERTIA_DEFAULTS",
     "LEADER_WEIGHT_DEFAULTS",
     "cauchy_inertia",
     "cauchy_pdf",
-    "inverse_sigmoid_weight",
     "leader_weight",
-    "sigmoid",
     "ConfigError",
     "DataError",
     "LupusError",

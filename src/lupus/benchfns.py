@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+ROSENBROCK_MIN_DIM = 2
+
 
 def sphere(x) -> float:
     x = np.asarray(x, dtype=float)
@@ -36,8 +38,8 @@ def schwefel_p222(x) -> float:
 
 def rosenbrock(x) -> float:
     x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        raise ValueError("rosenbrock requires dim >= 2")
+    if x.size < ROSENBROCK_MIN_DIM:
+        raise ValueError(f"rosenbrock requires dim >= {ROSENBROCK_MIN_DIM}")
     return float(
         (100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2).sum()
     )
@@ -69,7 +71,10 @@ def rastrigin(x) -> float:
 
 @dataclass(frozen=True)
 class BenchmarkFn:
-    """A named objective with uniform per-coordinate bounds and known optimum."""
+    """A named objective with uniform per-coordinate bounds and known optimum.
+
+    ``min_dim`` is the smallest dimension the objective is defined for.
+    """
 
     id: str
     name: str
@@ -78,6 +83,7 @@ class BenchmarkFn:
     upper: float
     optimum_value: float = 0.0
     stochastic: bool = False
+    min_dim: int = 1
 
     def __call__(self, x, rng: Optional[np.random.Generator] = None) -> float:
         if self.stochastic:
@@ -93,7 +99,8 @@ REGISTRY = {
         BenchmarkFn("f1", "Sphere", sphere, -100.0, 100.0),
         BenchmarkFn("f2", "Schwefel P2.21", schwefel_p221, -100.0, 100.0),
         BenchmarkFn("f3", "Schwefel P2.22", schwefel_p222, -10.0, 10.0),
-        BenchmarkFn("f4", "Rosenbrock", rosenbrock, -10.0, 10.0),
+        BenchmarkFn("f4", "Rosenbrock", rosenbrock, -10.0, 10.0,
+                    min_dim=ROSENBROCK_MIN_DIM),
         BenchmarkFn("f5", "Quadric Noise", quadric_noise, -1.28, 1.28, stochastic=True),
         BenchmarkFn("f6", "Schaffer", schaffer, -100.0, 100.0),
         # Side registration: dimension-scalable Rastrigin for experiments.

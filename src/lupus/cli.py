@@ -241,6 +241,13 @@ def cmd_train(ctx, **_kwargs):
     seed = int(p["seed"])
     mode = str(p["mode"])
     threshold = float(p["threshold"])
+    if not 0 < threshold < 1:
+        raise ConfigError(f"--threshold must lie in (0, 1), got {threshold}")
+    try:
+        lo, hi = (float(v) for v in str(p["bounds"]).split(","))
+    except ValueError:
+        raise ConfigError(f"--bounds expects two numbers lo,hi, got {p['bounds']!r}") from None
+    bounds = (lo, hi)
     train_fraction = float(p["train_fraction"])
     impute = bool(p["impute"])
     one_hot = bool(p["one_hot"])
@@ -255,11 +262,6 @@ def cmd_train(ctx, **_kwargs):
     if str(p["hidden"]).strip():
         hidden = _parse_int_list(p["hidden"], "--hidden")
     arch = mlp.MlpArchitecture((train.X.shape[1],) + hidden + (1,))
-
-    bounds_pair = str(p["bounds"]).split(",")
-    if len(bounds_pair) != 2:
-        raise ConfigError(f"--bounds expects lo,hi, got {p['bounds']!r}")
-    bounds = (float(bounds_pair[0]), float(bounds_pair[1]))
 
     swarm_cfg = optimizer.GwoConfig(
         variant="acgwo", n_agents=int(p["swarm"]), max_iter=int(p["iters"]),

@@ -15,7 +15,7 @@ DEGENERATE_AVG_EPS = 1e-12
 
 @dataclass(frozen=True)
 class CurveParams:
-    """Four-parameter bump curve family: (a/pi) / (a^2 + (r - b)^2) * c + d.
+    """Four-parameter bump curve family: ``cauchy_pdf(r, b, a) * c + d``.
 
     ``a`` is the scale (must be strictly positive so the denominator never
     vanishes), ``b`` shifts the peak location, ``c`` scales vertically and
@@ -38,32 +38,6 @@ INERTIA_DEFAULTS = CurveParams(a=1.0, b=0.0, c=2.0, d=1.7)
 LEADER_WEIGHT_DEFAULTS = CurveParams(a=1.0, b=0.0, c=2.0, d=2.1)
 
 
-@dataclass(frozen=True)
-class SigmoidScheduleParams:
-    """Parameters of the inverse-sigmoid inertia schedule.
-
-    ``a`` and ``b`` control the midpoint and steepness of the transition
-    from ``w_start`` down to ``w_end``. No canonical values exist for them;
-    the :meth:`for_horizon` defaults put the midpoint at half the run.
-    """
-
-    w_start: float = 0.9
-    w_end: float = 0.4
-    a: float = 10.0
-    b: float = 0.02
-
-    def __post_init__(self):
-        if self.w_start < self.w_end:
-            raise ValueError(
-                f"w_start ({self.w_start}) must be >= w_end ({self.w_end})"
-            )
-
-    @classmethod
-    def for_horizon(cls, max_iter: int, w_start: float = 0.9, w_end: float = 0.4):
-        """Defaults scaled to a run length: a=10, b=20/max_iter."""
-        return cls(w_start=w_start, w_end=w_end, a=10.0, b=20.0 / max_iter)
-
-
 def cauchy_pdf(x: float, x0: float, gamma: float) -> float:
     """Cauchy probability density with location ``x0`` and scale ``gamma``.
 
@@ -72,26 +46,7 @@ def cauchy_pdf(x: float, x0: float, gamma: float) -> float:
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
-    dx = x - x0
-    return gamma / (math.pi * (gamma * gamma + dx * dx))
-
-
-def sigmoid(x: float) -> float:
-    """Logistic sigmoid 1/(1 + e^-x), numerically stable for extreme x."""
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def inverse_sigmoid_weight(t: float, p: SigmoidScheduleParams) -> float:
-    """Inertia weight decaying from ``w_start`` toward ``w_end`` over time.
-
-    Evaluates ``w_start - (w_start - w_end) / (1 + e^(a - b*t))``; with
-    ``b > 0`` this is monotonically non-increasing in ``t`` and bounded by
-    ``[w_end, w_start]``.
-    """
-    return p.w_start - (p.w_start - p.w_end) * sigmoid(p.b * t - p.a)
+    return (gamma / math.pi) / (gamma * gamma + (x - x0) ** 2)
 
 
 def cauchy_inertia(iteration: int, max_iter: int, p: CurveParams) -> float:
@@ -106,14 +61,13 @@ def cauchy_inertia(iteration: int, max_iter: int, p: CurveParams) -> float:
         raise ValueError(
             f"iteration must lie in [0, {max_iter}], got {iteration}"
         )
-    r = iteration / max_iter
-    return (p.a / math.pi) / (p.a * p.a + (r - p.b) ** 2) * p.c + p.d
+    return cauchy_pdf(iteration / max_iter, p.b, p.a) * p.c + p.d
 
 
 def leader_weight(score: float, f_avg: float, p: CurveParams) -> float:
     """Adaptive weight of one leader from its score and the population mean.
 
-    Evaluates ``d - (a/pi) / (a^2 + (score/f_avg - b)^2) * c``. The ratio is
+    Evaluates ``d - cauchy_pdf(score/f_avg, b, a) * c``. The ratio is
     forced to 1 when ``|f_avg| < DEGENERATE_AVG_EPS`` (or is not a number),
     which collapses all leader weights to a common value. Output lies in
     ``[d - c/(pi*a), d)`` for ``c > 0``.
@@ -124,4 +78,4 @@ def leader_weight(score: float, f_avg: float, p: CurveParams) -> float:
         ratio = score / f_avg
         if math.isnan(ratio):
             ratio = 1.0
-    return -(p.a / math.pi) / (p.a * p.a + (ratio - p.b) ** 2) * p.c + p.d
+    return p.d - cauchy_pdf(ratio, p.b, p.a) * p.c

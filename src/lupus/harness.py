@@ -45,12 +45,17 @@ class ExperimentPlan:
                 raise ConfigError(
                     f"unknown algorithm {alg!r} (known: {', '.join(ALGORITHMS)})"
                 )
-        for fn_id in self.functions:
-            benchfns.get_function(fn_id)
         if not self.algorithms or not self.functions or not self.dims:
             raise ConfigError("plan needs at least one algorithm, function and dim")
         if any(d < 1 for d in self.dims):
             raise ConfigError(f"dims must be positive, got {self.dims}")
+        for fn_id in self.functions:
+            bf = benchfns.get_function(fn_id)
+            for dim in self.dims:
+                if dim < bf.min_dim:
+                    raise ConfigError(
+                        f"{fn_id} ({bf.name}) needs dim >= {bf.min_dim}, got dim {dim}"
+                    )
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
 

@@ -9,7 +9,7 @@ sweep; :func:`evaluate` records which metrics degenerated in the report.
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -57,43 +57,41 @@ def _ratio(num: int, den: int) -> Optional[float]:
     return num / den if den else None
 
 
-def _warn_degenerate(name: str) -> None:
-    warnings.warn(f"{name} denominator is zero; reporting 0.0", DegenerateMetricWarning,
-                  stacklevel=3)
+def _ratios(c: ConfusionCounts) -> Dict[str, Optional[float]]:
+    """The four ratio metrics in report order; None where a denominator is zero."""
+    acc = _ratio(c.tp + c.tn, c.total)
+    pre = _ratio(c.tp, c.tp + c.fp)
+    rec = _ratio(c.tp, c.tp + c.fn)
+    f1_value = None
+    if pre is not None and rec is not None and pre + rec != 0:
+        f1_value = 2.0 * pre * rec / (pre + rec)
+    return {"accuracy": acc, "precision": pre, "recall": rec, "f1": f1_value}
+
+
+def _metric(c: ConfusionCounts, name: str) -> float:
+    value = _ratios(c)[name]
+    if value is None:
+        warnings.warn(f"{name} denominator is zero; reporting 0.0",
+                      DegenerateMetricWarning, stacklevel=3)
+        return 0.0
+    return value
 
 
 def accuracy(c: ConfusionCounts) -> float:
-    value = _ratio(c.tp + c.tn, c.total)
-    if value is None:
-        _warn_degenerate("accuracy")
-        return 0.0
-    return value
+    return _metric(c, "accuracy")
 
 
 def precision(c: ConfusionCounts) -> float:
-    value = _ratio(c.tp, c.tp + c.fp)
-    if value is None:
-        _warn_degenerate("precision")
-        return 0.0
-    return value
+    return _metric(c, "precision")
 
 
 def recall(c: ConfusionCounts) -> float:
-    value = _ratio(c.tp, c.tp + c.fn)
-    if value is None:
-        _warn_degenerate("recall")
-        return 0.0
-    return value
+    return _metric(c, "recall")
 
 
 def f1(c: ConfusionCounts) -> float:
     """Harmonic mean of precision and recall."""
-    p = _ratio(c.tp, c.tp + c.fp)
-    r = _ratio(c.tp, c.tp + c.fn)
-    if p is None or r is None or p + r == 0:
-        _warn_degenerate("f1")
-        return 0.0
-    return 2.0 * p * r / (p + r)
+    return _metric(c, "f1")
 
 
 def roc_auc(y_true, scores) -> float:
@@ -166,31 +164,11 @@ def evaluate(y_true, scores, threshold: float = 0.5) -> EvalReport:
     y_pred = (s >= threshold).astype(int)
     c = confusion(y_true, y_pred)
 
-    degenerate = []
-    values = {}
-    for name, num, den in (
-        ("accuracy", c.tp + c.tn, c.total),
-        ("precision", c.tp, c.tp + c.fp),
-        ("recall", c.tp, c.tp + c.fn),
-    ):
-        v = _ratio(num, den)
-        if v is None:
-            degenerate.append(name)
-            v = 0.0
-        values[name] = v
-    if values["precision"] + values["recall"] == 0 or "precision" in degenerate or "recall" in degenerate:
-        f1_value = 0.0
-        degenerate.append("f1")
-    else:
-        f1_value = (2.0 * values["precision"] * values["recall"]
-                    / (values["precision"] + values["recall"]))
-
+    ratios = _ratios(c)
+    values = {name: 0.0 if v is None else v for name, v in ratios.items()}
     return EvalReport(
-        accuracy=values["accuracy"],
         auc=roc_auc(y_true, s),
-        precision=values["precision"],
-        recall=values["recall"],
-        f1=f1_value,
         counts=c,
-        degenerate=tuple(degenerate),
+        degenerate=tuple(name for name, v in ratios.items() if v is None),
+        **values,
     )

@@ -117,26 +117,27 @@ def forward(arch: MlpArchitecture, params, x) -> float:
     return float(forward_batch(arch, params, x[None, :])[0])
 
 
-def bce_loss(arch: MlpArchitecture, params, X, y) -> float:
-    """Mean binary cross-entropy with clipped probabilities."""
+def _labeled_data(X, y):
+    """Features and labels as float arrays, checked non-empty and aligned."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.shape[0] == 0:
         raise ValueError("empty dataset")
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"{X.shape[0]} rows but {y.shape[0]} labels")
+    return X, y
+
+
+def bce_loss(arch: MlpArchitecture, params, X, y) -> float:
+    """Mean binary cross-entropy with clipped probabilities."""
+    X, y = _labeled_data(X, y)
     p = np.clip(forward_batch(arch, params, X), BCE_CLIP, 1.0 - BCE_CLIP)
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
 def backward(arch: MlpArchitecture, params, X, y) -> np.ndarray:
     """Exact gradient of :func:`bce_loss` in the flattened layout."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] == 0:
-        raise ValueError("empty dataset")
-    if X.shape[0] != y.shape[0]:
-        raise ValueError(f"{X.shape[0]} rows but {y.shape[0]} labels")
+    X, y = _labeled_data(X, y)
     layers = unflatten(arch, params)
     activations = _forward_activations(arch, params, X)
     p = activations[-1][:, 0]

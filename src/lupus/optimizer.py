@@ -142,7 +142,6 @@ class SwarmState:
     alpha_score: float = math.inf
     beta_score: float = math.inf
     delta_score: float = math.inf
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -179,24 +178,25 @@ def control_wa(iteration: int, max_iter: int) -> float:
     return 2.0 - iteration * (2.0 / max_iter)
 
 
-def step_coefficients(wa: float, dim: int, rng: np.random.Generator):
-    """Per-coordinate coefficient vectors A in [-wa, wa] and C in [0, 2].
+def step_coefficients(wa: float, shape, rng: np.random.Generator):
+    """Coefficient arrays A in [-wa, wa] and C in [0, 2].
 
-    One uniform pair is drawn per coordinate, r1 before r2; A = 2*wa*r1 - wa
-    and C = 2*r2.
+    ``shape`` is a coordinate count or an array shape. One uniform pair is
+    drawn per entry in C order, r1 before r2; A = 2*wa*r1 - wa and C = 2*r2.
     """
-    draws = rng.random((dim, 2))
-    a = 2.0 * wa * draws[:, 0] - wa
-    c = 2.0 * draws[:, 1]
+    draws = rng.random((*np.atleast_1d(shape), 2))
+    a = 2.0 * wa * draws[..., 0] - wa
+    c = 2.0 * draws[..., 1]
     return a, c
 
 
 def candidate_from_leader(wolf_pos, leader_pos, a, c, ww: float,
                           abs_displacement: bool = True) -> np.ndarray:
-    """Candidate position proposed by one leader for one wolf.
+    """Candidate position proposed by a leader for a wolf.
 
     D = |C*leader - wolf| coordinate-wise (signed when ``abs_displacement``
-    is off) and the candidate is ww*leader - A*D.
+    is off) and the candidate is ww*leader - A*D. Arrays broadcast, so one
+    call can serve every wolf and leader at once.
     """
     wolf_pos = np.asarray(wolf_pos, dtype=float)
     leader_pos = np.asarray(leader_pos, dtype=float)
@@ -207,13 +207,13 @@ def candidate_from_leader(wolf_pos, leader_pos, a, c, ww: float,
 
 
 def combine_candidates(candidates, weights) -> np.ndarray:
-    """Weighted mean of the per-leader candidates."""
+    """Weighted mean of the per-leader candidates along the second-last axis."""
     candidates = np.asarray(candidates, dtype=float)
     weights = np.asarray(weights, dtype=float)
     total = weights.sum()
     if total <= 0:
         raise LupusError(f"non-positive leader weight sum {total}")
-    return (weights[:, None] * candidates).sum(axis=0) / total
+    return (weights[:, None] * candidates).sum(axis=-2) / total
 
 
 def clamp(pos, space: SearchSpace) -> np.ndarray:
@@ -221,12 +221,14 @@ def clamp(pos, space: SearchSpace) -> np.ndarray:
     return np.clip(pos, space.lower, space.upper)
 
 
-def _evaluate(objective: Objective, state: SwarmState, rng) -> None:
+def _evaluate(objective: Objective, positions: np.ndarray, rng) -> np.ndarray:
     # Agent-index order; a NaN fitness ranks as +inf so a misbehaving
     # objective can never become a leader.
-    for i in range(state.positions.shape[0]):
-        value = float(objective(state.positions[i], rng))
-        state.fitness[i] = math.inf if math.isnan(value) else value
+    fitness = np.empty(positions.shape[0])
+    for i in range(positions.shape[0]):
+        value = float(objective(positions[i], rng))
+        fitness[i] = math.inf if math.isnan(value) else value
+    return fitness
 
 
 def _update_leaders(state: SwarmState) -> None:
@@ -267,7 +269,7 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
     history = np.empty(cfg.max_iter)
     evaluations = 0
     for it in range(cfg.max_iter):
-        _evaluate(objective, state, rng)
+        state.fitness = _evaluate(objective, state.positions, rng)
         evaluations += n
         _update_leaders(state)
 
@@ -279,29 +281,19 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
             ww = curves.cauchy_inertia(it, cfg.max_iter, cfg.inertia) / ww_scale
         if use_weights:
             weights = np.array([
-                curves.leader_weight(state.alpha_score, f_avg, cfg.leader),
-                curves.leader_weight(state.beta_score, f_avg, cfg.leader),
-                curves.leader_weight(state.delta_score, f_avg, cfg.leader),
+                curves.leader_weight(score, f_avg, cfg.leader)
+                for score in (state.alpha_score, state.beta_score, state.delta_score)
             ])
         else:
             weights = np.ones(3)
-        total = weights.sum()
-        if total <= 0:
-            raise LupusError(f"non-positive leader weight sum {total}")
 
-        # Vectorized movement; draw order equals per-agent, per-leader calls
-        # of step_coefficients because the block fills C-order.
+        # One draw block for the whole swarm; it fills C-order, so it equals
+        # per-agent, per-leader calls of step_coefficients.
         leaders = np.stack([state.alpha_pos, state.beta_pos, state.delta_pos])
-        draws = rng.random((n, 3, dim, 2))
-        a = 2.0 * wa * draws[..., 0] - wa
-        c = 2.0 * draws[..., 1]
-        disp = c * leaders[None, :, :] - state.positions[:, None, :]
-        if cfg.abs_displacement:
-            disp = np.abs(disp)
-        cands = ww * leaders[None, :, :] - a * disp
-        moved = (weights[None, :, None] * cands).sum(axis=1) / total
-        state.positions = clamp(moved, space)
-        state.iteration = it + 1
+        a, c = step_coefficients(wa, (n, 3, dim), rng)
+        cands = candidate_from_leader(state.positions[:, None, :], leaders, a, c, ww,
+                                      cfg.abs_displacement)
+        state.positions = clamp(combine_candidates(cands, weights), space)
         history[it] = state.alpha_score
 
     return RunResult(
@@ -332,11 +324,8 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
 
     history = np.empty(cfg.max_iter)
     evaluations = 0
-    fitness = np.empty(n)
     for it in range(cfg.max_iter):
-        for i in range(n):
-            value = float(objective(positions[i], rng))
-            fitness[i] = math.inf if math.isnan(value) else value
+        fitness = _evaluate(objective, positions, rng)
         evaluations += n
 
         improved = fitness < pbest_f

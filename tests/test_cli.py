@@ -74,6 +74,13 @@ class TestBenchCommand:
     def test_usage_error_exit_one(self, workdir):
         assert run_cli(["bench", "--runs", "notanint"]) == 1
 
+    def test_dim_below_function_minimum_exit_one(self, workdir, capsys):
+        assert run_cli(["bench", "--functions", "f1,f4", "--dims", "1",
+                        "--runs", "1", "--agents", "5", "--iters", "3"]) == 1
+        err = capsys.readouterr().err
+        assert "f4" in err and "dim 1" in err
+        assert not Path("results").exists()
+
     def test_seed_changes_results(self, workdir):
         assert run_cli(BENCH_SMALL) == 0
         first = Path("results/table.csv").read_bytes()
@@ -147,6 +154,12 @@ class TestTrainCommand:
 
     def test_missing_dataset_exit_two(self, workdir):
         assert run_cli(TRAIN_SMALL + ["--data", "data/nope.csv"]) == 2
+
+    @pytest.mark.parametrize("flag,value", [("--threshold", "1.5"), ("--threshold", "0"),
+                                            ("--bounds", "a,b")])
+    def test_bad_option_exit_one_before_loading(self, workdir, flag, value):
+        # A missing dataset exits 2, so exit 1 shows the option was checked first.
+        assert run_cli(TRAIN_SMALL + [flag, value, "--data", "data/nope.csv"]) == 1
 
     def test_rerun_byte_identical(self, workdir):
         assert run_cli(TRAIN_SMALL) == 0

@@ -6,14 +6,11 @@ from hypothesis import given, strategies as st
 from lupus import curves
 from lupus.curves import (
     CurveParams,
-    SigmoidScheduleParams,
     INERTIA_DEFAULTS,
     LEADER_WEIGHT_DEFAULTS,
     cauchy_inertia,
     cauchy_pdf,
-    inverse_sigmoid_weight,
     leader_weight,
-    sigmoid,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
@@ -62,63 +59,6 @@ class TestCauchyPdf:
     @given(x=finite, x0=finite, gamma=st.floats(min_value=1e-3, max_value=1e3))
     def test_strictly_positive(self, x, x0, gamma):
         assert cauchy_pdf(x, x0, gamma) > 0.0
-
-
-class TestSigmoid:
-    def test_midpoint(self):
-        assert sigmoid(0.0) == 0.5
-
-    def test_log3(self):
-        assert sigmoid(math.log(3.0)) == pytest.approx(0.75, abs=1e-12)
-
-    @given(x=st.floats(min_value=-30, max_value=30))
-    def test_complement(self, x):
-        assert abs(sigmoid(x) + sigmoid(-x) - 1.0) < 1e-12
-
-    @pytest.mark.parametrize("x", [-1e4, -750.0, 750.0, 1e4])
-    def test_saturates_without_error(self, x):
-        v = sigmoid(x)
-        assert 0.0 <= v <= 1.0
-
-    @given(x=st.floats(min_value=-36, max_value=36))
-    def test_open_interval_before_saturation(self, x):
-        assert 0.0 < sigmoid(x) < 1.0
-
-
-class TestInverseSigmoidWeight:
-    def test_midpoint_gives_average(self):
-        # a - b*t = 0 puts the sigmoid at 1/2.
-        p = SigmoidScheduleParams(w_start=0.9, w_end=0.4, a=5.0, b=1.0)
-        assert inverse_sigmoid_weight(5.0, p) == pytest.approx(0.65, abs=1e-12)
-
-    def test_hand_value_at_zero(self):
-        p = SigmoidScheduleParams(w_start=0.9, w_end=0.4, a=10.0, b=1.0)
-        expected = 0.9 - 0.5 / (1.0 + math.exp(10.0))
-        assert inverse_sigmoid_weight(0.0, p) == pytest.approx(expected, abs=1e-9)
-        assert inverse_sigmoid_weight(0.0, p) == pytest.approx(0.899977, abs=1e-6)
-
-    def test_limit_is_w_end(self):
-        p = SigmoidScheduleParams(w_start=0.9, w_end=0.4, a=10.0, b=0.5)
-        assert inverse_sigmoid_weight(1e6, p) == pytest.approx(0.4, abs=1e-12)
-
-    @given(t=st.floats(min_value=0, max_value=1e6))
-    def test_bounded(self, t):
-        p = SigmoidScheduleParams(w_start=0.9, w_end=0.4, a=10.0, b=0.02)
-        assert 0.4 <= inverse_sigmoid_weight(t, p) <= 0.9
-
-    @given(t=st.floats(min_value=0, max_value=1e5), dt=st.floats(min_value=1e-3, max_value=1e3))
-    def test_non_increasing(self, t, dt):
-        p = SigmoidScheduleParams(w_start=0.9, w_end=0.4, a=10.0, b=0.1)
-        assert inverse_sigmoid_weight(t + dt, p) <= inverse_sigmoid_weight(t, p) + 1e-15
-
-    def test_rejects_increasing_range(self):
-        with pytest.raises(ValueError):
-            SigmoidScheduleParams(w_start=0.4, w_end=0.9)
-
-    def test_for_horizon_scales_slope(self):
-        p = SigmoidScheduleParams.for_horizon(500)
-        assert p.a == 10.0
-        assert p.b == pytest.approx(0.04)
 
 
 class TestCauchyInertia:

@@ -191,7 +191,9 @@ def _reference_run(objective, space, cfg):
     n = cfg.n_agents
     use_curve = cfg.variant in ("cgwo", "acgwo")
     use_weights = cfg.variant in ("agwo", "acgwo")
-    ww0 = curves.cauchy_inertia(0, cfg.max_iter, cfg.inertia) if use_curve else 1.0
+    ww0 = 1.0
+    if use_curve and cfg.normalize_inertia:
+        ww0 = curves.cauchy_inertia(0, cfg.max_iter, cfg.inertia)
     history = []
     for it in range(cfg.max_iter):
         for i in range(n):
@@ -233,10 +235,16 @@ def _reference_run(objective, space, cfg):
 
 
 class TestRun:
-    @pytest.mark.parametrize("variant", ["gwo", "cgwo", "agwo", "acgwo"])
-    def test_matches_operation_composition(self, variant):
+    @pytest.mark.parametrize("variant,options", [
+        pytest.param(variant, options, id=variant + suffix)
+        for suffix, options in (("", {}),
+                                ("-signed", {"abs_displacement": False}),
+                                ("-raw-inertia", {"normalize_inertia": False}))
+        for variant in ("gwo", "cgwo", "agwo", "acgwo")
+    ])
+    def test_matches_operation_composition(self, variant, options):
         space = SearchSpace.uniform(3, -10.0, 10.0)
-        cfg = GwoConfig(variant=variant, n_agents=4, max_iter=5, seed=123)
+        cfg = GwoConfig(variant=variant, n_agents=4, max_iter=5, seed=123, **options)
         result = run(sphere_objective, space, cfg)
         ref_pos, ref_history = _reference_run(sphere_objective, space, cfg)
         assert np.array_equal(result.best_position, ref_pos)
@@ -280,7 +288,7 @@ class TestRun:
         rng = np.random.default_rng(cfg.seed)
         state = initialize(space, cfg, rng)
         for _ in range(cfg.max_iter):
-            optimizer._evaluate(sphere_objective, state, rng)
+            state.fitness = optimizer._evaluate(sphere_objective, state.positions, rng)
             optimizer._update_leaders(state)
             assert state.alpha_score <= state.beta_score <= state.delta_score
             wa = 1.0
