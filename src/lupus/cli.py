@@ -137,8 +137,11 @@ def cli():
 def cmd_bench(ctx, **_kwargs):
     """Sweep algorithms over benchmark functions and export statistics."""
     p = _resolve(ctx, "bench")
+    algorithms = _parse_id_list(p["algs"], "--algs")
+    leader = _parse_curve(p["leader"], "--leader")
+    optimizer.check_leader_curve(algorithms, leader, "--leader")
     plan = harness.ExperimentPlan(
-        algorithms=_parse_id_list(p["algs"], "--algs"),
+        algorithms=algorithms,
         functions=_parse_id_list(p["functions"], "--functions"),
         dims=_parse_int_list(p["dims"], "--dims"),
         n_runs=int(p["runs"]),
@@ -146,7 +149,7 @@ def cmd_bench(ctx, **_kwargs):
         n_agents=int(p["agents"]),
         max_iter=int(p["iters"]),
         inertia=_parse_curve(p["inertia"], "--inertia"),
-        leader=_parse_curve(p["leader"], "--leader"),
+        leader=leader,
     )
     result = harness.run_plan(plan, workers=int(p["workers"]))
     out = Path(p["out"])

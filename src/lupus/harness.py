@@ -58,6 +58,7 @@ class ExperimentPlan:
                     )
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
+        optimizer.check_leader_curve(self.algorithms, self.leader)
 
 
 @dataclass(frozen=True)

@@ -55,12 +55,15 @@ class TrainReport:
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow, branch-free.
+
+    ``exp(-|z|)`` is the same ``exp`` call on the same value as the two-sided
+    form (``exp(-z)`` for z >= 0, ``exp(z)`` below), so both branches round
+    exactly as there. Keep ``e / d``: ``e * (1 / d)`` rounds twice.
+    """
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def unflatten(arch: MlpArchitecture, params) -> list:
@@ -87,7 +90,12 @@ def flatten(layers) -> np.ndarray:
     return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
 
 
-def _forward_activations(arch: MlpArchitecture, params, X: np.ndarray) -> list:
+def _forward_activations(arch: MlpArchitecture, params, X) -> list:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != arch.layer_sizes[0]:
+        raise ValueError(
+            f"expected a matrix with {arch.layer_sizes[0]} columns, got {X.shape}"
+        )
     activations = [X]
     for w, b in unflatten(arch, params):
         activations.append(_stable_sigmoid(activations[-1] @ w + b))
@@ -96,11 +104,6 @@ def _forward_activations(arch: MlpArchitecture, params, X: np.ndarray) -> list:
 
 def forward_batch(arch: MlpArchitecture, params, X) -> np.ndarray:
     """Predicted probabilities for every row of X, strictly inside (0, 1)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != arch.layer_sizes[0]:
-        raise ValueError(
-            f"expected a matrix with {arch.layer_sizes[0]} columns, got {X.shape}"
-        )
     p = _forward_activations(arch, params, X)[-1][:, 0]
     # Saturated units can round to exactly 0 or 1 in float; pull them back
     # to the nearest representable interior value.
@@ -131,7 +134,10 @@ def _labeled_data(X, y):
 def bce_loss(arch: MlpArchitecture, params, X, y) -> float:
     """Mean binary cross-entropy with clipped probabilities."""
     X, y = _labeled_data(X, y)
-    p = np.clip(forward_batch(arch, params, X), BCE_CLIP, 1.0 - BCE_CLIP)
+    # The loss band lies inside forward_batch's (0, 1) clip, so one clip of
+    # the raw output gives the same probabilities.
+    p = _forward_activations(arch, params, X)[-1][:, 0]
+    p = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
@@ -276,10 +282,31 @@ def model_from_json(text: str, source: str = "model") -> TrainedModel:
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{source}: cannot parse model file: {exc}") from exc
-    arch = model.architecture
+    try:
+        arch = model.architecture
+    except ConfigError as exc:
+        raise DataError(f"{source}: layer_sizes: {exc}") from exc
     if model.params.shape != (arch.n_params,):
         raise DataError(
             f"{source}: parameter vector has {model.params.size} entries "
             f"but layer sizes {model.layer_sizes} need {arch.n_params}"
         )
+    # eval rebuilds its inputs from these fields, so check all it relies on.
+    n_inputs = arch.layer_sizes[0]
+    for name in ("scaler_mean", "scaler_std"):
+        values = getattr(model, name)
+        if values.shape != (n_inputs,):
+            raise DataError(
+                f"{source}: {name} has {values.size} entries but the input layer "
+                f"has {n_inputs}"
+            )
+    for name in ("params", "scaler_mean", "scaler_std"):
+        if not np.all(np.isfinite(getattr(model, name))):
+            raise DataError(f"{source}: {name} holds a non-finite value")
+    if not np.all(model.scaler_std > 0):
+        raise DataError(f"{source}: scaler_std must be > 0 in every entry")
+    for name in ("threshold", "train_fraction"):
+        value = getattr(model, name)
+        if not 0 < value < 1:
+            raise DataError(f"{source}: {name} must lie in (0, 1), got {value}")
     return model

@@ -99,6 +99,23 @@ class GwoConfig:
             raise ConfigError(f"n_agents must be >= 3, got {self.n_agents}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        check_leader_curve((self.variant,), self.leader)
+
+
+def check_leader_curve(variants, leader: CurveParams, name: str = "leader") -> None:
+    """Reject a leader curve that lets an adaptive variant weigh a leader <= 0.
+
+    Only ``agwo`` and ``acgwo`` read the curve, so other variants accept any.
+    """
+    if not any(v in _ADAPTIVE_VARIANTS for v in variants):
+        return
+    floor = curves.leader_weight_floor(leader)
+    if not floor > 0:
+        raise ConfigError(
+            f"{name} curve a,b,c,d = {leader.a!r},{leader.b!r},{leader.c!r},{leader.d!r} "
+            f"lets leader weights fall to {floor:.6g}, its lower bound d - c/(pi*a) "
+            f"(d when c <= 0); the bound must be > 0"
+        )
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -80,6 +81,23 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert "f4" in err and "dim 1" in err
         assert not Path("results").exists()
+
+    @pytest.mark.parametrize("algs,leader,code", [
+        ("agwo", "1,0,10,0", 1),
+        ("gwo,acgwo", "1,0,2,0.5", 1),
+        ("agwo", "1,0,-2,0", 1),
+        ("agwo", "1.0,0.0,2.0,2.1", 0),  # the default curve
+        ("gwo,cgwo", "1,0,10,0", 0),  # no adaptive variant reads the curve
+    ])
+    def test_leader_curve_must_keep_weights_positive(self, workdir, capsys,
+                                                     algs, leader, code):
+        assert run_cli(["bench", "--algs", algs, "--functions", "f1", "--dims", "5",
+                        "--runs", "1", "--agents", "5", "--iters", "5",
+                        "--leader", leader]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "--leader" in err and "d - c/(pi*a)" in err
+            assert not Path("results").exists()
 
     def test_seed_changes_results(self, workdir):
         assert run_cli(BENCH_SMALL) == 0
@@ -199,6 +217,22 @@ class TestEvalCommand:
         assert run_cli(["train", "--mode", "bp", "--bp-epochs", "2",
                         "--one-hot", "--seed", "1"]) == 0
         assert run_cli(["eval"]) == 2
+
+
+    @pytest.mark.parametrize("field,value", [
+        ("scaler_mean", lambda v: v[:-1]),
+        ("threshold", lambda v: 1.5),
+        ("params", lambda v: [math.nan] + v[1:]),
+    ])
+    def test_invalid_model_field_exit_two(self, workdir, capsys, field, value):
+        assert run_cli(TRAIN_SMALL) == 0
+        capsys.readouterr()
+        payload = json.loads(Path("results/model.json").read_text())
+        payload[field] = value(payload[field])
+        Path("results/model.json").write_text(json.dumps(payload))
+        assert run_cli(["eval"]) == 2
+        assert field in capsys.readouterr().err
+        assert not Path("results/eval.json").exists()
 
 
 class TestHelp:

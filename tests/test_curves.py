@@ -11,6 +11,7 @@ from lupus.curves import (
     cauchy_inertia,
     cauchy_pdf,
     leader_weight,
+    leader_weight_floor,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
@@ -131,6 +132,18 @@ class TestLeaderWeight:
         # only for astronomically large ratios)
         p = LEADER_WEIGHT_DEFAULTS
         assert leader_weight(ratio, 1.0, p) < p.d
+
+    @given(a=st.floats(min_value=0.1, max_value=10.0),
+           b=st.floats(min_value=-5.0, max_value=5.0),
+           c=st.floats(min_value=-5.0, max_value=5.0),
+           d=st.floats(min_value=-5.0, max_value=5.0),
+           ratio=st.floats(min_value=-1e3, max_value=1e3))
+    def test_floor_bounds_every_ratio(self, a, b, c, d, ratio):
+        p = CurveParams(a=a, b=b, c=c, d=d)
+        floor = leader_weight_floor(p)
+        assert leader_weight(ratio, 1.0, p) >= floor - 1e-12
+        if c > 0:  # reached at the peak
+            assert leader_weight(b, 1.0, p) == pytest.approx(floor, abs=1e-12)
 
     @given(score=finite, f_avg=finite)
     def test_strictly_positive_with_defaults(self, score, f_avg):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lupus import harness
+from lupus import curves, harness
 from lupus.errors import ConfigError
 from lupus.harness import (
     ExperimentPlan,
@@ -33,6 +33,12 @@ class TestPlanValidation:
     def test_dims_must_be_positive(self):
         with pytest.raises(ConfigError):
             ExperimentPlan(algorithms=("gwo",), functions=("f1",), dims=(0,))
+
+    def test_leader_curve_checked_before_any_cell(self):
+        bad = curves.CurveParams(a=1.0, b=0.0, c=10.0, d=0.0)
+        with pytest.raises(ConfigError, match="leader curve"):
+            ExperimentPlan(algorithms=("gwo", "agwo"), functions=("f1",), dims=(5,),
+                           leader=bad)
 
 
 class TestDerivedSeeds:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -77,6 +78,63 @@ class TestFlattenRoundTrip:
             unflatten(MlpArchitecture((3, 2, 1)), np.zeros(5))
 
 
+def _two_sided_sigmoid(z):
+    """The mask-indexed two-sided logistic that _stable_sigmoid replaced.
+
+    Kept as the bit-for-bit oracle of the branch-free form.
+    """
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _double_clipped_bce(arch, params, X, y):
+    """bce_loss written out with the two-sided sigmoid and both clips it
+    used to apply: forward_batch's (0, 1) clip, then the loss band."""
+    a = X
+    for w, b in unflatten(arch, params):
+        a = _two_sided_sigmoid(a @ w + b)
+    p = np.clip(a[:, 0], np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    p = np.clip(p, mlp.BCE_CLIP, 1.0 - mlp.BCE_CLIP)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
+def assert_same_bits(actual, expected):
+    """Equal bit patterns (so -0.0 != 0.0), with NaN compared by position."""
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert np.array_equal(actual[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+# exp(-|z|) underflows to a subnormal or zero beyond |z| ~ 708 in both forms;
+# that rounding is the exact result, so only underflow is let through.
+_SIGMOID_ERRSTATE = dict(all="raise", under="ignore")
+_SIGMOID_SPECIALS = [0.0, 1e-300, 36.8, 709.0, 745.0, 1e308, math.inf]
+
+
+class TestStableSigmoid:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0, 100.0, 1e3])
+    def test_bit_identical_to_two_sided_form(self, scale):
+        z = np.random.default_rng(17).normal(scale=scale, size=(208, 16))
+        with np.errstate(**_SIGMOID_ERRSTATE):
+            assert_same_bits(mlp._stable_sigmoid(z), _two_sided_sigmoid(z))
+
+    def test_specials_bit_identical(self):
+        z = np.array(_SIGMOID_SPECIALS + [-v for v in _SIGMOID_SPECIALS] + [math.nan])
+        with np.errstate(**_SIGMOID_ERRSTATE):
+            out = mlp._stable_sigmoid(z)
+            assert_same_bits(out, _two_sided_sigmoid(z))
+        assert np.isnan(out[-1]) and not np.isnan(out[:-1]).any()
+
+    def test_no_floating_point_error_short_of_underflow(self):
+        z = np.linspace(-708.0, 708.0, 20001)
+        with np.errstate(all="raise"):
+            assert_same_bits(mlp._stable_sigmoid(z), _two_sided_sigmoid(z))
+
+
 class TestForward:
     def test_zero_params_give_half(self):
         arch = MlpArchitecture((4, 3, 1))
@@ -143,6 +201,20 @@ class TestBceLoss:
         arch = MlpArchitecture((1, 1))
         with pytest.raises(ValueError):
             bce_loss(arch, np.zeros(2), np.empty((0, 1)), np.empty(0))
+
+    @pytest.mark.parametrize("scale", [1.0, 11.0])
+    def test_bit_identical_to_double_clipped_formula(self, scale):
+        # scale 11 pushes most outputs to exactly 0 or 1, into the clips
+        arch = MlpArchitecture((13, 16, 1))
+        rng = np.random.default_rng(29)
+        X = rng.normal(size=(208, 13))
+        y = rng.integers(0, 2, 208).astype(float)
+        for _ in range(200):
+            params = scale * rng.uniform(-5.0, 5.0, size=arch.n_params)
+            with np.errstate(**_SIGMOID_ERRSTATE):
+                expected = _double_clipped_bce(arch, params, X, y)
+                actual = bce_loss(arch, params, X, y)
+            assert_same_bits(np.array([actual]), np.array([expected]))
 
     def test_permutation_invariance(self):
         arch = MlpArchitecture((3, 4, 1))
@@ -337,6 +409,26 @@ class TestModelPersistence:
     def test_corrupted_json_rejected(self):
         with pytest.raises(DataError):
             model_from_json("{not json", source="m.json")
+
+    @pytest.mark.parametrize("field,value", [
+        ("layer_sizes", [2, 0, 1]),
+        ("scaler_mean", [0.5]),
+        ("scaler_std", [1.5, 2.0, 1.0]),
+        ("params", [math.nan] + [0.0] * 8),
+        ("scaler_mean", [0.5, math.inf]),
+        ("scaler_std", [math.nan, 2.0]),
+        ("scaler_std", [1.5, 0.0]),
+        ("scaler_std", [-1.5, 2.0]),
+        ("threshold", 1.5),
+        ("threshold", 0.0),
+        ("train_fraction", 1.0),
+        ("train_fraction", -0.1),
+    ])
+    def test_field_eval_relies_on_validated(self, field, value):
+        payload = json.loads(model_to_json(self._model()))
+        payload[field] = value
+        with pytest.raises(DataError, match=field):
+            model_from_json(json.dumps(payload), source="m.json")
 
     def test_wrong_param_count_rejected(self):
         model = self._model()

@@ -58,6 +58,14 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             GwoConfig(max_iter=0)
 
+    def test_adaptive_variants_need_positive_leader_weights(self):
+        bad = curves.CurveParams(a=1.0, b=0.0, c=10.0, d=0.0)
+        for variant in ("agwo", "acgwo"):
+            with pytest.raises(ConfigError, match="leader curve"):
+                GwoConfig(variant=variant, leader=bad)
+        for variant in ("gwo", "cgwo"):
+            assert GwoConfig(variant=variant, leader=bad).leader == bad
+
     def test_pso_validation(self):
         with pytest.raises(ConfigError):
             PsoConfig(w_max=0.3, w_min=0.4)
