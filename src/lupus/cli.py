@@ -12,11 +12,14 @@ holds one section per subcommand plus an optional top-level "seed":
     {"seed": 7, "bench": {"functions": "f1,f6", "dims": "30"}}
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
-3 internal error.
+3 internal error. Setting LUPUS_DEBUG=1 prints the traceback of an internal
+error on stderr.
 """
 
 import json
+import os
 import sys
+import traceback
 from pathlib import Path
 
 import click
@@ -412,7 +415,9 @@ def main(argv=None):
     except DataError as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        if os.environ.get("LUPUS_DEBUG") == "1":
+            traceback.print_exc()
         click.echo(f"internal error: {exc}", err=True)
         return 3
     return 0

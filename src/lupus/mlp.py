@@ -286,12 +286,16 @@ def model_from_json(text: str, source: str = "model") -> TrainedModel:
         arch = model.architecture
     except ConfigError as exc:
         raise DataError(f"{source}: layer_sizes: {exc}") from exc
+    # eval rebuilds its inputs from these fields, so check all it relies on.
+    for name in ("params", "scaler_mean", "scaler_std"):
+        shape = getattr(model, name).shape
+        if len(shape) != 1:
+            raise DataError(f"{source}: {name} must be a flat list, got shape {shape}")
     if model.params.shape != (arch.n_params,):
         raise DataError(
             f"{source}: parameter vector has {model.params.size} entries "
             f"but layer sizes {model.layer_sizes} need {arch.n_params}"
         )
-    # eval rebuilds its inputs from these fields, so check all it relies on.
     n_inputs = arch.layer_sizes[0]
     for name in ("scaler_mean", "scaler_std"):
         values = getattr(model, name)

@@ -5,9 +5,12 @@ Four variants share one loop and are selected by flags: the plain scheme
 per-leader fitness weights (``agwo``), and both together (``acgwo``).
 
 Objectives are callables ``objective(x, rng) -> float`` minimized over a
-box-bounded space. Deterministic objectives must ignore the ``rng`` argument;
-stochastic ones draw only from it, which keeps every run reproducible from
-its seed.
+box-bounded space, called once per agent with its position. An objective
+whose ``batched`` attribute is true is instead called once per iteration with
+the whole ``(n, dim)`` position matrix and returns the ``(n,)`` fitness array;
+its values must equal the per-agent calls. Deterministic objectives must
+ignore the ``rng`` argument; stochastic ones draw only from it, in agent-index
+order, which keeps every run reproducible from its seed.
 
 RNG draw order is fixed so determinism is testable: initialization draws the
 full position matrix agent-major; each iteration first evaluates objectives
@@ -241,10 +244,17 @@ def clamp(pos, space: SearchSpace) -> np.ndarray:
 def _evaluate(objective: Objective, positions: np.ndarray, rng) -> np.ndarray:
     # Agent-index order; a NaN fitness ranks as +inf so a misbehaving
     # objective can never become a leader.
-    fitness = np.empty(positions.shape[0])
-    for i in range(positions.shape[0]):
-        value = float(objective(positions[i], rng))
-        fitness[i] = math.inf if math.isnan(value) else value
+    n = positions.shape[0]
+    if getattr(objective, "batched", False):
+        fitness = np.array(objective(positions, rng), dtype=float)
+        if fitness.shape != (n,):
+            raise LupusError(
+                f"batched objective returned shape {fitness.shape} for {n} agents; "
+                f"expected ({n},)"
+            )
+    else:
+        fitness = np.array([float(objective(p, rng)) for p in positions])
+    fitness[np.isnan(fitness)] = math.inf
     return fitness
 
 

@@ -106,6 +106,14 @@ class TestQuadricNoise:
         expected = np.random.default_rng(3).random()
         assert quadric_noise(np.zeros(2), rng) == pytest.approx(expected)
 
+    def test_stack_draws_the_per_row_stream(self):
+        X = np.random.default_rng(0).uniform(-1.28, 1.28, size=(7, 4))
+        batched, per_row = np.random.default_rng(3), np.random.default_rng(3)
+        values = quadric_noise(X, batched)
+        expected = [quadric_noise(x, per_row) for x in X]
+        assert np.array_equal(values, expected)
+        assert batched.bit_generator.state == per_row.bit_generator.state
+
 
 class TestSchaffer:
     def test_optimum(self):
@@ -179,3 +187,30 @@ class TestRegistry:
                 x = rng.uniform(bf.lower, bf.upper, size=6)
                 value = bf(x, rng) if bf.stochastic else bf(x)
                 assert value >= 0.0
+
+
+def _with_bound_rows(bf, X):
+    """Rows at the lower and upper bound, alternating bounds, and the origin."""
+    X[0], X[1], X[2] = bf.lower, bf.upper, 0.0
+    X[3, ::2], X[3, 1::2] = bf.lower, bf.upper
+    return X
+
+
+class TestBatched:
+    @pytest.mark.parametrize("dim", [2, 30, 1000])
+    @pytest.mark.parametrize("fn_id", sorted(benchfns.REGISTRY))
+    def test_stack_equals_per_row_bit_for_bit(self, fn_id, dim):
+        bf = get_function(fn_id)
+        assert bf.batched
+        # Rows shrink from the full box to 1e-3 of it; at dim 2 there are
+        # enough of them that a last-bit difference in 0.1% of values shows.
+        n = max(1000, 20000 // dim)
+        X = np.random.default_rng(dim).uniform(bf.lower, bf.upper, size=(n, dim))
+        X = _with_bound_rows(bf, X * np.logspace(0, -3, n)[:, None])
+        per_row_rng = np.random.default_rng(5)
+        with np.errstate(over="ignore"):  # f3's product is inf on the bound rows
+            values = bf(X, np.random.default_rng(5))
+            rows = [bf(x, per_row_rng) for x in X]
+        assert all(type(v) is float for v in rows)
+        assert values.shape == (n,)
+        assert np.array_equal(values.view(np.int64), np.array(rows).view(np.int64))

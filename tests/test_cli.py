@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lupus import cli
 from lupus.cli import main
 
 BENCH_SMALL = ["bench", "--functions", "f1", "--dims", "4", "--algs", "gwo,acgwo",
@@ -249,3 +250,20 @@ class TestHelp:
 
     def test_unknown_subcommand_exit_one(self):
         assert run_cli(["frobnicate"]) == 1
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("debug", [None, "0", "1"])
+    def test_traceback_only_with_debug(self, workdir, monkeypatch, capsys, debug):
+        def boom(*_args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli.curves, "leader_weight", boom)
+        if debug is None:
+            monkeypatch.delenv("LUPUS_DEBUG", raising=False)
+        else:
+            monkeypatch.setenv("LUPUS_DEBUG", debug)
+        assert run_cli(["curves"]) == 3
+        err = capsys.readouterr().err
+        assert "internal error: boom" in err
+        assert ("Traceback (most recent call last)" in err) == (debug == "1")

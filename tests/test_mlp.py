@@ -423,6 +423,8 @@ class TestModelPersistence:
         ("threshold", 0.0),
         ("train_fraction", 1.0),
         ("train_fraction", -0.1),
+        ("params", [[0.0] * 9]),
+        ("scaler_mean", [[0.5, -0.5]]),
     ])
     def test_field_eval_relies_on_validated(self, field, value):
         payload = json.loads(model_to_json(self._model()))

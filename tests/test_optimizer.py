@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lupus import curves, optimizer
-from lupus.benchfns import get_function, sphere
+from lupus.benchfns import REGISTRY, get_function, sphere
 from lupus.errors import ConfigError, LupusError
 from lupus.optimizer import (
+    VARIANTS,
     GwoConfig,
     PsoConfig,
     SearchSpace,
@@ -368,3 +369,51 @@ class TestPso:
         pso_run(recording, space, PsoConfig(n_particles=8, max_iter=25, seed=4))
         stacked = np.stack(seen)
         assert np.all(stacked >= -1.0) and np.all(stacked <= 3.0)
+
+
+class _Batched:
+    """A batched objective computed from the whole (n, dim) position matrix."""
+
+    batched = True
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, positions, rng):
+        return self.fn(positions)
+
+
+class TestBatchedObjective:
+    @pytest.mark.parametrize("fn_id", sorted(REGISTRY))
+    @pytest.mark.parametrize("algorithm", VARIANTS + ("pso",))
+    def test_benchmark_fn_matches_per_row_path(self, algorithm, fn_id):
+        bf = get_function(fn_id)
+        space = SearchSpace.uniform(4, bf.lower, bf.upper)
+
+        def run_with(objective):
+            if algorithm == "pso":
+                return pso_run(objective, space, PsoConfig(n_particles=8, max_iter=20, seed=13))
+            cfg = GwoConfig(variant=algorithm, n_agents=8, max_iter=20, seed=13)
+            return run(objective, space, cfg)
+
+        batched = run_with(bf)
+        per_row = run_with(lambda x, rng: bf(x, rng))
+        assert batched.best_position.tobytes() == per_row.best_position.tobytes()
+        assert batched.history.tobytes() == per_row.history.tobytes()
+        assert (batched.best_score, batched.evaluations) == (
+            per_row.best_score, per_row.evaluations)
+
+    def test_nan_ranks_as_inf(self):
+        objective = _Batched(lambda X: np.where(X[:, 0] > 0, math.nan, X[:, 0]))
+        positions = np.array([[1.0], [-1.0], [2.0]])
+        fitness = optimizer._evaluate(objective, positions, None)
+        assert fitness.tolist() == [math.inf, -1.0, math.inf]
+        space = SearchSpace.uniform(2, -1.0, 1.0)
+        result = run(objective, space, GwoConfig(variant="gwo", n_agents=6, max_iter=10, seed=5))
+        assert math.isfinite(result.best_score)
+
+    @pytest.mark.parametrize("wrong", [lambda X: X, lambda X: X.sum(), lambda X: X[1:, 0]])
+    def test_wrong_shape_raises(self, wrong):
+        positions = np.zeros((4, 3))
+        with pytest.raises(LupusError, match=r"expected \(4,\)"):
+            optimizer._evaluate(_Batched(wrong), positions, None)
