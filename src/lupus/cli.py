@@ -253,7 +253,13 @@ def cmd_train(ctx, **_kwargs):
         lo, hi = (float(v) for v in str(p["bounds"]).split(","))
     except ValueError:
         raise ConfigError(f"--bounds expects two numbers lo,hi, got {p['bounds']!r}") from None
+    try:
+        optimizer.SearchSpace.uniform(1, lo, hi)
+    except ConfigError as exc:
+        raise ConfigError(f"--bounds {p['bounds']!r}: {exc}") from None
     bounds = (lo, hi)
+    learning_rate = float(p["learning_rate"])
+    mlp.check_learning_rate(learning_rate, "--learning-rate")
     train_fraction = float(p["train_fraction"])
     impute = bool(p["impute"])
     one_hot = bool(p["one_hot"])
@@ -274,7 +280,6 @@ def cmd_train(ctx, **_kwargs):
         seed=derive_seed(seed, "swarm"),
     )
     bp_epochs = int(p["bp_epochs"])
-    learning_rate = float(p["learning_rate"])
     if mode == "acgwo":
         report = mlp.train_acgwo(arch, x_train, train.y, swarm_cfg, bounds)
     elif mode == "bp":

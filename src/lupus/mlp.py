@@ -5,6 +5,12 @@ matrix (fan_in x fan_out, row-major) followed by its bias vector, so the
 whole network doubles as a search point for the swarm optimizers. Training
 modes: pure swarm search over the flattened parameters, pure full-batch
 gradient descent, or swarm search followed by gradient refinement.
+
+:func:`unflatten`, :func:`forward_batch` and :func:`bce_loss` also take a
+stack of parameter vectors, shape ``(m, n_params)``: weights come out as
+``(m, fan_in, fan_out)``, biases as ``(m, fan_out)``, probabilities as
+``(m, rows)`` and the loss as the ``(m,)`` losses, each row bit for bit equal
+to the call on that row's vector. A single vector keeps its ``float`` loss.
 """
 
 import json
@@ -21,6 +27,11 @@ from .optimizer import GwoConfig, SearchSpace
 # Predicted probabilities are clipped to [BCE_CLIP, 1 - BCE_CLIP] inside the
 # loss; samples pushed outside that band carry zero gradient.
 BCE_CLIP = 1e-12
+
+# A stacked loss runs in chunks of agents whose widest activation holds about
+# this many float64 values (256 KiB). Whole-swarm stacks fall out of cache
+# and measured slower than one call per agent.
+LOSS_CHUNK_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -67,19 +78,21 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def unflatten(arch: MlpArchitecture, params) -> list:
-    """Parameter vector back into per-layer (weights, bias) pairs."""
+    """Parameter vector (or stack of them) back into per-layer (weights, bias)
+    pairs, sliced from the last axis."""
     params = np.asarray(params, dtype=float)
-    if params.shape != (arch.n_params,):
+    if params.ndim not in (1, 2) or params.shape[-1] != arch.n_params:
         raise ValueError(
             f"expected {arch.n_params} parameters for {arch.layer_sizes}, "
-            f"got shape {params.shape}"
+            f"or a stack of them, got shape {params.shape}"
         )
+    stack = params.shape[:-1]
     layers = []
     offset = 0
     for fan_in, fan_out in zip(arch.layer_sizes, arch.layer_sizes[1:]):
-        w = params[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = params[..., offset:offset + fan_in * fan_out].reshape(stack + (fan_in, fan_out))
         offset += fan_in * fan_out
-        b = params[offset:offset + fan_out]
+        b = params[..., offset:offset + fan_out]
         offset += fan_out
         layers.append((w, b))
     return layers
@@ -98,13 +111,13 @@ def _forward_activations(arch: MlpArchitecture, params, X) -> list:
         )
     activations = [X]
     for w, b in unflatten(arch, params):
-        activations.append(_stable_sigmoid(activations[-1] @ w + b))
+        activations.append(_stable_sigmoid(activations[-1] @ w + b[..., None, :]))
     return activations
 
 
 def forward_batch(arch: MlpArchitecture, params, X) -> np.ndarray:
     """Predicted probabilities for every row of X, strictly inside (0, 1)."""
-    p = _forward_activations(arch, params, X)[-1][:, 0]
+    p = _forward_activations(arch, params, X)[-1][..., 0]
     # Saturated units can round to exactly 0 or 1 in float; pull them back
     # to the nearest representable interior value.
     return np.clip(p, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
@@ -131,19 +144,36 @@ def _labeled_data(X, y):
     return X, y
 
 
-def bce_loss(arch: MlpArchitecture, params, X, y) -> float:
-    """Mean binary cross-entropy with clipped probabilities."""
-    X, y = _labeled_data(X, y)
+def _mean_bce(arch: MlpArchitecture, params, X, y):
     # The loss band lies inside forward_batch's (0, 1) clip, so one clip of
     # the raw output gives the same probabilities.
-    p = _forward_activations(arch, params, X)[-1][:, 0]
+    p = _forward_activations(arch, params, X)[-1][..., 0]
     p = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
+
+
+def bce_loss(arch: MlpArchitecture, params, X, y):
+    """Mean binary cross-entropy with clipped probabilities.
+
+    A parameter vector gives a ``float``; an ``(m, n_params)`` stack gives the
+    ``(m,)`` losses, evaluated in chunks of :data:`LOSS_CHUNK_ELEMENTS`.
+    """
+    X, y = _labeled_data(X, y)
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2:
+        return float(_mean_bce(arch, params, X, y))
+    chunk = max(1, LOSS_CHUNK_ELEMENTS // (X.shape[0] * max(arch.layer_sizes)))
+    losses = np.empty(params.shape[0])
+    for start in range(0, params.shape[0], chunk):
+        losses[start:start + chunk] = _mean_bce(arch, params[start:start + chunk], X, y)
+    return losses
 
 
 def backward(arch: MlpArchitecture, params, X, y) -> np.ndarray:
     """Exact gradient of :func:`bce_loss` in the flattened layout."""
     X, y = _labeled_data(X, y)
+    if np.ndim(params) != 1:
+        raise ValueError(f"backward takes one parameter vector, got shape {np.shape(params)}")
     layers = unflatten(arch, params)
     activations = _forward_activations(arch, params, X)
     p = activations[-1][:, 0]
@@ -187,7 +217,8 @@ def train_acgwo(arch: MlpArchitecture, X, y, cfg: GwoConfig,
     """Swarm-search the flattened parameters, minimizing the training loss."""
     lo, hi = bounds
     space = SearchSpace.uniform(arch.n_params, lo, hi)
-    objective = lambda v, rng: bce_loss(arch, v, X, y)
+    objective = lambda P, rng: bce_loss(arch, P, X, y)
+    objective.batched = True
     result = optimizer.run(objective, space, cfg)
     return TrainReport(
         final_params=result.best_position,
@@ -196,11 +227,18 @@ def train_acgwo(arch: MlpArchitecture, X, y, cfg: GwoConfig,
     )
 
 
+def check_learning_rate(learning_rate: float, name: str = "learning_rate") -> None:
+    """Reject a gradient step size that is not finite and positive."""
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ConfigError(f"{name} must be finite and > 0, got {learning_rate}")
+
+
 def train_bp(arch: MlpArchitecture, X, y, epochs: int, learning_rate: float,
              seed: int = 0, start_params=None) -> TrainReport:
     """Full-batch gradient descent from a Glorot init (or given start)."""
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    check_learning_rate(learning_rate)
     params = (np.asarray(start_params, dtype=float).copy()
               if start_params is not None else init_params(arch, seed))
     losses = np.empty(epochs)
@@ -220,6 +258,7 @@ def train_hybrid(arch: MlpArchitecture, X, y, cfg: GwoConfig,
     """
     if bp_epochs < 0:
         raise ConfigError(f"bp_epochs must be >= 0, got {bp_epochs}")
+    check_learning_rate(learning_rate)
     swarm = train_acgwo(arch, X, y, cfg, bounds)
     refined = train_bp(arch, X, y, bp_epochs, learning_rate,
                        start_params=swarm.final_params)

@@ -49,6 +49,12 @@ class SearchSpace:
             raise ConfigError("lower and upper bounds must be 1-D and equally long")
         if self.lower.size == 0:
             raise ConfigError("search space must have at least one dimension")
+        # Uniform initialization draws lower + (upper - lower) * u, which needs
+        # a finite width, not only finite bounds.
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = self.upper - self.lower
+        if not np.all(np.isfinite(width)):
+            raise ConfigError("bounds and their width upper - lower must be finite")
         if not np.all(self.lower < self.upper):
             bad = int(np.argmin(self.upper - self.lower))
             raise ConfigError(

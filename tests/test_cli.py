@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lupus import cli
 from lupus.cli import main
@@ -175,10 +176,19 @@ class TestTrainCommand:
         assert run_cli(TRAIN_SMALL + ["--data", "data/nope.csv"]) == 2
 
     @pytest.mark.parametrize("flag,value", [("--threshold", "1.5"), ("--threshold", "0"),
-                                            ("--bounds", "a,b")])
+                                            ("--bounds", "a,b"), ("--bounds", "0,inf"),
+                                            ("--bounds", "-inf,inf"), ("--bounds", "5,-5"),
+                                            ("--learning-rate", "nan"),
+                                            ("--learning-rate", "inf"),
+                                            ("--learning-rate", "0")])
     def test_bad_option_exit_one_before_loading(self, workdir, flag, value):
         # A missing dataset exits 2, so exit 1 shows the option was checked first.
         assert run_cli(TRAIN_SMALL + [flag, value, "--data", "data/nope.csv"]) == 1
+
+    def test_bad_option_message_names_flag(self, workdir, capsys):
+        for flag, value in (("--bounds", "0,inf"), ("--learning-rate", "nan")):
+            assert run_cli(TRAIN_SMALL + [flag, value]) == 1
+            assert flag in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, workdir):
         assert run_cli(TRAIN_SMALL) == 0
@@ -193,6 +203,47 @@ class TestTrainCommand:
                         "--one-hot", "--seed", "1"]) == 0
         model = json.loads(Path("results/model.json").read_text())
         assert model["layer_sizes"][0] > 13
+
+
+def _flag_text(ordinary):
+    """A number as typed on the command line. One draw in four is any float
+    (nan, +-inf, 0 and negatives included); the rest come from the flag's
+    ordinary range, so that most examples train and write a model."""
+    return st.integers(0, 3).flatmap(lambda k: ordinary if k else st.floats()).map(repr)
+
+
+class TestTrainNeverInternalError:
+    @given(
+        mode=st.sampled_from(["acgwo", "bp", "acgwo-bp"]),
+        swarm=st.integers(3, 6),
+        iters=st.integers(1, 3),
+        bp_epochs=st.integers(0, 2),
+        lo=_flag_text(st.floats(-10.0, 0.0)),
+        hi=_flag_text(st.floats(0.0, 10.0)),
+        learning_rate=_flag_text(st.floats(0.0, 10.0)),
+        threshold=_flag_text(st.floats(0.0, 1.0)),
+        hidden=st.lists(st.integers(-1, 8), max_size=2).map(lambda v: ",".join(map(str, v))),
+    )
+    @example(mode="acgwo-bp", swarm=3, iters=1, bp_epochs=1, lo="0", hi="inf",
+             learning_rate="0.1", threshold="0.5", hidden="4")
+    @example(mode="acgwo-bp", swarm=3, iters=1, bp_epochs=1, lo="-5", hi="5",
+             learning_rate="nan", threshold="0.5", hidden="4")
+    @example(mode="bp", swarm=3, iters=1, bp_epochs=1, lo="-5", hi="5",
+             learning_rate="inf", threshold="0.5", hidden="4")
+    def test_exit_code_never_three_and_model_evaluates(
+            self, heart_csv, tmp_path_factory, mode, swarm, iters, bp_epochs, lo, hi,
+            learning_rate, threshold, hidden):
+        out = tmp_path_factory.mktemp("train")
+        code = run_cli([
+            "train", "--data", str(heart_csv), "--out", str(out), f"--mode={mode}",
+            f"--swarm={swarm}", f"--iters={iters}", f"--bp-epochs={bp_epochs}",
+            f"--bounds={lo},{hi}", f"--learning-rate={learning_rate}",
+            f"--threshold={threshold}", f"--hidden={hidden}", "--seed=0",
+        ])
+        assert code != 3
+        if code == 0:
+            assert run_cli(["eval", "--model", str(out / "model.json"),
+                            "--data", str(heart_csv), "--out", str(out)]) == 0
 
 
 class TestEvalCommand:

@@ -77,6 +77,21 @@ class TestFlattenRoundTrip:
         with pytest.raises(ValueError):
             unflatten(MlpArchitecture((3, 2, 1)), np.zeros(5))
 
+    @pytest.mark.parametrize("shape", [(4, 5), (4, 12), (2, 2, 11), ()])
+    def test_stack_wrong_last_axis_rejected(self, shape):
+        with pytest.raises(ValueError, match="11 parameters"):
+            unflatten(MlpArchitecture((3, 2, 1)), np.zeros(shape))
+
+    def test_stack_slices_last_axis(self):
+        arch = MlpArchitecture((3, 2, 1))
+        stack = np.random.default_rng(3).normal(size=(4, arch.n_params))
+        layers = unflatten(arch, stack)
+        assert [(w.shape, b.shape) for w, b in layers] == [((4, 3, 2), (4, 2)),
+                                                           ((4, 2, 1), (4, 1))]
+        for i, row in enumerate(stack):
+            for (w, b), (w_row, b_row) in zip(layers, unflatten(arch, row)):
+                assert np.array_equal(w[i], w_row) and np.array_equal(b[i], b_row)
+
 
 def _two_sided_sigmoid(z):
     """The mask-indexed two-sided logistic that _stable_sigmoid replaced.
@@ -162,6 +177,14 @@ class TestForward:
         expected = float(1.0 / (1.0 + np.exp(-z2[0])))
         assert forward(arch, params, x) == pytest.approx(expected, abs=1e-12)
 
+    def test_stack_gives_one_row_per_vector(self):
+        arch = MlpArchitecture((3, 4, 1))
+        rng = np.random.default_rng(9)
+        stack = rng.normal(size=(3, arch.n_params))
+        X = rng.normal(size=(5, 3))
+        expected = np.array([forward_batch(arch, row, X) for row in stack])
+        assert np.array_equal(forward_batch(arch, stack, X), expected)
+
     def test_dimension_mismatch(self):
         arch = MlpArchitecture((3, 1))
         with pytest.raises(ValueError):
@@ -216,6 +239,31 @@ class TestBceLoss:
                 actual = bce_loss(arch, params, X, y)
             assert_same_bits(np.array([actual]), np.array([expected]))
 
+    def test_vector_gives_python_float(self):
+        arch = MlpArchitecture((2, 3, 1))
+        loss = bce_loss(arch, np.full(arch.n_params, 0.3), XOR_X, XOR_Y)
+        assert type(loss) is float
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize(
+        "sizes", [(13, 1), (13, 16, 1), (13, 16, 8, 1), (13, 64, 1), (13, 3, 3, 3, 1)],
+        ids=lambda sizes: "-".join(map(str, sizes)))
+    def test_stack_equals_per_row_bit_for_bit(self, sizes, scale):
+        # Stack sizes straddle the chunk size k, so chunks are full, partial
+        # or single; scale 100 saturates most units into the clips.
+        arch = MlpArchitecture(sizes)
+        rng = np.random.default_rng(43)
+        X = rng.normal(size=(208, 13))
+        y = rng.integers(0, 2, 208).astype(float)
+        k = max(1, mlp.LOSS_CHUNK_ELEMENTS // (X.shape[0] * max(sizes)))
+        for m in sorted({1, max(k - 1, 1), k, k + 1, 137}):
+            stack = scale * rng.uniform(-5.0, 5.0, size=(m, arch.n_params))
+            with np.errstate(**_SIGMOID_ERRSTATE):
+                stacked = bce_loss(arch, stack, X, y)
+                per_row = np.array([bce_loss(arch, row, X, y) for row in stack])
+            assert stacked.shape == (m,)
+            assert_same_bits(stacked, per_row)
+
     def test_permutation_invariance(self):
         arch = MlpArchitecture((3, 4, 1))
         rng = np.random.default_rng(5)
@@ -247,6 +295,11 @@ class TestBackward:
             # (the central-difference oracle itself carries ~2e-10 noise)
             tolerance = np.maximum(1e-5 * np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
             assert np.all(np.abs(grad - fd) <= tolerance)
+
+    def test_rejects_stack(self):
+        arch = MlpArchitecture((1, 1))
+        with pytest.raises(ValueError, match="one parameter vector"):
+            backward(arch, np.zeros((2, 2)), np.array([[1.0]]), np.array([1]))
 
     def test_zero_gradient_at_analytic_optimum(self):
         # one unit, contradictory labels at the same point: optimum at z = 0
@@ -332,6 +385,12 @@ class TestTrainBp:
         assert report.loss_history[-1] < report.loss_history[0]
         assert np.mean(predict(arch, report.final_params, X) == y) == 1.0
 
+    @pytest.mark.parametrize("learning_rate", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_rejects_bad_learning_rate(self, learning_rate):
+        arch = MlpArchitecture((2, 1))
+        with pytest.raises(ConfigError, match="learning_rate"):
+            train_bp(arch, XOR_X, XOR_Y, epochs=1, learning_rate=learning_rate)
+
     def test_zero_epochs_keeps_start(self):
         arch = MlpArchitecture((2, 1))
         start = np.array([0.3, -0.2, 0.1])
@@ -367,6 +426,16 @@ class TestTrainHybrid:
                                   bp_epochs=40, learning_rate=1e-3)
             swarm_end = report.loss_history[59]
             assert report.loss_history[-1] <= swarm_end + 1e-9
+
+    def test_learning_rate_checked_before_swarm_phase(self, monkeypatch):
+        def swarm_phase(*_args):
+            raise AssertionError("swarm phase ran")
+
+        monkeypatch.setattr(mlp, "train_acgwo", swarm_phase)
+        cfg = GwoConfig(variant="acgwo", n_agents=8, max_iter=15, seed=4)
+        with pytest.raises(ConfigError, match="learning_rate"):
+            train_hybrid(MlpArchitecture((2, 3, 1)), XOR_X, XOR_Y, cfg,
+                         bp_epochs=10, learning_rate=math.nan)
 
     def test_history_concatenates_phases(self):
         arch = MlpArchitecture((2, 3, 1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lupus import curves, optimizer
+from lupus import curves, mlp, optimizer
 from lupus.benchfns import REGISTRY, get_function, sphere
 from lupus.errors import ConfigError, LupusError
 from lupus.optimizer import (
@@ -40,6 +40,12 @@ class TestSearchSpace:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ConfigError):
             SearchSpace(np.zeros(2), np.ones(3))
+
+    @pytest.mark.parametrize("lower,upper", [(0.0, math.inf), (-math.inf, math.inf),
+                                             (math.nan, 1.0), (-1e308, 1e308)])
+    def test_rejects_non_finite_bounds_or_width(self, lower, upper):
+        with pytest.raises(ConfigError, match="finite"):
+            SearchSpace.uniform(3, lower, upper)
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
@@ -402,6 +408,20 @@ class TestBatchedObjective:
         assert batched.history.tobytes() == per_row.history.tobytes()
         assert (batched.best_score, batched.evaluations) == (
             per_row.best_score, per_row.evaluations)
+
+    def test_mlp_loss_matches_per_row_path(self):
+        # 208 rows at 13-16-1 give chunks of 9 agents, so 20 agents take two
+        # full chunks and a partial one.
+        arch = mlp.MlpArchitecture((13, 16, 1))
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(208, 13))
+        y = rng.integers(0, 2, 208).astype(float)
+        cfg = GwoConfig(variant="acgwo", n_agents=20, max_iter=12, seed=21)
+        report = mlp.train_acgwo(arch, X, y, cfg, (-5.0, 5.0))
+        per_row = run(lambda v, rng: mlp.bce_loss(arch, v, X, y),
+                      SearchSpace.uniform(arch.n_params, -5.0, 5.0), cfg)
+        assert report.final_params.tobytes() == per_row.best_position.tobytes()
+        assert report.loss_history.tobytes() == per_row.history.tobytes()
 
     def test_nan_ranks_as_inf(self):
         objective = _Batched(lambda X: np.where(X[:, 0] > 0, math.nan, X[:, 0]))
