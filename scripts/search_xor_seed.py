@@ -25,7 +25,8 @@ def main():
     for seed in range(n_seeds):
         cfg = GwoConfig(variant="acgwo", n_agents=60, max_iter=300, seed=seed)
         report = mlp.train_acgwo(arch, X, Y, cfg, (-5.0, 5.0))
-        accuracy = float((mlp.predict(arch, report.final_params, X) == Y).mean())
+        labels = mlp.forward_batch(arch, report.final_params, X) >= 0.5
+        accuracy = float((labels == Y).mean())
         print(f"seed {seed}: training accuracy {accuracy:.2f}")
         if accuracy == 1.0:
             hits.append(seed)

@@ -17,7 +17,6 @@ from .optimizer import (
     PsoConfig,
     RunResult,
     SearchSpace,
-    SwarmState,
     pso_run,
     run,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "PsoConfig",
     "RunResult",
     "SearchSpace",
-    "SwarmState",
     "pso_run",
     "run",
     "__version__",

@@ -88,7 +88,7 @@ def rastrigin(x):
 
 @dataclass(frozen=True)
 class BenchmarkFn:
-    """A named objective with uniform per-coordinate bounds and known optimum.
+    """A named objective with uniform per-coordinate bounds.
 
     ``min_dim`` is the smallest dimension the objective is defined for.
     ``batched`` tells the optimizer it may pass the whole ``(n, dim)`` swarm
@@ -100,7 +100,6 @@ class BenchmarkFn:
     fn: Callable
     lower: float
     upper: float
-    optimum_value: float = 0.0
     stochastic: bool = False
     min_dim: int = 1
     batched = True  # a class attribute, not a field

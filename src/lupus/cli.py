@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage/configuration error, 2 data error,
 error on stderr.
 """
 
+import dataclasses
 import json
 import os
 import sys
@@ -33,12 +34,12 @@ DEFAULT_SEED = 42
 DEFAULT_DATA = "data/heart.csv"
 DEFAULT_OUT = "results"
 
-_INERTIA_DEFAULT = "1.0,0.0,2.0,1.7"
-_LEADER_DEFAULT = "1.0,0.0,2.0,2.1"
+_INERTIA_DEFAULT = ",".join(map(repr, dataclasses.astuple(curves.INERTIA_DEFAULTS)))
+_LEADER_DEFAULT = ",".join(map(repr, dataclasses.astuple(curves.LEADER_WEIGHT_DEFAULTS)))
 
 
 def _parse_curve(text, flag):
-    parts = str(text).split(",")
+    parts = text.split(",")
     if len(parts) != 4:
         raise ConfigError(f"{flag} expects four comma-separated numbers, got {text!r}")
     try:
@@ -49,7 +50,7 @@ def _parse_curve(text, flag):
 
 
 def _parse_id_list(text, flag):
-    items = tuple(p.strip() for p in str(text).split(",") if p.strip())
+    items = tuple(p.strip() for p in text.split(",") if p.strip())
     if not items:
         raise ConfigError(f"{flag} must name at least one item")
     return items
@@ -77,24 +78,35 @@ def _load_config(path):
 
 
 def _resolve(ctx, command):
-    """Apply flag > config-file > environment > default precedence."""
-    config = _load_config(ctx.params.get("config"))
+    """Apply flag > config-file > environment > default precedence.
+
+    A config value passes through its option's click type, as a flag's text
+    does; a section key that names no option of the command is an error.
+    """
+    path = ctx.params.get("config")
+    config = _load_config(path)
+    for key in config:
+        if key != "seed" and key not in cli.commands:
+            raise ConfigError(f"config file {path}: unknown top-level key {key!r}")
     section = config.get(command, {})
     if not isinstance(section, dict):
-        raise ConfigError(f"config section {command!r} must be an object")
-    resolved = {}
-    for name, value in ctx.params.items():
-        if name == "config":
+        raise ConfigError(f"config file {path}: section {command!r} must be an object")
+    params = {p.name: p for p in ctx.command.params if p.name != "config"}
+    resolved = {name: ctx.params[name] for name in params}
+    overrides = [("seed", "seed", config["seed"])] if "seed" in params and "seed" in config else []
+    overrides += [(key, f"{command}.{key}", value) for key, value in section.items()]
+    for name, label, value in overrides:
+        if name not in params:
+            raise ConfigError(f"config file {path}: section {command!r} has unknown key "
+                              f"{name!r} (known: {', '.join(params)})")
+        if ctx.get_parameter_source(name) == click.core.ParameterSource.COMMANDLINE:
             continue
-        source = ctx.get_parameter_source(name)
-        if source == click.core.ParameterSource.COMMANDLINE:
-            resolved[name] = value
-        elif name in section:
-            resolved[name] = section[name]
-        elif name == "seed" and "seed" in config:
-            resolved[name] = config["seed"]
-        else:
-            resolved[name] = value
+        if value is None:
+            raise ConfigError(f"config file {path}: {label}: null is not a value")
+        try:
+            resolved[name] = params[name].type_cast_value(ctx, value)
+        except click.BadParameter as exc:
+            raise ConfigError(f"config file {path}: {label}: {exc.message}") from None
     return resolved
 
 
@@ -130,7 +142,7 @@ def cli():
               help="Inertia curve a,b,c,d.")
 @click.option("--leader", default=_LEADER_DEFAULT, show_default=True,
               help="Leader weight curve a,b,c,d.")
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Process pool size for cell runs.")
 @click.option("--out", default=DEFAULT_OUT, show_default=True,
               help="Output directory.")
@@ -147,14 +159,14 @@ def cmd_bench(ctx, **_kwargs):
         algorithms=algorithms,
         functions=_parse_id_list(p["functions"], "--functions"),
         dims=_parse_int_list(p["dims"], "--dims"),
-        n_runs=int(p["runs"]),
-        base_seed=int(p["seed"]),
-        n_agents=int(p["agents"]),
-        max_iter=int(p["iters"]),
+        n_runs=p["runs"],
+        base_seed=p["seed"],
+        n_agents=p["agents"],
+        max_iter=p["iters"],
         inertia=_parse_curve(p["inertia"], "--inertia"),
         leader=leader,
     )
-    result = harness.run_plan(plan, workers=int(p["workers"]))
+    result = harness.run_plan(plan, workers=p["workers"])
     out = Path(p["out"])
     harness.export_table(result.rows, out / "table.csv")
     harness.export_convergence(result.histories, out / "convergence")
@@ -176,7 +188,7 @@ def cmd_bench(ctx, **_kwargs):
 def cmd_curves(ctx, **_kwargs):
     """Dump the control, inertia and unit-ratio leader weight schedules."""
     p = _resolve(ctx, "curves")
-    iters = int(p["iters"])
+    iters = p["iters"]
     if iters < 1:
         raise ConfigError(f"--iters must be >= 1, got {iters}")
     inertia = _parse_curve(p["inertia"], "--inertia")
@@ -244,13 +256,13 @@ def _print_report(label, report):
 def cmd_train(ctx, **_kwargs):
     """Clean, split, standardize, train, and persist the classifier."""
     p = _resolve(ctx, "train")
-    seed = int(p["seed"])
-    mode = str(p["mode"])
-    threshold = float(p["threshold"])
+    seed = p["seed"]
+    mode = p["mode"]
+    threshold = p["threshold"]
     if not 0 < threshold < 1:
         raise ConfigError(f"--threshold must lie in (0, 1), got {threshold}")
     try:
-        lo, hi = (float(v) for v in str(p["bounds"]).split(","))
+        lo, hi = (float(v) for v in p["bounds"].split(","))
     except ValueError:
         raise ConfigError(f"--bounds expects two numbers lo,hi, got {p['bounds']!r}") from None
     try:
@@ -258,11 +270,11 @@ def cmd_train(ctx, **_kwargs):
     except ConfigError as exc:
         raise ConfigError(f"--bounds {p['bounds']!r}: {exc}") from None
     bounds = (lo, hi)
-    learning_rate = float(p["learning_rate"])
+    learning_rate = p["learning_rate"]
     mlp.check_learning_rate(learning_rate, "--learning-rate")
-    train_fraction = float(p["train_fraction"])
-    impute = bool(p["impute"])
-    one_hot = bool(p["one_hot"])
+    train_fraction = p["train_fraction"]
+    impute = p["impute"]
+    one_hot = p["one_hot"]
     split_seed = derive_seed(seed, "split")
     train, test, stats = _prepare_splits(
         p["data"], impute, one_hot, train_fraction, split_seed,
@@ -271,15 +283,15 @@ def cmd_train(ctx, **_kwargs):
     x_test = dataprep.apply_standardizer(stats, test.X)
 
     hidden = ()
-    if str(p["hidden"]).strip():
+    if p["hidden"].strip():
         hidden = _parse_int_list(p["hidden"], "--hidden")
     arch = mlp.MlpArchitecture((train.X.shape[1],) + hidden + (1,))
 
     swarm_cfg = optimizer.GwoConfig(
-        variant="acgwo", n_agents=int(p["swarm"]), max_iter=int(p["iters"]),
+        variant="acgwo", n_agents=p["swarm"], max_iter=p["iters"],
         seed=derive_seed(seed, "swarm"),
     )
-    bp_epochs = int(p["bp_epochs"])
+    bp_epochs = p["bp_epochs"]
     if mode == "acgwo":
         report = mlp.train_acgwo(arch, x_train, train.y, swarm_cfg, bounds)
     elif mode == "bp":
@@ -312,8 +324,8 @@ def cmd_train(ctx, **_kwargs):
         "seed": seed,
         "layer_sizes": list(arch.layer_sizes),
         "bounds": list(bounds),
-        "swarm": int(p["swarm"]),
-        "iters": int(p["iters"]),
+        "swarm": p["swarm"],
+        "iters": p["iters"],
         "bp_epochs": bp_epochs,
         "learning_rate": learning_rate,
         "threshold": threshold,
@@ -348,7 +360,7 @@ def cmd_eval(ctx, **_kwargs):
         text = Path(p["model_path"]).read_text()
     except OSError as exc:
         raise DataError(f"cannot read model file: {exc}") from exc
-    model = mlp.model_from_json(text, source=str(p["model_path"]))
+    model = mlp.model_from_json(text, source=p["model_path"])
 
     raw = dataprep.load_table(p["data"])
     ds = dataprep.clean(raw, impute=model.impute)
@@ -385,7 +397,7 @@ def cmd_eda(ctx, **_kwargs):
     """Echo the cleaned table and export the labeled correlation matrix."""
     p = _resolve(ctx, "eda")
     raw = dataprep.load_table(p["data"])
-    ds = dataprep.clean(raw, impute=bool(p["impute"]))
+    ds = dataprep.clean(raw, impute=p["impute"])
 
     lines = [",".join(ds.feature_names + ("target",))]
     for i in range(ds.n):

@@ -49,18 +49,21 @@ def cauchy_pdf(x: float, x0: float, gamma: float) -> float:
     return (gamma / math.pi) / (gamma * gamma + (x - x0) ** 2)
 
 
+def _check_iteration(iteration: int, max_iter: int) -> None:
+    """Reject an iteration outside the schedule's [0, max_iter] horizon."""
+    if max_iter <= 0:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not 0 <= iteration <= max_iter:
+        raise ValueError(f"iteration must lie in [0, {max_iter}], got {iteration}")
+
+
 def cauchy_inertia(iteration: int, max_iter: int, p: CurveParams) -> float:
     """Inertia weight from the bump curve evaluated at iteration/max_iter.
 
     With ``b = 0`` the curve decreases strictly over the run, changing
     slowest near the start and the end.
     """
-    if max_iter <= 0:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not 0 <= iteration <= max_iter:
-        raise ValueError(
-            f"iteration must lie in [0, {max_iter}], got {iteration}"
-        )
+    _check_iteration(iteration, max_iter)
     return cauchy_pdf(iteration / max_iter, p.b, p.a) * p.c + p.d
 
 

@@ -22,18 +22,6 @@ FEATURE_NAMES = COLUMN_NAMES[:-1]
 MISSING = "?"
 
 
-@dataclass
-class RawTable:
-    """Parsed but untyped rows; missing markers preserved verbatim."""
-
-    rows: list
-    had_header: bool
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Fully numeric feature matrix with binary labels."""
@@ -53,10 +41,10 @@ class StandardizationStats:
     std: np.ndarray
 
 
-def load_table(path) -> RawTable:
-    """Parse the CSV file, keeping every field as text."""
+def load_table(path) -> list:
+    """Parse the CSV file into rows of text fields; missing markers are kept
+    verbatim and a header row is skipped."""
     rows = []
-    had_header = False
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -66,7 +54,6 @@ def load_table(path) -> RawTable:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if lineno == 1 and not _looks_numeric(row[0]):
-                had_header = True
                 continue
             if len(row) != len(COLUMN_NAMES):
                 raise DataError(
@@ -76,7 +63,7 @@ def load_table(path) -> RawTable:
             rows.append([field.strip() for field in row])
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return RawTable(rows=rows, had_header=had_header)
+    return rows
 
 
 def _looks_numeric(field: str) -> bool:
@@ -99,14 +86,13 @@ def _parse_value(field: str, row_index: int, col: str) -> float:
         ) from None
 
 
-def clean(raw: RawTable, impute: bool = False) -> Dataset:
+def clean(rows: list, impute: bool = False) -> Dataset:
     """Resolve missing values, parse numbers, binarize the target.
 
     Rows containing "?" are dropped unless ``impute`` is set, in which case
     each missing cell takes its column's most frequent value (smallest value
     on ties). Target values above 0 become 1.
     """
-    rows = raw.rows
     if impute:
         rows = _impute_rows(rows)
     else:

@@ -81,14 +81,6 @@ class PlanResult:
     rows: List[StatRow]
     histories: Dict[CellKey, np.ndarray] = field(default_factory=dict)
 
-    def finals(self, algorithm: str, function: str, dim: int) -> np.ndarray:
-        """Final best scores of every run in one cell, in run order."""
-        n_runs = max(r for a, f, d, r in self.histories
-                     if (a, f, d) == (algorithm, function, dim)) + 1
-        return np.array([
-            self.histories[(algorithm, function, dim, r)][-1] for r in range(n_runs)
-        ])
-
 
 def run_single(plan: ExperimentPlan, algorithm: str, fn_id: str, dim: int,
                run_index: int) -> np.ndarray:
@@ -165,12 +157,11 @@ def export_table(rows, path) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def export_convergence(histories: Dict[CellKey, np.ndarray], out_dir) -> List[Path]:
+def export_convergence(histories: Dict[CellKey, np.ndarray], out_dir) -> None:
     """Write one iter/score series per cell-run, suitable for plotting."""
     if not histories:
         raise ValueError("no histories to export")
     out_dir = Path(out_dir)
-    paths = []
     for key in sorted(histories):
         alg, fn_id, dim, run_index = key
         lines = ["iter,alpha_score"]
@@ -179,5 +170,3 @@ def export_convergence(histories: Dict[CellKey, np.ndarray], out_dir) -> List[Pa
         )
         path = out_dir / f"{alg}_{fn_id}_{dim}_{run_index}.csv"
         write_text_atomic(path, "\n".join(lines) + "\n")
-        paths.append(path)
-    return paths

@@ -1,21 +1,16 @@
 """Binary classification metrics: confusion counts, the four ratio metrics,
 and ROC AUC via trapezoidal integration with half-credit for ties.
 
-Zero-denominator ratios evaluate to 0.0 and raise a DegenerateMetricWarning
-instead of erroring, so evaluation over tiny test splits never aborts a
-sweep; :func:`evaluate` records which metrics degenerated in the report.
+Zero-denominator ratios evaluate to 0.0 instead of erroring, so evaluation
+over tiny test splits never aborts a sweep; :func:`evaluate` records which
+metrics degenerated in the report.
 """
 
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-
-
-class DegenerateMetricWarning(UserWarning):
-    """A metric had a zero denominator and was reported as 0.0."""
 
 
 @dataclass(frozen=True)
@@ -66,32 +61,6 @@ def _ratios(c: ConfusionCounts) -> Dict[str, Optional[float]]:
     if pre is not None and rec is not None and pre + rec != 0:
         f1_value = 2.0 * pre * rec / (pre + rec)
     return {"accuracy": acc, "precision": pre, "recall": rec, "f1": f1_value}
-
-
-def _metric(c: ConfusionCounts, name: str) -> float:
-    value = _ratios(c)[name]
-    if value is None:
-        warnings.warn(f"{name} denominator is zero; reporting 0.0",
-                      DegenerateMetricWarning, stacklevel=3)
-        return 0.0
-    return value
-
-
-def accuracy(c: ConfusionCounts) -> float:
-    return _metric(c, "accuracy")
-
-
-def precision(c: ConfusionCounts) -> float:
-    return _metric(c, "precision")
-
-
-def recall(c: ConfusionCounts) -> float:
-    return _metric(c, "recall")
-
-
-def f1(c: ConfusionCounts) -> float:
-    """Harmonic mean of precision and recall."""
-    return _metric(c, "f1")
 
 
 def roc_auc(y_true, scores) -> float:

@@ -123,16 +123,6 @@ def forward_batch(arch: MlpArchitecture, params, X) -> np.ndarray:
     return np.clip(p, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
-def forward(arch: MlpArchitecture, params, x) -> float:
-    """Predicted probability for a single feature vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != arch.layer_sizes[0]:
-        raise ValueError(
-            f"expected a vector of length {arch.layer_sizes[0]}, got shape {x.shape}"
-        )
-    return float(forward_batch(arch, params, x[None, :])[0])
-
-
 def _labeled_data(X, y):
     """Features and labels as float arrays, checked non-empty and aligned."""
     X = np.asarray(X, dtype=float)
@@ -192,13 +182,6 @@ def backward(arch: MlpArchitecture, params, X, y) -> np.ndarray:
             w, _ = layers[layer]
             delta = (delta @ w.T) * a_prev * (1.0 - a_prev)
     return flatten(grads)
-
-
-def predict(arch: MlpArchitecture, params, X, threshold: float = 0.5) -> np.ndarray:
-    """Binary labels: 1 wherever the predicted probability >= threshold."""
-    if not 0 < threshold < 1:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    return (forward_batch(arch, params, X) >= threshold).astype(int)
 
 
 def init_params(arch: MlpArchitecture, seed: int) -> np.ndarray:

@@ -156,20 +156,6 @@ class PsoConfig:
             raise ConfigError("velocity_clamp must be > 0")
 
 
-@dataclass
-class SwarmState:
-    """Positions, fitnesses and the three leaders of one run in progress."""
-
-    positions: np.ndarray
-    fitness: np.ndarray
-    alpha_pos: np.ndarray
-    beta_pos: np.ndarray
-    delta_pos: np.ndarray
-    alpha_score: float = math.inf
-    beta_score: float = math.inf
-    delta_score: float = math.inf
-
-
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of one optimizer run; immutable and safe to share."""
@@ -180,27 +166,9 @@ class RunResult:
     evaluations: int
 
 
-def initialize(space: SearchSpace, cfg: GwoConfig, rng=None) -> SwarmState:
-    """Spread agents uniformly over the space; leaders start at +inf."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    positions = rng.uniform(space.lower, space.upper, size=(cfg.n_agents, space.dim))
-    dim = space.dim
-    return SwarmState(
-        positions=positions,
-        fitness=np.full(cfg.n_agents, math.inf),
-        alpha_pos=np.zeros(dim),
-        beta_pos=np.zeros(dim),
-        delta_pos=np.zeros(dim),
-    )
-
-
 def control_wa(iteration: int, max_iter: int) -> float:
     """Exploration control scalar decaying linearly from 2 to 0."""
-    if max_iter <= 0:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not 0 <= iteration <= max_iter:
-        raise ValueError(f"iteration must lie in [0, {max_iter}], got {iteration}")
+    curves._check_iteration(iteration, max_iter)
     return 2.0 - iteration * (2.0 / max_iter)
 
 
@@ -264,18 +232,19 @@ def _evaluate(objective: Objective, positions: np.ndarray, rng) -> np.ndarray:
     return fitness
 
 
-def _update_leaders(state: SwarmState) -> None:
-    for i in range(state.fitness.size):
-        f = float(state.fitness[i])
-        if f < state.alpha_score:
-            state.delta_score, state.delta_pos = state.beta_score, state.beta_pos
-            state.beta_score, state.beta_pos = state.alpha_score, state.alpha_pos
-            state.alpha_score, state.alpha_pos = f, state.positions[i].copy()
-        elif f < state.beta_score:
-            state.delta_score, state.delta_pos = state.beta_score, state.beta_pos
-            state.beta_score, state.beta_pos = f, state.positions[i].copy()
-        elif f < state.delta_score:
-            state.delta_score, state.delta_pos = f, state.positions[i].copy()
+def _update_leaders(fitness, positions, scores: list, leaders: list) -> None:
+    """Insert each agent, in index order, into the three best so far.
+
+    ``scores`` and ``leaders`` are the alpha, beta and delta scores and
+    positions, best first. An agent takes the first rank it strictly beats;
+    the ranks below it shift down and the last one drops out.
+    """
+    for i, f in enumerate(fitness.tolist()):
+        if f < scores[2]:
+            rank = 0 if f < scores[0] else 1 if f < scores[1] else 2
+            scores.insert(rank, f)
+            leaders.insert(rank, positions[i].copy())
+            del scores[3], leaders[3]
 
 
 def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
@@ -289,7 +258,9 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
     """
     n, dim = cfg.n_agents, space.dim
     rng = np.random.default_rng(cfg.seed)
-    state = initialize(space, cfg, rng)
+    positions = rng.uniform(space.lower, space.upper, size=(n, dim))
+    scores = [math.inf] * 3
+    leaders = [np.zeros(dim)] * 3
 
     use_curve = cfg.variant in _CURVE_VARIANTS
     use_weights = cfg.variant in _ADAPTIVE_VARIANTS
@@ -302,36 +273,32 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
     history = np.empty(cfg.max_iter)
     evaluations = 0
     for it in range(cfg.max_iter):
-        state.fitness = _evaluate(objective, state.positions, rng)
+        fitness = _evaluate(objective, positions, rng)
         evaluations += n
-        _update_leaders(state)
+        _update_leaders(fitness, positions, scores, leaders)
 
         # Population average before any position update.
-        f_avg = float(state.fitness.mean())
+        f_avg = float(fitness.mean())
         wa = control_wa(it, cfg.max_iter)
         ww = 1.0
         if use_curve:
             ww = curves.cauchy_inertia(it, cfg.max_iter, cfg.inertia) / ww_scale
         if use_weights:
-            weights = np.array([
-                curves.leader_weight(score, f_avg, cfg.leader)
-                for score in (state.alpha_score, state.beta_score, state.delta_score)
-            ])
+            weights = np.array([curves.leader_weight(s, f_avg, cfg.leader) for s in scores])
         else:
             weights = np.ones(3)
 
         # One draw block for the whole swarm; it fills C-order, so it equals
         # per-agent, per-leader calls of step_coefficients.
-        leaders = np.stack([state.alpha_pos, state.beta_pos, state.delta_pos])
         a, c = step_coefficients(wa, (n, 3, dim), rng)
-        cands = candidate_from_leader(state.positions[:, None, :], leaders, a, c, ww,
+        cands = candidate_from_leader(positions[:, None, :], np.stack(leaders), a, c, ww,
                                       cfg.abs_displacement)
-        state.positions = clamp(combine_candidates(cands, weights), space)
-        history[it] = state.alpha_score
+        positions = clamp(combine_candidates(cands, weights), space)
+        history[it] = scores[0]
 
     return RunResult(
-        best_position=state.alpha_pos.copy(),
-        best_score=float(state.alpha_score),
+        best_position=leaders[0].copy(),
+        best_score=float(scores[0]),
         history=history,
         evaluations=evaluations,
     )

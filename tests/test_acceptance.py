@@ -150,12 +150,15 @@ class TestAcceptance:
                 f"pre={p:.4f} rec={r:.4f} f1={test_metrics['f1']:.4f}")
 
     def test_07_metrics_oracle(self):
-        c = metrics.ConfusionCounts(tp=3, tn=4, fp=1, fn=2)
+        # tp=3, tn=4, fp=1, fn=2 as labels and thresholded scores
+        report = metrics.evaluate([1, 1, 1, 0, 0, 0, 0, 0, 1, 1],
+                                  [0.9, 0.8, 0.7, 0.1, 0.2, 0.3, 0.4, 0.6, 0.2, 0.3])
         fixture_ok = (
-            abs(metrics.accuracy(c) - 0.7) < 1e-9
-            and abs(metrics.precision(c) - 0.75) < 1e-9
-            and abs(metrics.recall(c) - 0.6) < 1e-9
-            and abs(metrics.f1(c) - 2.0 / 3.0) < 1e-9
+            report.counts == metrics.ConfusionCounts(tp=3, tn=4, fp=1, fn=2)
+            and abs(report.accuracy - 0.7) < 1e-9
+            and abs(report.precision - 0.75) < 1e-9
+            and abs(report.recall - 0.6) < 1e-9
+            and abs(report.f1 - 2.0 / 3.0) < 1e-9
         )
         rng = np.random.default_rng(BASE_SEED)
         auc_ok = True
@@ -212,7 +215,7 @@ class TestAcceptance:
     def test_09_data_pipeline(self, heart_csv):
         raw = dataprep.load_table(heart_csv)
         ds = dataprep.clean(raw)
-        counts_ok = raw.n_rows == 303 and ds.n == 297
+        counts_ok = len(raw) == 303 and ds.n == 297
         train, test = dataprep.stratified_split(ds, 0.70, derive_seed(BASE_SEED, "split"))
         prop_ok = True
         for cls in (0, 1):
@@ -229,7 +232,7 @@ class TestAcceptance:
         )
         _report(9, "data pipeline counts, split and correlation",
                 counts_ok and prop_ok and corr_ok,
-                f"raw={raw.n_rows} clean={ds.n} train={train.n} test={test.n}")
+                f"raw={len(raw)} clean={ds.n} train={train.n} test={test.n}")
 
     def test_10_property_suite_standalone(self):
         # runs on synthetic fixtures only; no dataset file is touched
@@ -249,15 +252,14 @@ class TestAcceptance:
         clamp_ok = bool(np.all(stacked >= -2.0) and np.all(stacked <= 2.0))
         history_ok = bool(np.all(np.diff(result.history) <= 0))
 
-        state = optimizer.initialize(
-            space, optimizer.GwoConfig(variant="gwo", n_agents=6, max_iter=1, seed=2))
+        positions = np.random.default_rng(2).uniform(space.lower, space.upper, (6, 3))
+        scores, leaders = [math.inf] * 3, [np.zeros(3)] * 3
         ordering_ok = True
         for _ in range(20):
-            state.fitness = rng.uniform(0, 10, 6)
-            optimizer._update_leaders(state)
-            if not state.alpha_score <= state.beta_score <= state.delta_score:
+            optimizer._update_leaders(rng.uniform(0, 10, 6), positions, scores, leaders)
+            if not scores[0] <= scores[1] <= scores[2]:
                 ordering_ok = False
-            state.positions = rng.uniform(-2, 2, (6, 3))
+            positions = rng.uniform(-2, 2, (6, 3))
 
         arch = mlp.MlpArchitecture((6, 4, 1))
         flatten_ok = all(

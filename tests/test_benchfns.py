@@ -152,7 +152,6 @@ class TestRegistry:
             bf = get_function(fn_id)
             assert (bf.name, bf.lower, bf.upper, bf.stochastic) == (
                 name, lower, upper, stochastic)
-            assert bf.optimum_value == 0.0
 
     def test_rastrigin_side_registration(self):
         bf = get_function("f5r")

@@ -124,6 +124,50 @@ class TestBenchCommand:
         assert Path("results/table.csv").read_bytes() == from_config
 
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_one(self, workdir, capsys, workers):
+        assert run_cli(BENCH_SMALL + ["--workers", workers]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not Path("results").exists()
+
+
+class TestConfigFile:
+    """Config-file values pass the checks their flags pass, before any work."""
+
+    @pytest.mark.parametrize("args,config,named", [
+        pytest.param([a for a in TRAIN_SMALL if a not in ("--mode", "acgwo-bp")],
+                     {"train": {"mode": "xx"}}, ["train.mode", "'xx'"], id="choice"),
+        pytest.param(BENCH_SMALL[:-2], {"seed": "abc"}, ["seed", "'abc'"], id="seed"),
+        pytest.param(["bench"], {"bench": {"runs": "x"}}, ["bench.runs", "'x'"], id="int"),
+        pytest.param(["bench"], {"bench": {"workers": 0}}, ["bench.workers"], id="range"),
+        pytest.param(["bench"], {"bench": {"agents": None}}, ["bench.agents", "null"],
+                     id="null"),
+        pytest.param(BENCH_SMALL, {"bench": {"unknown_key": 1}},
+                     ["'bench'", "'unknown_key'"], id="unknown-key"),
+        pytest.param(["curves", "--iters", "3"], {"curves": {"seed": 1}},
+                     ["'curves'", "'seed'"], id="key-of-another-command"),
+        pytest.param(BENCH_SMALL, {"bnech": {"runs": 1}}, ["'bnech'"], id="unknown-section"),
+    ])
+    def test_bad_value_or_key_exit_one(self, workdir, capsys, args, config, named):
+        Path("cfg.json").write_text(json.dumps(config))
+        assert run_cli(args + ["--config", "cfg.json"]) == 1
+        err = capsys.readouterr().err
+        assert "cfg.json" in err
+        for text in named:
+            assert text in err
+        assert not Path("results").exists()
+
+    def test_config_values_typed_like_flags(self, workdir):
+        assert run_cli(TRAIN_SMALL) == 0
+        from_flags = Path("results/train_report.json").read_bytes()
+        Path("cfg.json").write_text(json.dumps({"seed": "3", "train": {
+            "swarm": "10", "learning_rate": "0.1", "mode": "acgwo-bp", "impute": "false"}}))
+        args = [a for a in TRAIN_SMALL
+                if a not in ("--seed", "3", "--swarm", "10", "--learning-rate", "0.1")]
+        assert run_cli(args + ["--config", "cfg.json"]) == 0
+        assert Path("results/train_report.json").read_bytes() == from_flags
+
+
 class TestEdaCommand:
     def test_outputs(self, workdir):
         assert run_cli(["eda"]) == 0

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from lupus import dataprep
 from lupus.dataprep import (
     Dataset,
-    RawTable,
     apply_standardizer,
     clean,
     fit_standardizer,
@@ -24,7 +23,7 @@ def _row(values):
 
 
 def _table(rows):
-    return RawTable(rows=[_row(r) for r in rows], had_header=False)
+    return [_row(r) for r in rows]
 
 
 def _synthetic_rows(n=12, missing=()):
@@ -42,8 +41,7 @@ def _synthetic_rows(n=12, missing=()):
 
 class TestLoadTable:
     def test_bundled_file_row_count(self, heart_csv):
-        raw = load_table(heart_csv)
-        assert raw.n_rows == 303
+        assert len(load_table(heart_csv)) == 303
 
     def test_header_detected_and_skipped(self, tmp_path):
         path = tmp_path / "with_header.csv"
@@ -51,8 +49,7 @@ class TestLoadTable:
             ",".join(dataprep.COLUMN_NAMES) + "\n"
             + ",".join(["1.0"] * 13) + ",0\n"
         )
-        raw = load_table(path)
-        assert raw.had_header and raw.n_rows == 1
+        assert load_table(path) == [["1.0"] * 13 + ["0"]]
 
     def test_wrong_field_count_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -90,14 +87,14 @@ class TestClean:
         rows = [_row([1.0] * 13 + [0]) for _ in range(3)]
         rows += [_row([2.0] * 13 + [1]) for _ in range(2)]
         rows[4][0] = "?"
-        ds = clean(RawTable(rows=rows, had_header=False), impute=True)
+        ds = clean(rows, impute=True)
         assert ds.n == 5
         assert ds.X[4, 0] == 1.0  # column mode
 
     def test_impute_tie_takes_smallest(self):
         rows = [_row([1.0] * 13 + [0]), _row([2.0] * 13 + [0]), _row([3.0] * 13 + [1])]
         rows[2][5] = "?"
-        ds = clean(RawTable(rows=rows, had_header=False), impute=True)
+        ds = clean(rows, impute=True)
         assert ds.X[2, 5] == 1.0
 
     def test_non_numeric_field_errors(self):
@@ -109,7 +106,7 @@ class TestClean:
     def test_never_invents_values(self, heart_csv):
         raw = load_table(heart_csv)
         ds = clean(raw)
-        kept = [row for row in raw.rows if dataprep.MISSING not in row]
+        kept = [row for row in raw if dataprep.MISSING not in row]
         for i in (0, 100, 296):
             assert ds.X[i].tolist() == [float(v) for v in kept[i][:13]]
 

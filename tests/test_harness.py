@@ -80,7 +80,8 @@ class TestRunPlan:
         plan = ExperimentPlan(algorithms=("gwo",), functions=("f1", "f6"), **SMALL)
         result = run_plan(plan)
         for row in result.rows:
-            finals = result.finals(row.algorithm, row.function, row.dim)
+            finals = np.array([result.histories[(row.algorithm, row.function, row.dim, r)][-1]
+                               for r in range(plan.n_runs)])
             assert row.mean == float(finals.mean())
             assert row.std == float(finals.std())
             assert row.n_runs == finals.size
@@ -145,10 +146,9 @@ class TestExportConvergence:
         plan = ExperimentPlan(algorithms=("gwo",), functions=("f1",),
                               dims=(3,), n_runs=1, n_agents=5, max_iter=20)
         result = run_plan(plan)
-        paths = export_convergence(result.histories, tmp_path)
-        assert len(paths) == 1
-        assert paths[0].name == "gwo_f1_3_0.csv"
-        lines = paths[0].read_text().splitlines()
+        assert export_convergence(result.histories, tmp_path) is None
+        assert [p.name for p in tmp_path.iterdir()] == ["gwo_f1_3_0.csv"]
+        lines = (tmp_path / "gwo_f1_3_0.csv").read_text().splitlines()
         assert lines[0] == "iter,alpha_score"
         assert len(lines) == 21
         values = [float(line.split(",")[1]) for line in lines[1:]]
@@ -157,10 +157,13 @@ class TestExportConvergence:
     def test_byte_identical_on_rerun(self, tmp_path):
         plan = ExperimentPlan(algorithms=("acgwo",), functions=("f5",),
                               dims=(2,), n_runs=2, n_agents=5, max_iter=10)
-        first = export_convergence(run_plan(plan).histories, tmp_path / "a")
-        second = export_convergence(run_plan(plan).histories, tmp_path / "b")
-        for p1, p2 in zip(first, second):
-            assert p1.read_bytes() == p2.read_bytes()
+        export_convergence(run_plan(plan).histories, tmp_path / "a")
+        export_convergence(run_plan(plan).histories, tmp_path / "b")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == ["acgwo_f5_2_0.csv", "acgwo_f5_2_1.csv"]
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_empty_histories_rejected(self, tmp_path):
         with pytest.raises(ValueError):

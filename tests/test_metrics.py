@@ -6,14 +6,9 @@ from hypothesis import given, strategies as st
 
 from lupus.metrics import (
     ConfusionCounts,
-    DegenerateMetricWarning,
     EvalReport,
-    accuracy,
     confusion,
     evaluate,
-    f1,
-    precision,
-    recall,
     roc_auc,
 )
 
@@ -70,41 +65,56 @@ class TestConfusion:
         assert c.total == len(pairs)
 
 
+def report_for(c):
+    """evaluate() on labels and 0/1 scores whose confusion counts are ``c``."""
+    y_true = [1] * c.tp + [0] * c.tn + [0] * c.fp + [1] * c.fn
+    scores = [1.0] * c.tp + [0.0] * c.tn + [1.0] * c.fp + [0.0] * c.fn
+    report = evaluate(y_true, scores)
+    assert report.counts == c
+    return report
+
+
 class TestRatioMetrics:
     def test_fixture_values(self):
-        assert accuracy(FIXTURE) == pytest.approx(0.7, abs=1e-9)
-        assert precision(FIXTURE) == pytest.approx(0.75, abs=1e-9)
-        assert recall(FIXTURE) == pytest.approx(0.6, abs=1e-9)
-        assert f1(FIXTURE) == pytest.approx(0.666667, abs=1e-6)
+        report = report_for(FIXTURE)
+        assert report.accuracy == pytest.approx(0.7, abs=1e-9)
+        assert report.precision == pytest.approx(0.75, abs=1e-9)
+        assert report.recall == pytest.approx(0.6, abs=1e-9)
+        assert report.f1 == pytest.approx(0.666667, abs=1e-6)
+        assert report.degenerate == ()
 
     def test_perfect_classifier(self):
-        c = ConfusionCounts(tp=3, tn=2, fp=0, fn=0)
-        assert accuracy(c) == 1.0
-        assert f1(c) == 1.0
+        report = report_for(ConfusionCounts(tp=3, tn=2, fp=0, fn=0))
+        assert report.accuracy == 1.0
+        assert report.f1 == 1.0
 
-    def test_degenerate_precision_warns(self):
-        c = ConfusionCounts(tp=0, tn=5, fp=0, fn=0)
-        with pytest.warns(DegenerateMetricWarning):
-            assert precision(c) == 0.0
+    def test_degenerate_precision_flagged(self):
+        # No positive predictions; evaluate needs both classes, hence fn=1.
+        report = report_for(ConfusionCounts(tp=0, tn=5, fp=0, fn=1))
+        assert report.precision == 0.0
+        assert report.degenerate == ("precision", "f1")
 
-    def test_degenerate_f1_warns(self):
-        c = ConfusionCounts(tp=0, tn=1, fp=1, fn=1)
-        with pytest.warns(DegenerateMetricWarning):
-            assert f1(c) == 0.0
+    def test_degenerate_f1_flagged(self):
+        report = report_for(ConfusionCounts(tp=0, tn=1, fp=1, fn=1))
+        assert report.f1 == 0.0
+        assert report.degenerate == ("f1",)
 
     @given(tp=st.integers(0, 500), fp=st.integers(0, 500), fn=st.integers(0, 500))
     def test_f1_equals_counts_form(self, tp, fp, fn):
         c = ConfusionCounts(tp=tp, tn=1, fp=fp, fn=fn)
         if tp == 0:
             return
-        assert abs(f1(c) - 2.0 * tp / (2.0 * tp + fp + fn)) < 1e-12
+        assert abs(report_for(c).f1 - 2.0 * tp / (2.0 * tp + fp + fn)) < 1e-12
 
     @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=60))
     def test_accuracy_invariant_under_relabeling(self, pairs):
+        # One correct prediction per class keeps both classes present for
+        # evaluate; flipping maps those two pairs onto each other.
+        pairs = pairs + [(0, 0), (1, 1)]
         yt = [a for a, _ in pairs]
-        yp = [b for _, b in pairs]
-        flipped = accuracy(confusion([1 - a for a in yt], [1 - b for b in yp]))
-        assert accuracy(confusion(yt, yp)) == pytest.approx(flipped, abs=1e-12)
+        yp = [float(b) for _, b in pairs]
+        flipped = evaluate([1 - a for a in yt], [1.0 - b for b in yp]).accuracy
+        assert evaluate(yt, yp).accuracy == pytest.approx(flipped, abs=1e-12)
 
 
 class TestRocAuc:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lupus import mlp
+from lupus import metrics, mlp
 from lupus.errors import ConfigError, DataError
 from lupus.mlp import (
     MlpArchitecture,
@@ -13,12 +13,10 @@ from lupus.mlp import (
     backward,
     bce_loss,
     flatten,
-    forward,
     forward_batch,
     init_params,
     model_from_json,
     model_to_json,
-    predict,
     train_acgwo,
     train_bp,
     train_hybrid,
@@ -150,6 +148,16 @@ class TestStableSigmoid:
             assert_same_bits(mlp._stable_sigmoid(z), _two_sided_sigmoid(z))
 
 
+def forward(arch, params, x):
+    """Predicted probability of one feature vector, as a one-row batch."""
+    return float(forward_batch(arch, params, np.asarray(x)[None, :])[0])
+
+
+def predict(arch, params, X, threshold=0.5):
+    """Labels as metrics.evaluate thresholds forward_batch scores."""
+    return (forward_batch(arch, params, X) >= threshold).astype(int)
+
+
 class TestForward:
     def test_zero_params_give_half(self):
         arch = MlpArchitecture((4, 3, 1))
@@ -187,8 +195,9 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         arch = MlpArchitecture((3, 1))
-        with pytest.raises(ValueError):
-            forward(arch, np.zeros(arch.n_params), np.zeros(2))
+        for X in (np.zeros((1, 2)), np.zeros((2, 4)), np.zeros(3)):
+            with pytest.raises(ValueError, match="3 columns"):
+                forward_batch(arch, np.zeros(arch.n_params), X)
 
     @given(scale=st.floats(min_value=0.1, max_value=1000.0))
     def test_output_strictly_inside_unit_interval(self, scale):
@@ -324,8 +333,9 @@ class TestPredict:
 
     def test_threshold_validated(self):
         arch = MlpArchitecture((1, 1))
-        with pytest.raises(ValueError):
-            predict(arch, np.zeros(2), np.array([[1.0]]), threshold=0.0)
+        scores = forward_batch(arch, np.zeros(2), np.array([[1.0], [2.0]]))
+        with pytest.raises(ValueError, match="threshold"):
+            metrics.evaluate([1, 0], scores, threshold=0.0)
 
 
 class TestTrainAcgwo:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from lupus.optimizer import (
     clamp,
     combine_candidates,
     control_wa,
-    initialize,
     pso_run,
     run,
     step_coefficients,
@@ -80,26 +80,40 @@ class TestConfigs:
             PsoConfig(velocity_clamp=0.0)
 
 
+def _initial_positions(space, cfg):
+    """The positions run() evaluates first: its initialization."""
+    seen = []
+
+    def recording(x, rng):
+        seen.append(x.copy())
+        return sphere(x)
+
+    run(recording, space, GwoConfig(n_agents=cfg.n_agents, max_iter=1, seed=cfg.seed))
+    return np.stack(seen)
+
+
 class TestInitialize:
     def test_bounds_containment(self):
         space = SearchSpace.uniform(2, -1.0, 1.0)
-        state = initialize(space, GwoConfig(n_agents=5, max_iter=10, seed=3))
-        assert state.positions.shape == (5, 2)
-        assert np.all(state.positions >= -1.0) and np.all(state.positions <= 1.0)
+        positions = _initial_positions(space, GwoConfig(n_agents=5, max_iter=10, seed=3))
+        assert positions.shape == (5, 2)
+        assert np.all(positions >= -1.0) and np.all(positions <= 1.0)
 
     def test_deterministic(self):
         space = SearchSpace.uniform(4, -2.0, 7.0)
         cfg = GwoConfig(n_agents=6, max_iter=10, seed=99)
-        a = initialize(space, cfg).positions
-        b = initialize(space, cfg).positions
+        a = _initial_positions(space, cfg)
+        b = _initial_positions(space, cfg)
         assert np.array_equal(a, b)
 
     def test_leader_sentinels(self):
+        # No fitness beats the +inf start, so no agent ever becomes a leader.
         space = SearchSpace.uniform(2, -1.0, 1.0)
-        state = initialize(space, GwoConfig(n_agents=3, max_iter=1, seed=0))
-        assert state.alpha_score == math.inf
-        assert state.beta_score == math.inf
-        assert state.delta_score == math.inf
+        result = run(lambda x, rng: math.inf, space,
+                     GwoConfig(variant="gwo", n_agents=3, max_iter=2, seed=0))
+        assert result.best_score == math.inf
+        assert np.all(result.history == math.inf)
+        assert np.array_equal(result.best_position, np.zeros(2))
 
 
 class TestControlWa:
@@ -202,7 +216,12 @@ def _reference_run(objective, space, cfg):
     per-agent, per-leader step coefficients.
     """
     rng = np.random.default_rng(cfg.seed)
-    state = initialize(space, cfg, rng)
+    state = SimpleNamespace(
+        positions=rng.uniform(space.lower, space.upper, size=(cfg.n_agents, space.dim)),
+        fitness=np.full(cfg.n_agents, math.inf),
+        alpha_pos=np.zeros(space.dim), beta_pos=np.zeros(space.dim),
+        delta_pos=np.zeros(space.dim),
+        alpha_score=math.inf, beta_score=math.inf, delta_score=math.inf)
     n = cfg.n_agents
     use_curve = cfg.variant in ("cgwo", "acgwo")
     use_weights = cfg.variant in ("agwo", "acgwo")
@@ -301,18 +320,19 @@ class TestRun:
         space = SearchSpace.uniform(2, -5.0, 5.0)
         cfg = GwoConfig(variant="gwo", n_agents=5, max_iter=15, seed=2)
         rng = np.random.default_rng(cfg.seed)
-        state = initialize(space, cfg, rng)
+        positions = rng.uniform(space.lower, space.upper, size=(cfg.n_agents, space.dim))
+        scores, leaders = [math.inf] * 3, [np.zeros(space.dim)] * 3
         for _ in range(cfg.max_iter):
-            state.fitness = optimizer._evaluate(sphere_objective, state.positions, rng)
-            optimizer._update_leaders(state)
-            assert state.alpha_score <= state.beta_score <= state.delta_score
+            fitness = optimizer._evaluate(sphere_objective, positions, rng)
+            optimizer._update_leaders(fitness, positions, scores, leaders)
+            assert scores[0] <= scores[1] <= scores[2]
             wa = 1.0
             draws = rng.random((cfg.n_agents, 3, space.dim, 2))
             a = 2 * wa * draws[..., 0] - wa
             c = 2 * draws[..., 1]
-            leaders = np.stack([state.alpha_pos, state.beta_pos, state.delta_pos])
-            disp = np.abs(c * leaders[None] - state.positions[:, None, :])
-            state.positions = clamp((leaders[None] - a * disp).mean(axis=1), space)
+            stacked = np.stack(leaders)
+            disp = np.abs(c * stacked[None] - positions[:, None, :])
+            positions = clamp((stacked[None] - a * disp).mean(axis=1), space)
 
     def test_nan_fitness_never_leads(self):
         def sometimes_nan(x, rng):
@@ -345,6 +365,45 @@ class TestRun:
                         normalize_inertia=False)
         result = run(sphere_objective, space, cfg)
         assert np.all(np.diff(result.history) <= 0)
+
+
+# Fitness rows with ties, repeated values and +inf, one row per iteration. The
+# third row makes the last agent alpha, so its position (run's best_position)
+# depends on where the second row's leaders moved the swarm.
+_TIED_FITNESS = [[3.0, 1.0, 1.0, 2.0, math.inf, 1.0],
+                 [1.0, 0.5, 1.0, 0.5, math.inf, 0.0],
+                 [5.0, 5.0, 5.0, 5.0, 5.0, -1.0]]
+
+
+class TestUpdateLeaders:
+    def test_ties_repeats_and_inf(self):
+        # An agent must strictly beat a rank to take it, so on a tie the
+        # earlier agent keeps the higher rank; +inf never enters.
+        positions = np.arange(6.0)[:, None] * np.ones((6, 2))
+        scores, leaders = [math.inf] * 3, [np.zeros(2)] * 3
+        optimizer._update_leaders(np.array(_TIED_FITNESS[0]), positions, scores, leaders)
+        assert scores == [1.0, 1.0, 1.0]
+        assert [leader[0] for leader in leaders] == [1.0, 2.0, 5.0]
+        moved = positions + 10.0
+        optimizer._update_leaders(np.array(_TIED_FITNESS[1]), moved, scores, leaders)
+        assert scores == [0.0, 0.5, 0.5]
+        assert [leader[0] for leader in leaders] == [15.0, 11.0, 13.0]
+        moved[5] = -1.0  # the leaders are copies, not views
+        assert leaders[0][0] == 15.0
+
+    @pytest.mark.parametrize("variant", ["gwo", "acgwo"])
+    def test_matches_reference_cascade_on_ties(self, variant):
+        def replay():
+            values = iter(v for row in _TIED_FITNESS for v in row)
+            return lambda x, rng: next(values)
+
+        space = SearchSpace.uniform(2, -3.0, 3.0)
+        cfg = GwoConfig(variant=variant, n_agents=6, max_iter=len(_TIED_FITNESS), seed=4)
+        result = run(replay(), space, cfg)
+        ref_pos, ref_history = _reference_run(replay(), space, cfg)
+        assert result.history.tolist() == [1.0, 0.0, -1.0]
+        assert result.best_position.tobytes() == ref_pos.tobytes()
+        assert result.history.tobytes() == ref_history.tobytes()
 
 
 class TestPso:
