@@ -80,8 +80,9 @@ def _load_config(path):
 def _resolve(ctx, command):
     """Apply flag > config-file > environment > default precedence.
 
-    A config value passes through its option's click type, as a flag's text
-    does; a section key that names no option of the command is an error.
+    A config value passes through its option's click type as the text of its
+    flag would; a section key that names no option of the command is an
+    error.
     """
     path = ctx.params.get("config")
     config = _load_config(path)
@@ -103,8 +104,11 @@ def _resolve(ctx, command):
             continue
         if value is None:
             raise ConfigError(f"config file {path}: {label}: null is not a value")
+        # A JSON number or boolean is read as its JSON text, as a flag's text
+        # is: int() and float() would truncate 2.5 and read true as 1.
+        text = value if isinstance(value, str) else json.dumps(value)
         try:
-            resolved[name] = params[name].type_cast_value(ctx, value)
+            resolved[name] = params[name].type_cast_value(ctx, text)
         except click.BadParameter as exc:
             raise ConfigError(f"config file {path}: {label}: {exc.message}") from None
     return resolved

@@ -178,7 +178,8 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int):
     """Split per class with a seeded shuffle, preserving class proportions.
 
     Each class contributes round(train_fraction * class_size) rows to the
-    training part; rows keep their per-class shuffled order.
+    training part; rows keep their per-class shuffled order. A fraction that
+    leaves a class out of either part is a :class:`ConfigError`.
     """
     if not 0 < train_fraction < 1:
         raise ConfigError(f"train_fraction must lie in (0, 1), got {train_fraction}")
@@ -194,6 +195,11 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int):
             )
         perm = rng.permutation(members)
         k = int(round(train_fraction * members.size))
+        if k in (0, members.size):
+            raise ConfigError(
+                f"train_fraction {train_fraction} leaves class {cls} ({members.size} "
+                f"rows) with no {'training' if k == 0 else 'held-out'} row"
+            )
         train_idx.append(perm[:k])
         test_idx.append(perm[k:])
     train_idx = np.concatenate(train_idx)

@@ -66,15 +66,21 @@ class TrainReport:
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow, branch-free.
+    """Logistic function without overflow, branch-free; ``z`` is left as is.
 
     ``exp(-|z|)`` is the same ``exp`` call on the same value as the two-sided
     form (``exp(-z)`` for z >= 0, ``exp(z)`` below), so both branches round
-    exactly as there. Keep ``e / d``: ``e * (1 / d)`` rounds twice.
+    exactly as there. ``max(e, z >= 0)`` is 1 for z >= 0 (where ``e <= 1``)
+    and ``e`` below, NaN staying NaN, so each element gets its one division
+    without ``np.where``, which costs more than the ``exp``. Keep ``e / d``:
+    ``e * (1 / d)`` rounds twice.
     """
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.maximum(e, z >= 0, out=e)
+    return np.divide(e, d, out=e)
 
 
 def unflatten(arch: MlpArchitecture, params) -> list:
@@ -297,13 +303,19 @@ def model_from_json(text: str, source: str = "model") -> TrainedModel:
             scaler_mean=np.asarray(payload["scaler_mean"], dtype=float),
             scaler_std=np.asarray(payload["scaler_std"], dtype=float),
             threshold=float(payload["threshold"]),
-            split_seed=int(payload["split_seed"]),
+            split_seed=payload["split_seed"],
             train_fraction=float(payload["train_fraction"]),
-            impute=bool(payload["impute"]),
+            impute=payload["impute"],
             mode=str(payload["mode"]),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{source}: cannot parse model file: {exc}") from exc
+    # int() and bool() would truncate 1.5 and read "no" as true.
+    if type(model.split_seed) is not int or model.split_seed < 0:
+        raise DataError(f"{source}: split_seed must be a non-negative integer, "
+                        f"got {json.dumps(model.split_seed)}")
+    if type(model.impute) is not bool:
+        raise DataError(f"{source}: impute must be true or false, got {json.dumps(model.impute)}")
     try:
         arch = model.architecture
     except ConfigError as exc:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import shutil
@@ -5,13 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lupus import cli
+from lupus import cli, mlp
 from lupus.cli import main
 
 BENCH_SMALL = ["bench", "--functions", "f1", "--dims", "4", "--algs", "gwo,acgwo",
                "--runs", "2", "--agents", "5", "--iters", "15", "--seed", "42"]
+BENCH_SMALL_NO_RUNS = BENCH_SMALL[:7] + BENCH_SMALL[9:]
 TRAIN_SMALL = ["train", "--mode", "acgwo-bp", "--swarm", "10", "--iters", "30",
                "--bp-epochs", "20", "--learning-rate", "0.1", "--seed", "3"]
 
@@ -147,6 +149,16 @@ class TestConfigFile:
         pytest.param(["curves", "--iters", "3"], {"curves": {"seed": 1}},
                      ["'curves'", "'seed'"], id="key-of-another-command"),
         pytest.param(BENCH_SMALL, {"bnech": {"runs": 1}}, ["'bnech'"], id="unknown-section"),
+        pytest.param(BENCH_SMALL_NO_RUNS, {"bench": {"runs": 2.5}}, ["bench.runs", "2.5"],
+                     id="int-float"),
+        pytest.param(BENCH_SMALL_NO_RUNS, {"bench": {"runs": True}}, ["bench.runs", "true"],
+                     id="int-bool"),
+        pytest.param(BENCH_SMALL, {"bench": {"workers": 1.5}}, ["bench.workers", "1.5"],
+                     id="range-float"),
+        pytest.param(BENCH_SMALL[:-2], {"seed": 3.0}, ["seed", "3.0"], id="seed-float"),
+        pytest.param([a for a in TRAIN_SMALL if a not in ("--learning-rate", "0.1")],
+                     {"train": {"learning_rate": True}}, ["train.learning_rate", "true"],
+                     id="float-bool"),
     ])
     def test_bad_value_or_key_exit_one(self, workdir, capsys, args, config, named):
         Path("cfg.json").write_text(json.dumps(config))
@@ -229,6 +241,12 @@ class TestTrainCommand:
         # A missing dataset exits 2, so exit 1 shows the option was checked first.
         assert run_cli(TRAIN_SMALL + [flag, value, "--data", "data/nope.csv"]) == 1
 
+    @pytest.mark.parametrize("fraction", ["0.9999", "0.0001"])
+    def test_fraction_leaving_a_part_empty_exit_one(self, workdir, capsys, fraction):
+        assert run_cli(TRAIN_SMALL + ["--train-fraction", fraction]) == 1
+        assert "train_fraction" in capsys.readouterr().err
+        assert not Path("results").exists()
+
     def test_bad_option_message_names_flag(self, workdir, capsys):
         for flag, value in (("--bounds", "0,inf"), ("--learning-rate", "nan")):
             assert run_cli(TRAIN_SMALL + [flag, value]) == 1
@@ -288,6 +306,42 @@ class TestTrainNeverInternalError:
         if code == 0:
             assert run_cli(["eval", "--model", str(out / "model.json"),
                             "--data", str(heart_csv), "--out", str(out)]) == 0
+
+
+# Any JSON document: NaN and infinities included, as json.loads reads them.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="class")
+def small_model(heart_csv, tmp_path_factory):
+    """A trained model.json's fields and the directory eval writes to."""
+    out = tmp_path_factory.mktemp("eval")
+    assert run_cli(["train", "--data", str(heart_csv), "--out", str(out), "--mode=bp",
+                    "--bp-epochs=2", "--seed=0"]) == 0
+    return json.loads((out / "model.json").read_text()), out
+
+
+class TestEvalNeverInternalError:
+    @settings(max_examples=50)
+    @given(field=st.sampled_from([f.name for f in dataclasses.fields(mlp.TrainedModel)]),
+           value=_json_values)
+    @example(field="train_fraction", value=0.9999999)
+    @example(field="split_seed", value=-1)
+    @example(field="split_seed", value=1.5)
+    @example(field="impute", value="no")
+    @example(field="threshold", value=10 ** 400)
+    @example(field="layer_sizes", value=[13, math.inf, 1])
+    def test_exit_code_never_three(self, heart_csv, small_model, field, value):
+        fields, out = small_model
+        (out / "edited.json").write_text(json.dumps(dict(fields, **{field: value})))
+        code = run_cli(["eval", "--model", str(out / "edited.json"),
+                        "--data", str(heart_csv), "--out", str(out)])
+        assert code in (0, 1, 2)
 
 
 class TestEvalCommand:

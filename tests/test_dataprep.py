@@ -183,10 +183,12 @@ class TestStratifiedSplit:
         with pytest.raises(ConfigError):
             stratified_split(ds, 0.5, seed=0)
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2])
+    # 10 rows split into classes of 2 and 8: 0.9 and 0.1 leave the small
+    # class out of one part, 0.99 leaves the held-out part empty.
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 0.9, 0.1, 0.99])
     def test_fraction_validated(self, fraction):
         ds = clean(_table(_synthetic_rows(10)))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="train_fraction"):
             stratified_split(ds, fraction, seed=0)
 
 

@@ -125,7 +125,7 @@ def assert_same_bits(actual, expected):
 # exp(-|z|) underflows to a subnormal or zero beyond |z| ~ 708 in both forms;
 # that rounding is the exact result, so only underflow is let through.
 _SIGMOID_ERRSTATE = dict(all="raise", under="ignore")
-_SIGMOID_SPECIALS = [0.0, 1e-300, 36.8, 709.0, 745.0, 1e308, math.inf]
+_SIGMOID_SPECIALS = [0.0, 5e-324, 1e-300, 36.8, 709.0, 745.0, 1e308, math.inf]
 
 
 class TestStableSigmoid:
@@ -146,6 +146,21 @@ class TestStableSigmoid:
         z = np.linspace(-708.0, 708.0, 20001)
         with np.errstate(all="raise"):
             assert_same_bits(mlp._stable_sigmoid(z), _two_sided_sigmoid(z))
+
+    def test_agent_stack_bit_identical(self):
+        # The shape of one chunk of the swarm's stacked loss on the heart data.
+        z = np.random.default_rng(23).normal(scale=5.0, size=(9, 208, 16))
+        with np.errstate(**_SIGMOID_ERRSTATE):
+            assert_same_bits(mlp._stable_sigmoid(z), _two_sided_sigmoid(z))
+
+    def test_argument_left_unchanged(self):
+        # The sigmoid writes its work arrays with out=; none may be the caller's.
+        z = np.random.default_rng(29).normal(scale=5.0, size=(4, 208, 16))
+        z[0, 0, :4] = [-0.0, math.inf, -math.inf, math.nan]
+        before = z.copy()
+        with np.errstate(**_SIGMOID_ERRSTATE):
+            mlp._stable_sigmoid(z)
+        assert_same_bits(z, before)
 
 
 def forward(arch, params, x):
@@ -504,6 +519,12 @@ class TestModelPersistence:
         ("train_fraction", -0.1),
         ("params", [[0.0] * 9]),
         ("scaler_mean", [[0.5, -0.5]]),
+        ("split_seed", -1),
+        ("split_seed", 1.5),
+        ("split_seed", True),
+        ("split_seed", "7"),
+        ("impute", "no"),
+        ("impute", 0),
     ])
     def test_field_eval_relies_on_validated(self, field, value):
         payload = json.loads(model_to_json(self._model()))
