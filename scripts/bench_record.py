@@ -1,7 +1,8 @@
 """Write the benchmark record BENCH_<n>.json for the checked-out source.
 
 For every workload in BENCHMARK.json this runs perfbench/run.py untraced at
-each seed, then once traced, one process at a time, and records:
+seeds 1-5, then once traced at seed 1, for BENCHMARK.json's run_seconds, one
+process at a time, and records:
 
 - run.py's machine record (cores, CPU, Python, numpy, BLAS, thread
   variables, git commit, source digest);
@@ -14,7 +15,7 @@ Records are numbered by the change that adds them, so BENCH_<n>.json sits
 next to the code it measured. Run from the repository root, on a quiet
 machine:
 
-    python3 scripts/bench_record.py --number 7 --seeds 1,2,3,4,5 --trace-seed 1
+    python3 scripts/bench_record.py --number 7
 """
 
 import argparse
@@ -26,6 +27,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_PY = ROOT / "perfbench" / "run.py"
+SEEDS = (1, 2, 3, 4, 5)
+TRACE_SEED = 1
 
 
 def parse_run_output(stdout):
@@ -72,30 +75,22 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--number", type=int, required=True,
                         help="n in BENCH_<n>.json: the number of the change measured")
-    parser.add_argument("--seeds", default="1,2,3,4,5",
-                        help="comma-separated seeds of the untraced runs (at least 2)")
-    parser.add_argument("--trace-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length per process (default: BENCHMARK.json run_seconds)")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    if len(seeds) < 2:
-        parser.error("--seeds needs at least two seeds for quartiles")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
 
     machines, workloads = [], {}
     for wl in (w["name"] for w in benchmark["workloads"]):
         untraced = []
-        for seed in seeds:
+        for seed in SEEDS:
             result, machine = run_perfbench(wl, seed, seconds, 0)
             untraced.append(result)
             machines.append(machine)
             print(f"{wl} seed {seed}: wall_s {result['metrics']['wall_s']['value']!r} "
                   f"correct {result['correct']}", file=sys.stderr)
-        traced, machine = run_perfbench(wl, args.trace_seed, seconds, 1)
+        traced, machine = run_perfbench(wl, TRACE_SEED, seconds, 1)
         machines.append(machine)
-        workloads[wl] = {"seeds": seeds, "trace_seed": args.trace_seed,
+        workloads[wl] = {"seeds": list(SEEDS), "trace_seed": TRACE_SEED,
                          **aggregate(untraced, traced)}
     if any(m != machines[0] for m in machines):
         raise SystemExit("error: the machine record or source changed between runs")

@@ -373,7 +373,10 @@ def cmd_eval(ctx, **_kwargs):
             f"model expects {model.layer_sizes[0]} features but the data "
             f"has {ds.X.shape[1]}"
         )
-    _, test = dataprep.stratified_split(ds, model.train_fraction, model.split_seed)
+    try:
+        _, test = dataprep.stratified_split(ds, model.train_fraction, model.split_seed)
+    except ConfigError as exc:
+        raise DataError(f"{p['model_path']}: {exc}") from None
     stats = dataprep.StandardizationStats(mean=model.scaler_mean, std=model.scaler_std)
     x_test = dataprep.apply_standardizer(stats, test.X)
     scores = mlp.forward_batch(model.architecture, model.params, x_test)

@@ -373,6 +373,7 @@ class TestEvalCommand:
         ("scaler_mean", lambda v: v[:-1]),
         ("threshold", lambda v: 1.5),
         ("params", lambda v: [math.nan] + v[1:]),
+        ("train_fraction", lambda v: 0.9999999),
     ])
     def test_invalid_model_field_exit_two(self, workdir, capsys, field, value):
         assert run_cli(TRAIN_SMALL) == 0
@@ -381,7 +382,8 @@ class TestEvalCommand:
         payload[field] = value(payload[field])
         Path("results/model.json").write_text(json.dumps(payload))
         assert run_cli(["eval"]) == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err and "results/model.json" in err
         assert not Path("results/eval.json").exists()
 
 
