@@ -70,7 +70,7 @@ def _load_config(path):
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file {path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: top level must be an object")
@@ -263,8 +263,7 @@ def cmd_train(ctx, **_kwargs):
     seed = p["seed"]
     mode = p["mode"]
     threshold = p["threshold"]
-    if not 0 < threshold < 1:
-        raise ConfigError(f"--threshold must lie in (0, 1), got {threshold}")
+    metrics.check_unit_interval(threshold, "--threshold", ConfigError)
     try:
         lo, hi = (float(v) for v in p["bounds"].split(","))
     except ValueError:
@@ -433,12 +432,9 @@ def main(argv=None):
     except click.Abort:
         click.echo("aborted", err=True)
         return 1
-    except ConfigError as exc:
+    except (ConfigError, DataError) as exc:
         click.echo(f"error: {exc}", err=True)
-        return 1
-    except DataError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
+        return 2 if isinstance(exc, DataError) else 1
     except Exception as exc:
         if os.environ.get("LUPUS_DEBUG") == "1":
             traceback.print_exc()

@@ -46,7 +46,12 @@ def cauchy_pdf(x: float, x0: float, gamma: float) -> float:
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
-    return (gamma / math.pi) / (gamma * gamma + (x - x0) ** 2)
+    try:
+        return (gamma / math.pi) / (gamma * gamma + (x - x0) ** 2)
+    except OverflowError:  # (x - x0) ** 2 beyond the float range; IEEE gives 0
+        return 0.0
+    except ZeroDivisionError:  # gamma * gamma underflows to 0 at the peak
+        return math.inf
 
 
 def _check_iteration(iteration: int, max_iter: int) -> None:

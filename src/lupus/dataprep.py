@@ -12,6 +12,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import metrics
 from .errors import ConfigError, DataError
 
 COLUMN_NAMES = (
@@ -181,8 +182,7 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int):
     training part; rows keep their per-class shuffled order. A fraction that
     leaves a class out of either part is a :class:`ConfigError`.
     """
-    if not 0 < train_fraction < 1:
-        raise ConfigError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    metrics.check_unit_interval(train_fraction, "train_fraction", ConfigError)
     classes = np.unique(ds.y)
     rng = np.random.default_rng(seed)
     train_idx = []

@@ -125,10 +125,15 @@ class EvalReport:
         return f"{_CSV_HEADER}\n{row}\n"
 
 
+def check_unit_interval(value, name: str = "threshold", error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``0 < value < 1``."""
+    if not 0 < value < 1:
+        raise error(f"{name} must lie in (0, 1), got {value}")
+
+
 def evaluate(y_true, scores, threshold: float = 0.5) -> EvalReport:
     """Threshold scores into labels and assemble the full report."""
-    if not 0 < threshold < 1:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    check_unit_interval(threshold)
     s = np.asarray(scores, dtype=float)
     y_pred = (s >= threshold).astype(int)
     c = confusion(y_true, y_pred)

@@ -13,14 +13,16 @@ stack of parameter vectors, shape ``(m, n_params)``: weights come out as
 to the call on that row's vector. A single vector keeps its ``float`` loss.
 """
 
+import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from . import optimizer
+from . import metrics, optimizer
 from .errors import ConfigError, DataError
 from .optimizer import GwoConfig, SearchSpace
 
@@ -56,6 +58,9 @@ class MlpArchitecture:
             fan_in * fan_out + fan_out
             for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:])
         )
+
+
+MODES = ("acgwo", "bp", "hybrid")  # the TrainReport.mode values, as model.json holds them
 
 
 @dataclass
@@ -295,56 +300,51 @@ def model_to_json(model: TrainedModel) -> str:
 
 
 def model_from_json(text: str, source: str = "model") -> TrainedModel:
+    """Read a model file whose every field holds what ``model_to_json`` writes.
+
+    Nothing is coerced: a field of the wrong JSON type or out of range is a
+    :class:`DataError` naming it.
+    """
     try:
         payload = json.loads(text)
-        model = TrainedModel(
-            layer_sizes=tuple(int(v) for v in payload["layer_sizes"]),
-            params=np.asarray(payload["params"], dtype=float),
-            scaler_mean=np.asarray(payload["scaler_mean"], dtype=float),
-            scaler_std=np.asarray(payload["scaler_std"], dtype=float),
-            threshold=float(payload["threshold"]),
-            split_seed=payload["split_seed"],
-            train_fraction=float(payload["train_fraction"]),
-            impute=payload["impute"],
-            mode=str(payload["mode"]),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        fields = {f.name: payload[f.name] for f in dataclasses.fields(TrainedModel)}
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DataError(f"{source}: cannot parse model file: {exc}") from exc
-    # int() and bool() would truncate 1.5 and read "no" as true.
-    if type(model.split_seed) is not int or model.split_seed < 0:
-        raise DataError(f"{source}: split_seed must be a non-negative integer, "
-                        f"got {json.dumps(model.split_seed)}")
-    if type(model.impute) is not bool:
-        raise DataError(f"{source}: impute must be true or false, got {json.dumps(model.impute)}")
+
+    def check(name, ok, want):
+        if not ok(fields[name]):
+            shown = json.dumps(fields[name])
+            shown = shown if len(shown) <= 40 else shown[:37] + "..."
+            raise DataError(f"{source}: {name} must be {want}, got {shown}")
+
+    def number(value):  # not a bool (json's true), nor an int beyond every float
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+    check("layer_sizes", lambda v: type(v) is list
+          and all(type(s) is int and 0 < s <= sys.maxsize for s in v),
+          f"a list of integers in [1, {sys.maxsize}]")
+    for name in ("params", "scaler_mean", "scaler_std"):
+        check(name, lambda v: type(v) is list and all(map(number, v)),
+              "a flat list of finite numbers")
+        fields[name] = np.array(fields[name], dtype=float)
+    for name in ("threshold", "train_fraction"):
+        check(name, number, "a finite number")
+        metrics.check_unit_interval(fields[name], f"{source}: {name}", DataError)
+    check("split_seed", lambda v: type(v) is int and v >= 0, "a non-negative integer")
+    check("impute", lambda v: type(v) is bool, "true or false")
+    check("mode", lambda v: v in MODES, "one of " + ", ".join(MODES))
+    model = TrainedModel(**dict(fields, layer_sizes=tuple(fields["layer_sizes"])))
     try:
         arch = model.architecture
     except ConfigError as exc:
         raise DataError(f"{source}: layer_sizes: {exc}") from exc
     # eval rebuilds its inputs from these fields, so check all it relies on.
-    for name in ("params", "scaler_mean", "scaler_std"):
-        shape = getattr(model, name).shape
-        if len(shape) != 1:
-            raise DataError(f"{source}: {name} must be a flat list, got shape {shape}")
-    if model.params.shape != (arch.n_params,):
-        raise DataError(
-            f"{source}: parameter vector has {model.params.size} entries "
-            f"but layer sizes {model.layer_sizes} need {arch.n_params}"
-        )
     n_inputs = arch.layer_sizes[0]
-    for name in ("scaler_mean", "scaler_std"):
-        values = getattr(model, name)
-        if values.shape != (n_inputs,):
-            raise DataError(
-                f"{source}: {name} has {values.size} entries but the input layer "
-                f"has {n_inputs}"
-            )
-    for name in ("params", "scaler_mean", "scaler_std"):
-        if not np.all(np.isfinite(getattr(model, name))):
-            raise DataError(f"{source}: {name} holds a non-finite value")
+    for name, size in (("params", arch.n_params), ("scaler_mean", n_inputs),
+                       ("scaler_std", n_inputs)):
+        if fields[name].size != size:
+            raise DataError(f"{source}: {name} has {fields[name].size} entries but layer "
+                            f"sizes {model.layer_sizes} need {size}")
     if not np.all(model.scaler_std > 0):
         raise DataError(f"{source}: scaler_std must be > 0 in every entry")
-    for name in ("threshold", "train_fraction"):
-        value = getattr(model, name)
-        if not 0 < value < 1:
-            raise DataError(f"{source}: {name} must lie in (0, 1), got {value}")
     return model

@@ -15,7 +15,9 @@ order, which keeps every run reproducible from its seed.
 RNG draw order is fixed so determinism is testable: initialization draws the
 full position matrix agent-major; each iteration first evaluates objectives
 in agent-index order (any noise draws happen there), then draws movement
-coefficients per agent, per leader, per coordinate, r1 before r2.
+coefficients per agent, per leader, per coordinate, r1 before r2. The
+movement, :func:`_move`, takes them as one block and works in place one
+leader at a time; its rounding is that of the whole-array formulas.
 """
 
 import math
@@ -172,42 +174,36 @@ def control_wa(iteration: int, max_iter: int) -> float:
     return 2.0 - iteration * (2.0 / max_iter)
 
 
-def step_coefficients(wa: float, shape, rng: np.random.Generator):
-    """Coefficient arrays A in [-wa, wa] and C in [0, 2].
+def _move(positions, leaders, weights, wa: float, ww: float, abs_displacement: bool,
+          rng: np.random.Generator) -> np.ndarray:
+    """Every wolf's weighted mean of its three leader candidates, unclamped.
 
-    ``shape`` is a coordinate count or an array shape. One uniform pair is
-    drawn per entry in C order, r1 before r2; A = 2*wa*r1 - wa and C = 2*r2.
+    Per leader L: A = 2*wa*r1 - wa, C = 2*r2, D = |C*L - X| (signed unless
+    ``abs_displacement``) and the candidate is ww*L - A*D, computed in place on
+    ``(n, dim)`` scratch arrays. The weighted candidates are summed from zero in
+    leader order, as ``sum(axis=-2)`` does, then divided once by the weight sum.
     """
-    draws = rng.random((*np.atleast_1d(shape), 2))
-    a = 2.0 * wa * draws[..., 0] - wa
-    c = 2.0 * draws[..., 1]
-    return a, c
-
-
-def candidate_from_leader(wolf_pos, leader_pos, a, c, ww: float,
-                          abs_displacement: bool = True) -> np.ndarray:
-    """Candidate position proposed by a leader for a wolf.
-
-    D = |C*leader - wolf| coordinate-wise (signed when ``abs_displacement``
-    is off) and the candidate is ww*leader - A*D. Arrays broadcast, so one
-    call can serve every wolf and leader at once.
-    """
-    wolf_pos = np.asarray(wolf_pos, dtype=float)
-    leader_pos = np.asarray(leader_pos, dtype=float)
-    disp = c * leader_pos - wolf_pos
-    if abs_displacement:
-        disp = np.abs(disp)
-    return ww * leader_pos - a * disp
-
-
-def combine_candidates(candidates, weights) -> np.ndarray:
-    """Weighted mean of the per-leader candidates along the second-last axis."""
-    candidates = np.asarray(candidates, dtype=float)
-    weights = np.asarray(weights, dtype=float)
     total = weights.sum()
     if total <= 0:
         raise LupusError(f"non-positive leader weight sum {total}")
-    return (weights[:, None] * candidates).sum(axis=-2) / total
+    n, dim = positions.shape
+    draws = rng.random((n, 3, dim, 2))
+    acc, a, d = np.zeros((n, dim)), np.empty((n, dim)), np.empty((n, dim))
+    for k, leader in enumerate(leaders):
+        np.multiply(draws[:, k, :, 0], 2.0 * wa, out=a)
+        a -= wa
+        np.multiply(draws[:, k, :, 1], 2.0, out=d)
+        d *= leader
+        d -= positions
+        if abs_displacement:
+            np.abs(d, out=d)
+        a *= d
+        np.multiply(leader, ww, out=d)
+        d -= a
+        d *= weights[k]
+        acc += d
+    acc /= total
+    return acc
 
 
 def clamp(pos, space: SearchSpace) -> np.ndarray:
@@ -288,12 +284,8 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
         else:
             weights = np.ones(3)
 
-        # One draw block for the whole swarm; it fills C-order, so it equals
-        # per-agent, per-leader calls of step_coefficients.
-        a, c = step_coefficients(wa, (n, 3, dim), rng)
-        cands = candidate_from_leader(positions[:, None, :], np.stack(leaders), a, c, ww,
-                                      cfg.abs_displacement)
-        positions = clamp(combine_candidates(cands, weights), space)
+        positions = clamp(_move(positions, leaders, weights, wa, ww, cfg.abs_displacement,
+                                rng), space)
         history[it] = scores[0]
 
     return RunResult(
@@ -316,6 +308,7 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
     positions = rng.uniform(space.lower, space.upper, size=(n, dim))
     velocities = np.zeros((n, dim))
     v_max = cfg.velocity_clamp * (space.upper - space.lower)
+    pull, gap = np.empty((n, dim)), np.empty((n, dim))
 
     pbest = positions.copy()
     pbest_f = np.full(n, math.inf)
@@ -339,12 +332,13 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
 
         w = cfg.w_max - (cfg.w_max - cfg.w_min) * it / cfg.max_iter
         draws = rng.random((n, dim, 2))
-        velocities = (
-            w * velocities
-            + cfg.c1 * draws[..., 0] * (pbest - positions)
-            + cfg.c2 * draws[..., 1] * (gbest[None, :] - positions)
-        )
-        velocities = np.clip(velocities, -v_max, v_max)
+        velocities *= w
+        for r, coef, best in ((draws[..., 0], cfg.c1, pbest), (draws[..., 1], cfg.c2, gbest)):
+            np.multiply(r, coef, out=pull)
+            np.subtract(best, positions, out=gap)
+            pull *= gap
+            velocities += pull
+        np.clip(velocities, -v_max, v_max, out=velocities)
         positions = clamp(positions + velocities, space)
 
     return RunResult(

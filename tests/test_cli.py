@@ -169,6 +169,11 @@ class TestConfigFile:
             assert text in err
         assert not Path("results").exists()
 
+    def test_nesting_too_deep_exit_one(self, workdir, capsys):
+        Path("cfg.json").write_text('{"seed": ' + "[" * 100000 + "]" * 100000 + "}")
+        assert run_cli(["curves", "--config", "cfg.json"]) == 1
+        assert "cfg.json" in capsys.readouterr().err
+
     def test_config_values_typed_like_flags(self, workdir):
         assert run_cli(TRAIN_SMALL) == 0
         from_flags = Path("results/train_report.json").read_bytes()
@@ -308,6 +313,46 @@ class TestTrainNeverInternalError:
                             "--data", str(heart_csv), "--out", str(out)]) == 0
 
 
+def _curve_text():
+    """Four numbers a,b,c,d, each drawn as by :func:`_flag_text`."""
+    return st.lists(_flag_text(st.floats(-3.0, 3.0)), min_size=4, max_size=4).map(",".join)
+
+
+def _subset_text(items, max_size):
+    return st.lists(st.sampled_from(items), min_size=1, max_size=max_size,
+                    unique=True).map(lambda v: ",".join(map(str, v)))
+
+
+class TestBenchNeverInternalError:
+    @given(
+        algs=_subset_text(["gwo", "cgwo", "agwo", "acgwo", "pso"], 5),
+        functions=_subset_text(["f1", "f2", "f3", "f4", "f5", "f6"], 3),
+        dims=_subset_text([1, 2, 3], 2),
+        agents=st.integers(0, 6),
+        iters=st.integers(0, 3),
+        runs=st.integers(0, 2),
+        inertia=_curve_text(),
+        leader=_curve_text(),
+    )
+    # Curves whose bump overflowed or divided by zero in cauchy_pdf (exit 3).
+    @example(algs="cgwo", functions="f1", dims="1", agents=3, iters=1, runs=1,
+             inertia="1.0,1.3407807929942597e+154,0.0,0.0", leader="1.0,0.0,0.0,0.0")
+    @example(algs="agwo", functions="f1", dims="2", agents=3, iters=1, runs=1,
+             inertia="1.0,0.0,2.0,1.7", leader="1.0,1e+300,2.0,2.1")
+    @example(algs="acgwo", functions="f1", dims="2", agents=3, iters=1, runs=1,
+             inertia="1e-300,0.0,2.0,1.7", leader="1.0,0.0,2.0,2.1")
+    def test_exit_code_never_three(self, tmp_path_factory, algs, functions, dims, agents,
+                                   iters, runs, inertia, leader):
+        # f4 (Rosenbrock) needs dim >= 2, so dim 1 draws a plan below its minimum.
+        code = run_cli([
+            "bench", "--out", str(tmp_path_factory.mktemp("bench")), f"--algs={algs}",
+            f"--functions={functions}", f"--dims={dims}", f"--agents={agents}",
+            f"--iters={iters}", f"--runs={runs}", f"--inertia={inertia}",
+            f"--leader={leader}", "--seed=0",
+        ])
+        assert code != 3
+
+
 # Any JSON document: NaN and infinities included, as json.loads reads them.
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -336,12 +381,22 @@ class TestEvalNeverInternalError:
     @example(field="impute", value="no")
     @example(field="threshold", value=10 ** 400)
     @example(field="layer_sizes", value=[13, math.inf, 1])
+    @example(field="layer_sizes", value=[13.9, 16, 1])
+    @example(field="threshold", value="0.5")
+    @example(field="train_fraction", value="0.7")
+    @example(field="mode", value=[1])
+    @example(field="layer_sizes", value=[10 ** 2200, 10 ** 2200, 1])
     def test_exit_code_never_three(self, heart_csv, small_model, field, value):
         fields, out = small_model
-        (out / "edited.json").write_text(json.dumps(dict(fields, **{field: value})))
+        edited = dict(fields, **{field: value})
+        (out / "edited.json").write_text(json.dumps(edited))
         code = run_cli(["eval", "--model", str(out / "edited.json"),
                         "--data", str(heart_csv), "--out", str(out)])
         assert code in (0, 1, 2)
+        if code == 0:
+            # eval accepted the file, so it read every field as written.
+            model = mlp.model_from_json(json.dumps(edited))
+            assert json.loads(mlp.model_to_json(model)) == edited
 
 
 class TestEvalCommand:

@@ -45,6 +45,12 @@ class TestCauchyPdf:
         with pytest.raises(ValueError):
             cauchy_pdf(0.0, 0.0, gamma)
 
+    @pytest.mark.parametrize("x,x0,gamma,expected", [
+        (0.0, 1e300, 1.0, 0.0), (-1e300, 1e300, 1.0, 0.0), (0.0, 0.0, 1e-300, math.inf)])
+    def test_float_range_limits(self, x, x0, gamma, expected):
+        # The IEEE results where (x - x0) ** 2 overflows or gamma ** 2 underflows.
+        assert cauchy_pdf(x, x0, gamma) == expected
+
     def test_normalizes_to_one(self):
         from scipy.integrate import quad
 

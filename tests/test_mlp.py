@@ -504,6 +504,10 @@ class TestModelPersistence:
         with pytest.raises(DataError):
             model_from_json("{not json", source="m.json")
 
+    def test_nesting_too_deep_rejected(self):
+        with pytest.raises(DataError, match="m.json"):
+            model_from_json("[" * 100000 + "]" * 100000, source="m.json")
+
     @pytest.mark.parametrize("field,value", [
         ("layer_sizes", [2, 0, 1]),
         ("scaler_mean", [0.5]),
@@ -525,6 +529,17 @@ class TestModelPersistence:
         ("split_seed", "7"),
         ("impute", "no"),
         ("impute", 0),
+        pytest.param("layer_sizes", [2.9, 2, 1], id="layer_sizes-float"),
+        pytest.param("layer_sizes", [2, True, 1], id="layer_sizes-bool"),
+        pytest.param("layer_sizes", [2, math.inf, 1], id="layer_sizes-inf"),
+        pytest.param("params", [10 ** 400] + [0.0] * 8, id="params-huge-int"),
+        pytest.param("scaler_std", ["1.5", 2.0], id="scaler_std-string"),
+        pytest.param("threshold", "0.5", id="threshold-string"),
+        pytest.param("threshold", 10 ** 400, id="threshold-huge-int"),
+        pytest.param("train_fraction", "0.7", id="train_fraction-string"),
+        pytest.param("mode", [1], id="mode-list"),
+        pytest.param("mode", "xx", id="mode-unknown"),
+        pytest.param("layer_sizes", [10 ** 2200, 10 ** 2200, 1], id="layer_sizes-huge"),
     ])
     def test_field_eval_relies_on_validated(self, field, value):
         payload = json.loads(model_to_json(self._model()))

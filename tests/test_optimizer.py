@@ -13,13 +13,10 @@ from lupus.optimizer import (
     GwoConfig,
     PsoConfig,
     SearchSpace,
-    candidate_from_leader,
     clamp,
-    combine_candidates,
     control_wa,
     pso_run,
     run,
-    step_coefficients,
 )
 
 
@@ -131,6 +128,38 @@ class TestControlWa:
             control_wa(0, 0)
 
 
+# Reference movement: the composition run() used before the in-place _move.
+# One draw block fills C order, so a call per agent and leader draws the same
+# stream as one call for the whole swarm.
+def step_coefficients(wa, shape, rng):
+    """A = 2*wa*r1 - wa and C = 2*r2, one uniform pair per entry, r1 first."""
+    draws = rng.random((*np.atleast_1d(shape), 2))
+    return 2.0 * wa * draws[..., 0] - wa, 2.0 * draws[..., 1]
+
+
+def candidate_from_leader(wolf_pos, leader_pos, a, c, ww, abs_displacement=True):
+    """ww*leader - A*D with D = |C*leader - wolf| (signed when asked); broadcasts."""
+    disp = c * leader_pos - wolf_pos
+    if abs_displacement:
+        disp = np.abs(disp)
+    return ww * leader_pos - a * disp
+
+
+def combine_candidates(candidates, weights):
+    """Weighted mean of the per-leader candidates along the second-last axis."""
+    weights = np.asarray(weights, dtype=float)
+    return (weights[:, None] * np.asarray(candidates)).sum(axis=-2) / weights.sum()
+
+
+def _reference_move(positions, leaders, weights, wa, ww, abs_displacement, rng):
+    a, c = step_coefficients(wa, (positions.shape[0], 3, positions.shape[1]), rng)
+    cands = candidate_from_leader(positions[:, None, :], np.stack(leaders), a, c, ww,
+                                  abs_displacement)
+    return combine_candidates(cands, weights)
+
+
+# Hand checks of the reference operations, which the bit-identity tests below
+# hold _move to.
 class TestStepCoefficients:
     def test_zero_wa_zeroes_a(self):
         a, c = step_coefficients(0.0, 8, np.random.default_rng(0))
@@ -189,9 +218,60 @@ class TestCombineCandidates:
         out = combine_candidates([[0.0], [3.0], [6.0]], [2.0, 1.0, 1.0])
         assert out[0] == pytest.approx(2.25)
 
-    def test_rejects_nonpositive_weight_sum(self):
-        with pytest.raises(LupusError):
-            combine_candidates([[0.0], [1.0], [2.0]], [0.0, 0.0, 0.0])
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestMove:
+    @pytest.mark.parametrize("dim,n", [(1, 3), (30, 40), (241, 100), (1000, 40), (1000, 100)])
+    @pytest.mark.parametrize("abs_displacement", [True, False], ids=["abs", "signed"])
+    def test_bit_identical_to_reference(self, dim, n, abs_displacement):
+        setup = np.random.default_rng(dim * n)
+        positions = setup.uniform(-5.0, 5.0, (n, dim))
+        leaders = [setup.uniform(-5.0, 5.0, dim) for _ in range(3)]
+        for wa, ww, weights in ((1.7, 1.0, [1.0, 1.0, 1.0]), (0.3, 0.81, [1.46, 0.2, 2.9])):
+            weights = np.array(weights)
+            moved = optimizer._move(positions, leaders, weights, wa, ww, abs_displacement,
+                                    np.random.default_rng(5))
+            expected = _reference_move(positions, leaders, weights, wa, ww, abs_displacement,
+                                       np.random.default_rng(5))
+            assert np.array_equal(_bits(moved), _bits(expected))
+
+    def test_sum_starts_from_zero(self):
+        # Where all three candidates are -0.0, a sum that starts from +0.0, as
+        # numpy's does, gives +0.0; one that starts from the first candidate
+        # keeps -0.0.
+        positions, leaders = np.zeros((20, 10)), [np.full(10, -0.0)] * 3
+        a, c = step_coefficients(0.5, (20, 3, 10), np.random.default_rng(0))
+        cands = candidate_from_leader(positions[:, None, :], np.stack(leaders), a, c, 1.0)
+        assert np.signbit(cands).all(axis=1).any()
+        moved = optimizer._move(positions, leaders, np.ones(3), 0.5, 1.0, True,
+                                np.random.default_rng(0))
+        assert not np.signbit(moved).any()
+
+    def test_zero_wa_gives_weighted_mean_of_scaled_leaders(self):
+        # A = 0, so each candidate is ww * leader whatever the draws and the wolf.
+        positions = np.array([[10.0, -4.0], [0.5, 7.0]])
+        leaders = [np.array([0.0, 2.0]), np.array([3.0, 2.0]), np.array([6.0, 2.0])]
+        moved = optimizer._move(positions, leaders, np.array([2.0, 1.0, 1.0]), 0.0, 1.5,
+                                True, np.random.default_rng(3))
+        # (2*0 + 1*4.5 + 1*9) / 4 = 3.375 and (2*3 + 3 + 3) / 4 = 3.
+        assert moved.tolist() == [[3.375, 3.0], [3.375, 3.0]]
+
+    def test_draws_one_block(self):
+        rng = np.random.default_rng(9)
+        optimizer._move(np.zeros((4, 5)), [np.ones(5)] * 3, np.ones(3), 1.0, 1.0, True, rng)
+        expected = np.random.default_rng(9)
+        expected.random((4, 3, 5, 2))
+        assert rng.random() == expected.random()
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]],
+                             ids=["zero", "mixed-sign"])
+    def test_rejects_nonpositive_weight_sum(self, weights):
+        with pytest.raises(LupusError, match="non-positive leader weight sum"):
+            optimizer._move(np.zeros((3, 2)), [np.ones(2)] * 3, np.array(weights), 1.0, 1.0,
+                            True, np.random.default_rng(0))
 
 
 class TestClamp:
@@ -208,12 +288,13 @@ class TestClamp:
         assert np.all(out >= -3.0) and np.all(out <= 5.0)
 
 
-def _reference_run(objective, space, cfg):
-    """Rebuild run() step by step from the public operations.
+def _reference_run(objective, space, cfg, weights_seen=None):
+    """Rebuild run() step by step from the reference movement operations.
 
     Serves as the documented-draw-order oracle: one shared stream, init
     first, then per iteration objective calls in agent order followed by
-    per-agent, per-leader step coefficients.
+    per-agent, per-leader step coefficients. Each iteration's leader weights
+    are appended to ``weights_seen`` when it is given.
     """
     rng = np.random.default_rng(cfg.seed)
     state = SimpleNamespace(
@@ -255,6 +336,8 @@ def _reference_run(objective, space, cfg):
             ]
         else:
             weights = [1.0, 1.0, 1.0]
+        if weights_seen is not None:
+            weights_seen.append(weights)
         new_positions = np.empty_like(state.positions)
         for i in range(n):
             cands = []
@@ -283,6 +366,32 @@ class TestRun:
         ref_pos, ref_history = _reference_run(sphere_objective, space, cfg)
         assert np.array_equal(result.best_position, ref_pos)
         assert np.array_equal(result.history, ref_history)
+
+    @pytest.mark.parametrize("dim,n", [(1, 3), (30, 40), (241, 100), (1000, 40)])
+    @pytest.mark.parametrize("variant,options", [
+        pytest.param(variant, {"abs_displacement": abs_d, "normalize_inertia": norm},
+                     id=f"{variant}-{'abs' if abs_d else 'signed'}-{'norm' if norm else 'raw'}")
+        for variant in VARIANTS for abs_d in (True, False) for norm in (True, False)
+    ])
+    def test_bit_identical_to_reference_run(self, variant, options, dim, n):
+        # The optimum sits near the edge of the [-1, 1] box, so the clamp
+        # binds, and scores near the population mean keep the three adaptive
+        # weights apart.
+        def objective(x, rng):
+            return 1.0 + float(np.mean((x - 0.95) ** 2))
+
+        space = SearchSpace.uniform(dim, -1.0, 1.0)
+        cfg = GwoConfig(variant=variant, n_agents=n, max_iter=6, seed=dim + n, **options)
+        seen, ref_seen, weights = [], [], []
+        result = run(lambda x, rng: seen.append(x.copy()) or objective(x, rng), space, cfg)
+        ref_pos, ref_history = _reference_run(
+            lambda x, rng: ref_seen.append(x.copy()) or objective(x, rng), space, cfg, weights)
+        assert np.array_equal(_bits(seen), _bits(ref_seen))
+        assert np.array_equal(_bits(result.best_position), _bits(ref_pos))
+        assert np.array_equal(_bits(result.history), _bits(ref_history))
+        assert (np.abs(np.stack(seen)) == 1.0).any()
+        if variant in ("agwo", "acgwo"):
+            assert np.ptp(weights, axis=1).max() > 1e-3
 
     def test_deterministic(self):
         space = SearchSpace.uniform(2, -5.0, 5.0)
@@ -406,7 +515,56 @@ class TestUpdateLeaders:
         assert result.history.tobytes() == ref_history.tobytes()
 
 
+def _reference_pso_run(objective, space, cfg):
+    """pso_run() with its velocity update written as one expression."""
+    n, dim = cfg.n_particles, space.dim
+    rng = np.random.default_rng(cfg.seed)
+    positions = rng.uniform(space.lower, space.upper, size=(n, dim))
+    velocities = np.zeros((n, dim))
+    v_max = cfg.velocity_clamp * (space.upper - space.lower)
+    pbest, pbest_f = positions.copy(), np.full(n, math.inf)
+    gbest, gbest_f = np.zeros(dim), math.inf
+    history = []
+    for it in range(cfg.max_iter):
+        fitness = optimizer._evaluate(objective, positions, rng)
+        improved = fitness < pbest_f
+        pbest[improved] = positions[improved]
+        pbest_f[improved] = fitness[improved]
+        best = int(np.argmin(pbest_f))
+        if pbest_f[best] < gbest_f:
+            gbest_f, gbest = float(pbest_f[best]), pbest[best].copy()
+        history.append(gbest_f)
+        w = cfg.w_max - (cfg.w_max - cfg.w_min) * it / cfg.max_iter
+        draws = rng.random((n, dim, 2))
+        velocities = (
+            w * velocities
+            + cfg.c1 * draws[..., 0] * (pbest - positions)
+            + cfg.c2 * draws[..., 1] * (gbest[None, :] - positions)
+        )
+        velocities = np.clip(velocities, -v_max, v_max)
+        positions = clamp(positions + velocities, space)
+    return gbest, np.array(history)
+
+
 class TestPso:
+    @pytest.mark.parametrize("dim,n", [(1, 3), (30, 40), (241, 100), (1000, 40)])
+    def test_bit_identical_to_reference(self, dim, n):
+        # The optimum sits near the edge of the [-1, 1] box, so both the
+        # velocity clamp and the position clamp bind.
+        def objective(x, rng):
+            return sphere(x - 0.95)
+
+        space = SearchSpace.uniform(dim, -1.0, 1.0)
+        cfg = PsoConfig(n_particles=n, max_iter=8, seed=dim + n)
+        seen, ref_seen = [], []
+        result = pso_run(lambda x, rng: seen.append(x.copy()) or objective(x, rng), space, cfg)
+        ref_pos, ref_history = _reference_pso_run(
+            lambda x, rng: ref_seen.append(x.copy()) or objective(x, rng), space, cfg)
+        assert np.array_equal(_bits(seen), _bits(ref_seen))
+        assert np.array_equal(_bits(result.best_position), _bits(ref_pos))
+        assert np.array_equal(_bits(result.history), _bits(ref_history))
+        assert (np.abs(np.stack(seen)) == 1.0).any()
+
     def test_improves_from_random_init(self):
         space = SearchSpace.uniform(2, -100.0, 100.0)
         cfg = PsoConfig(n_particles=40, max_iter=200, seed=0)
