@@ -48,7 +48,7 @@ class TestCauchyPdf:
     @pytest.mark.parametrize("x,x0,gamma,expected", [
         (0.0, 1e300, 1.0, 0.0), (-1e300, 1e300, 1.0, 0.0), (0.0, 0.0, 1e-300, math.inf)])
     def test_float_range_limits(self, x, x0, gamma, expected):
-        # The IEEE results where (x - x0) ** 2 overflows or gamma ** 2 underflows.
+        # The IEEE results where (x - x0) ** 2 overflows or gamma * gamma underflows.
         assert cauchy_pdf(x, x0, gamma) == expected
 
     def test_normalizes_to_one(self):
