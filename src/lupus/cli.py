@@ -63,6 +63,20 @@ def _parse_int_list(text, flag):
         raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
+def _check_output(flag, directory, *names):
+    """Check, before any work starts, that the output directory is one or can
+    be made (the nearest existing part of its path is a directory) and that
+    none of the named files in it is a directory."""
+    for part in (directory, *directory.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ConfigError(f"{flag} {str(part)!r}: not a directory")
+            break
+    for name in names:
+        if (directory / name).is_dir():
+            raise ConfigError(f"{flag} {str(directory / name)!r}: is a directory")
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -170,8 +184,10 @@ def cmd_bench(ctx, **_kwargs):
         inertia=_parse_curve(p["inertia"], "--inertia"),
         leader=leader,
     )
-    result = harness.run_plan(plan, workers=p["workers"])
     out = Path(p["out"])
+    _check_output("--out", out, "table.csv")
+    _check_output("--out", out / "convergence")
+    result = harness.run_plan(plan, workers=p["workers"])
     harness.export_table(result.rows, out / "table.csv")
     harness.export_convergence(result.histories, out / "convergence")
     click.echo(f"wrote {out / 'table.csv'} ({len(result.rows)} rows) and "
@@ -197,6 +213,8 @@ def cmd_curves(ctx, **_kwargs):
         raise ConfigError(f"--iters must be >= 1, got {iters}")
     inertia = _parse_curve(p["inertia"], "--inertia")
     leader = _parse_curve(p["leader"], "--leader")
+    out = Path(p["out"])
+    _check_output("--out", out.parent, out.name)
     fi_unit = curves.leader_weight(1.0, 1.0, leader)
     lines = ["iter,wa,ww,fi_unit"]
     for it in range(iters + 1):
@@ -278,6 +296,8 @@ def cmd_train(ctx, **_kwargs):
     train_fraction = p["train_fraction"]
     impute = p["impute"]
     one_hot = p["one_hot"]
+    out = Path(p["out"])
+    _check_output("--out", out, "model.json", "train_report.json")
     split_seed = derive_seed(seed, "split")
     train, test, stats = _prepare_splits(
         p["data"], impute, one_hot, train_fraction, split_seed,
@@ -315,7 +335,6 @@ def cmd_train(ctx, **_kwargs):
         impute=impute,
         mode=report.mode,
     )
-    out = Path(p["out"])
     write_text_atomic(out / "model.json", mlp.model_to_json(model))
 
     train_eval = metrics.evaluate(
@@ -359,6 +378,8 @@ def cmd_train(ctx, **_kwargs):
 def cmd_eval(ctx, **_kwargs):
     """Evaluate a saved model on its held-out split."""
     p = _resolve(ctx, "eval")
+    out = Path(p["out"])
+    _check_output("--out", out, "eval.json", "eval.csv")
     try:
         text = Path(p["model_path"]).read_text()
     except OSError as exc:
@@ -381,7 +402,6 @@ def cmd_eval(ctx, **_kwargs):
     scores = mlp.forward_batch(model.architecture, model.params, x_test)
     report = metrics.evaluate(test.y, scores, model.threshold)
 
-    out = Path(p["out"])
     write_text_atomic(out / "eval.json", report.to_json())
     write_text_atomic(out / "eval.csv", report.to_csv())
     _print_report("test", report)
@@ -402,6 +422,9 @@ def cmd_eval(ctx, **_kwargs):
 def cmd_eda(ctx, **_kwargs):
     """Echo the cleaned table and export the labeled correlation matrix."""
     p = _resolve(ctx, "eda")
+    for flag, key in (("--out", "out"), ("--clean-out", "clean_out")):
+        path = Path(p[key])
+        _check_output(flag, path.parent, path.name)
     raw = dataprep.load_table(p["data"])
     ds = dataprep.clean(raw, impute=p["impute"])
 

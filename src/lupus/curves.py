@@ -19,7 +19,8 @@ class CurveParams:
 
     ``a`` is the scale (must be strictly positive so the denominator never
     vanishes), ``b`` shifts the peak location, ``c`` scales vertically and
-    ``d`` offsets vertically.
+    ``d`` offsets vertically. All four must be finite: one NaN or infinity
+    makes the weights NaN, and a swarm with NaN weights never moves.
     """
 
     a: float
@@ -28,6 +29,8 @@ class CurveParams:
     d: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
+            raise ValueError(f"curve parameters must be finite, got {self}")
         if not self.a > 0:
             raise ValueError(f"curve scale a must be > 0, got {self.a}")
 

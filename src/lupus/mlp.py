@@ -11,6 +11,11 @@ stack of parameter vectors, shape ``(m, n_params)``: weights come out as
 ``(m, fan_in, fan_out)``, biases as ``(m, fan_out)``, probabilities as
 ``(m, rows)`` and the loss as the ``(m,)`` losses, each row bit for bit equal
 to the call on that row's vector. A single vector keeps its ``float`` loss.
+
+The loss runs only the hidden layers per chunk of agents, in place on each
+fresh ``a @ w``, and gathers the output unit's pre-activations in one
+``(m, rows)`` array; the output sigmoid, the clip and the BCE mean run once
+over it. Each element sees the same ufuncs in the same order as alone.
 """
 
 import dataclasses
@@ -30,9 +35,10 @@ from .optimizer import GwoConfig, SearchSpace
 # loss; samples pushed outside that band carry zero gradient.
 BCE_CLIP = 1e-12
 
-# A stacked loss runs in chunks of agents whose widest activation holds about
-# this many float64 values (256 KiB). Whole-swarm stacks fall out of cache
-# and measured slower than one call per agent.
+# A stacked loss runs its hidden layers in chunks of agents whose widest
+# activation holds about this many float64 values (256 KiB); whole-swarm
+# activations fall out of cache. The output unit's tail (sigmoid, clip, BCE
+# mean) runs once on all agents: per chunk, its call overhead dominated.
 LOSS_CHUNK_ELEMENTS = 2 ** 15
 
 
@@ -70,8 +76,8 @@ class TrainReport:
     mode: str
 
 
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow, branch-free; ``z`` is left as is.
+def _stable_sigmoid(z: np.ndarray, out=None) -> np.ndarray:
+    """Logistic function without overflow, branch-free.
 
     ``exp(-|z|)`` is the same ``exp`` call on the same value as the two-sided
     form (``exp(-z)`` for z >= 0, ``exp(z)`` below), so both branches round
@@ -79,12 +85,16 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     and ``e`` below, NaN staying NaN, so each element gets its one division
     without ``np.where``, which costs more than the ``exp``. Keep ``e / d``:
     ``e * (1 / d)`` rounds twice.
+
+    The result goes to ``out`` (``out=z`` computes in place, as the mask is
+    taken before ``z`` is overwritten); without it, ``z`` is left as is.
     """
-    e = np.abs(z)
+    nonnegative = z >= 0
+    e = np.abs(z, out=out)
     np.negative(e, out=e)
     np.exp(e, out=e)
     d = e + 1.0
-    np.maximum(e, z >= 0, out=e)
+    np.maximum(e, nonnegative, out=e)
     return np.divide(e, d, out=e)
 
 
@@ -114,21 +124,26 @@ def flatten(layers) -> np.ndarray:
     return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
 
 
-def _forward_activations(arch: MlpArchitecture, params, X) -> list:
+def _forward_activations(layers, X) -> list:
+    """The input, each hidden layer's activation, then the output unit's
+    pre-activation (the logit): the caller applies the final sigmoid."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != arch.layer_sizes[0]:
-        raise ValueError(
-            f"expected a matrix with {arch.layer_sizes[0]} columns, got {X.shape}"
-        )
+    n_inputs = layers[0][0].shape[-2]
+    if X.ndim != 2 or X.shape[1] != n_inputs:
+        raise ValueError(f"expected a matrix with {n_inputs} columns, got {X.shape}")
     activations = [X]
-    for w, b in unflatten(arch, params):
-        activations.append(_stable_sigmoid(activations[-1] @ w + b[..., None, :]))
+    for i, (w, b) in enumerate(layers, start=1):
+        z = activations[-1] @ w
+        z += b[..., None, :]
+        if i < len(layers):
+            _stable_sigmoid(z, out=z)
+        activations.append(z)
     return activations
 
 
 def forward_batch(arch: MlpArchitecture, params, X) -> np.ndarray:
     """Predicted probabilities for every row of X, strictly inside (0, 1)."""
-    p = _forward_activations(arch, params, X)[-1][..., 0]
+    p = _stable_sigmoid(_forward_activations(unflatten(arch, params), X)[-1][..., 0])
     # Saturated units can round to exactly 0 or 1 in float; pull them back
     # to the nearest representable interior value.
     return np.clip(p, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
@@ -145,29 +160,29 @@ def _labeled_data(X, y):
     return X, y
 
 
-def _mean_bce(arch: MlpArchitecture, params, X, y):
-    # The loss band lies inside forward_batch's (0, 1) clip, so one clip of
-    # the raw output gives the same probabilities.
-    p = _forward_activations(arch, params, X)[-1][..., 0]
-    p = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
-    return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
-
-
 def bce_loss(arch: MlpArchitecture, params, X, y):
     """Mean binary cross-entropy with clipped probabilities.
 
     A parameter vector gives a ``float``; an ``(m, n_params)`` stack gives the
-    ``(m,)`` losses, evaluated in chunks of :data:`LOSS_CHUNK_ELEMENTS`.
+    ``(m,)`` losses, its hidden layers evaluated in chunks of
+    :data:`LOSS_CHUNK_ELEMENTS`.
     """
     X, y = _labeled_data(X, y)
     params = np.asarray(params, dtype=float)
-    if params.ndim != 2:
-        return float(_mean_bce(arch, params, X, y))
+    layers = unflatten(arch, params)
+    if params.ndim == 1:  # a stack of one
+        layers = [(w[None], b[None]) for w, b in layers]
     chunk = max(1, LOSS_CHUNK_ELEMENTS // (X.shape[0] * max(arch.layer_sizes)))
-    losses = np.empty(params.shape[0])
-    for start in range(0, params.shape[0], chunk):
-        losses[start:start + chunk] = _mean_bce(arch, params[start:start + chunk], X, y)
-    return losses
+    p = np.empty((layers[0][1].shape[0], X.shape[0]))
+    for start in range(0, p.shape[0], chunk):
+        part = [(w[start:start + chunk], b[start:start + chunk]) for w, b in layers]
+        p[start:start + chunk] = _forward_activations(part, X)[-1][..., 0]
+    _stable_sigmoid(p, out=p)
+    # The loss band lies inside forward_batch's (0, 1) clip, so one clip of
+    # the raw output gives the same probabilities.
+    np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP, out=p)
+    losses = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
+    return losses if params.ndim == 2 else float(losses[0])
 
 
 def backward(arch: MlpArchitecture, params, X, y) -> np.ndarray:
@@ -176,8 +191,8 @@ def backward(arch: MlpArchitecture, params, X, y) -> np.ndarray:
     if np.ndim(params) != 1:
         raise ValueError(f"backward takes one parameter vector, got shape {np.shape(params)}")
     layers = unflatten(arch, params)
-    activations = _forward_activations(arch, params, X)
-    p = activations[-1][:, 0]
+    activations = _forward_activations(layers, X)
+    p = _stable_sigmoid(activations[-1][:, 0])
 
     n = X.shape[0]
     # d(loss)/d(z_out); clipped samples sit on the flat part of the loss.

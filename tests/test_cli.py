@@ -53,6 +53,54 @@ class TestCurvesCommand:
         assert run_cli(["curves", "--iters", "0"]) == 1
 
 
+class TestCurveFlags:
+    @pytest.mark.parametrize("args,flag", [
+        (["bench", "--algs", "cgwo", "--inertia", "1,nan,2,1.7"], "--inertia"),
+        (["bench", "--algs", "agwo", "--leader", "1,0,2,nan"], "--leader"),
+        (["curves", "--inertia", "1,nan,2,1.7"], "--inertia"),
+        (["curves", "--inertia", "inf,0,2,1.7"], "--inertia"),
+        (["curves", "--leader", "1,0,-inf,2.1"], "--leader"),
+    ], ids=["bench-inertia-nan", "bench-leader-nan", "curves-inertia-nan",
+            "curves-inertia-inf", "curves-leader-minus-inf"])
+    def test_non_finite_parameter_exit_one(self, workdir, capsys, args, flag):
+        assert run_cli(args + ["--iters", "3"]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "must be finite" in err
+        assert not Path("results").exists()
+
+
+def _no_work(*_args):
+    raise AssertionError("work started before the output location was checked")
+
+
+class TestOutputLocation:
+    """An output location that cannot be written exits 1, naming the flag and
+    the path, before any work starts: a stub for the work would exit 3."""
+
+    @pytest.fixture()
+    def blocked(self, workdir, monkeypatch):
+        for module, name in ((cli.harness, "run_plan"), (cli.dataprep, "load_table"),
+                             (cli.curves, "cauchy_inertia")):
+            monkeypatch.setattr(module, name, _no_work)
+        Path("afile").write_text("x")
+        Path("adir/table.csv").mkdir(parents=True)
+
+    @pytest.mark.parametrize("args,named", [
+        (["bench", "--out", "afile"], "--out 'afile'"),
+        (["bench", "--out", "adir"], "--out 'adir/table.csv'"),
+        (["train", "--out", "afile"], "--out 'afile'"),
+        (["curves", "--out", "adir"], "--out 'adir'"),
+        (["curves", "--out", "afile/x.csv"], "--out 'afile'"),
+        (["eval", "--out", "afile"], "--out 'afile'"),
+        (["eda", "--out", "afile/corr.csv"], "--out 'afile'"),
+        (["eda", "--clean-out", "adir/table.csv"], "--clean-out 'adir/table.csv'"),
+    ], ids=["bench-file", "bench-table-dir", "train-file", "curves-dir", "curves-under-file",
+            "eval-file", "eda-under-file", "eda-clean-dir"])
+    def test_exit_one_before_work(self, blocked, capsys, args, named):
+        assert run_cli(args) == 1
+        assert named in capsys.readouterr().err
+
+
 class TestBenchCommand:
     def test_small_sweep(self, workdir):
         assert run_cli(BENCH_SMALL) == 0
@@ -351,6 +399,36 @@ class TestBenchNeverInternalError:
             f"--leader={leader}", "--seed=0",
         ])
         assert code != 3
+
+
+def _curve_number_text():
+    return st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e-300, 1e300]),
+                     st.floats()).map(repr)
+
+
+_DEFAULT_INERTIA, _DEFAULT_LEADER = "1.0,0.0,2.0,1.7", "1.0,0.0,2.0,2.1"
+
+
+class TestCurvesNeverInternalError:
+    @given(
+        iters=st.integers(-2, 5),
+        inertia=st.lists(_curve_number_text(), min_size=4, max_size=4).map(",".join),
+        leader=st.lists(_curve_number_text(), min_size=4, max_size=4).map(",".join),
+        out=st.sampled_from(["fresh", "directory", "under-file"]),
+    )
+    # Output locations that exited 3 after the whole schedule was computed.
+    @example(iters=3, inertia=_DEFAULT_INERTIA, leader=_DEFAULT_LEADER, out="directory")
+    @example(iters=3, inertia=_DEFAULT_INERTIA, leader=_DEFAULT_LEADER, out="under-file")
+    # A NaN curve parameter, which wrote NaN rows with exit 0.
+    @example(iters=3, inertia="1,nan,2,1.7", leader=_DEFAULT_LEADER, out="fresh")
+    def test_exit_code_never_three(self, tmp_path_factory, iters, inertia, leader, out):
+        root = tmp_path_factory.mktemp("curves")
+        (root / "file").write_text("x")
+        path = {"fresh": root / "new" / "curves.csv", "directory": root,
+                "under-file": root / "file" / "curves.csv"}[out]
+        code = run_cli(["curves", f"--iters={iters}", f"--inertia={inertia}",
+                        f"--leader={leader}", "--out", str(path)])
+        assert code in (0, 1, 2)
 
 
 # Any JSON document: NaN and infinities included, as json.loads reads them.

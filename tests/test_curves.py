@@ -27,6 +27,13 @@ class TestCurveParams:
         with pytest.raises(ValueError):
             CurveParams(a=a, b=0.0, c=1.0, d=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
+    def test_parameters_must_be_finite(self, name, value):
+        params = dict(dict(a=1.0, b=0.0, c=2.0, d=1.7), **{name: value})
+        with pytest.raises(ValueError, match="must be finite"):
+            CurveParams(**params)
+
 
 class TestCauchyPdf:
     def test_standard_peak(self):

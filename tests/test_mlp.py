@@ -153,6 +153,17 @@ class TestStableSigmoid:
         with np.errstate(**_SIGMOID_ERRSTATE):
             assert_same_bits(mlp._stable_sigmoid(z), _two_sided_sigmoid(z))
 
+    def test_in_place_bit_identical(self):
+        # out=z takes the z >= 0 mask before it overwrites z.
+        z = np.array(_SIGMOID_SPECIALS + [-v for v in _SIGMOID_SPECIALS] + [math.nan])
+        stack = np.random.default_rng(31).normal(scale=50.0, size=(9, 208, 16))
+        for values in (z, stack):
+            with np.errstate(**_SIGMOID_ERRSTATE):
+                expected = mlp._stable_sigmoid(values)
+                in_place = values.copy()
+                assert mlp._stable_sigmoid(in_place, out=in_place) is in_place
+            assert_same_bits(in_place, expected)
+
     def test_argument_left_unchanged(self):
         # The sigmoid writes its work arrays with out=; none may be the caller's.
         z = np.random.default_rng(29).normal(scale=5.0, size=(4, 208, 16))
@@ -332,6 +343,92 @@ class TestBackward:
         y = np.array([1, 0])
         grad = backward(arch, np.zeros(2), X, y)
         assert np.linalg.norm(grad) < 1e-6
+
+
+def _reference_activations(arch, params, X):
+    """Every layer, the output unit included, as ``a @ w + b`` through the
+    two-sided sigmoid: the forward pass before the output unit's sigmoid
+    moved out of it."""
+    activations = [X]
+    for w, b in unflatten(arch, params):
+        activations.append(_two_sided_sigmoid(activations[-1] @ w + b[..., None, :]))
+    return activations
+
+
+def _reference_bce_loss(arch, params, X, y):
+    """The loss as it ran before the batched tail: per chunk of
+    LOSS_CHUNK_ELEMENTS (a vector on its own), the whole forward pass, then
+    the clip and the BCE mean."""
+    def mean_bce(part):
+        p = _reference_activations(arch, part, X)[-1][..., 0]
+        p = np.clip(p, mlp.BCE_CLIP, 1.0 - mlp.BCE_CLIP)
+        return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
+
+    if params.ndim == 1:
+        return mean_bce(params)
+    k = max(1, mlp.LOSS_CHUNK_ELEMENTS // (X.shape[0] * max(arch.layer_sizes)))
+    return np.concatenate([mean_bce(params[s:s + k]) for s in range(0, len(params), k)])
+
+
+def _reference_backward(arch, params, X, y):
+    """backward on the reference forward pass, written out as it was."""
+    layers = unflatten(arch, params)
+    activations = _reference_activations(arch, params, X)
+    p = activations[-1][:, 0]
+    delta = (p - y) / X.shape[0]
+    delta[(p <= mlp.BCE_CLIP) | (p >= 1.0 - mlp.BCE_CLIP)] = 0.0
+    delta = delta[:, None]
+    grads = [None] * len(layers)
+    for layer in range(len(layers) - 1, -1, -1):
+        a_prev = activations[layer]
+        grads[layer] = (a_prev.T @ delta, delta.sum(axis=0))
+        if layer > 0:
+            delta = (delta @ layers[layer][0].T) * a_prev * (1.0 - a_prev)
+    return flatten(grads)
+
+
+_ORACLE_SIZES = [(13, 1), (13, 16, 1), (13, 16, 8, 1), (13, 64, 1), (13, 3, 3, 3, 1)]
+
+
+class TestAgainstReference:
+    """bce_loss, forward_batch and backward bit for bit against the reference
+    composition above; scale 100 saturates most units into the clips."""
+
+    @pytest.fixture(params=[0.01, 1.0, 100.0], ids=lambda scale: f"scale{scale}")
+    def data(self, request):
+        rng = np.random.default_rng(47)
+        X = rng.normal(size=(208, 13))
+        y = rng.integers(0, 2, 208).astype(float)
+        return request.param, rng, X, y
+
+    @pytest.mark.parametrize("sizes", _ORACLE_SIZES, ids=lambda sizes: "-".join(map(str, sizes)))
+    def test_bce_loss(self, data, sizes):
+        scale, rng, X, y = data
+        arch = MlpArchitecture(sizes)
+        k = max(1, mlp.LOSS_CHUNK_ELEMENTS // (X.shape[0] * max(sizes)))
+        for m in sorted({1, max(k - 1, 1), k, k + 1, 137}):
+            stack = scale * rng.uniform(-5.0, 5.0, size=(m, arch.n_params))
+            with np.errstate(**_SIGMOID_ERRSTATE):
+                assert_same_bits(bce_loss(arch, stack, X, y),
+                                 _reference_bce_loss(arch, stack, X, y))
+                for row in stack[:3]:
+                    assert_same_bits(np.array([bce_loss(arch, row, X, y)]),
+                                     np.array([_reference_bce_loss(arch, row, X, y)]))
+
+    @pytest.mark.parametrize("sizes", _ORACLE_SIZES, ids=lambda sizes: "-".join(map(str, sizes)))
+    def test_forward_batch_and_backward(self, data, sizes):
+        scale, rng, X, y = data
+        arch = MlpArchitecture(sizes)
+        stack = scale * rng.uniform(-5.0, 5.0, size=(5, arch.n_params))
+        tiny, below_one = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+        with np.errstate(**_SIGMOID_ERRSTATE):
+            for params in (stack, *stack):
+                expected = np.clip(_reference_activations(arch, params, X)[-1][..., 0],
+                                   tiny, below_one)
+                assert_same_bits(forward_batch(arch, params, X), expected)
+            for params in stack:
+                assert_same_bits(backward(arch, params, X, y),
+                                 _reference_backward(arch, params, X, y))
 
 
 class TestPredict:
