@@ -406,9 +406,6 @@ def _curve_number_text():
                      st.floats()).map(repr)
 
 
-_DEFAULT_INERTIA, _DEFAULT_LEADER = "1.0,0.0,2.0,1.7", "1.0,0.0,2.0,2.1"
-
-
 class TestCurvesNeverInternalError:
     @given(
         iters=st.integers(-2, 5),
@@ -417,10 +414,10 @@ class TestCurvesNeverInternalError:
         out=st.sampled_from(["fresh", "directory", "under-file"]),
     )
     # Output locations that exited 3 after the whole schedule was computed.
-    @example(iters=3, inertia=_DEFAULT_INERTIA, leader=_DEFAULT_LEADER, out="directory")
-    @example(iters=3, inertia=_DEFAULT_INERTIA, leader=_DEFAULT_LEADER, out="under-file")
+    @example(iters=3, inertia=cli._INERTIA_DEFAULT, leader=cli._LEADER_DEFAULT, out="directory")
+    @example(iters=3, inertia=cli._INERTIA_DEFAULT, leader=cli._LEADER_DEFAULT, out="under-file")
     # A NaN curve parameter, which wrote NaN rows with exit 0.
-    @example(iters=3, inertia="1,nan,2,1.7", leader=_DEFAULT_LEADER, out="fresh")
+    @example(iters=3, inertia="1,nan,2,1.7", leader=cli._LEADER_DEFAULT, out="fresh")
     def test_exit_code_never_three(self, tmp_path_factory, iters, inertia, leader, out):
         root = tmp_path_factory.mktemp("curves")
         (root / "file").write_text("x")
