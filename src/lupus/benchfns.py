@@ -91,8 +91,6 @@ class BenchmarkFn:
     """A named objective with uniform per-coordinate bounds.
 
     ``min_dim`` is the smallest dimension the objective is defined for.
-    ``batched`` tells the optimizer it may pass the whole ``(n, dim)`` swarm
-    in one call and get the ``(n,)`` fitness array back.
     """
 
     id: str
@@ -102,7 +100,6 @@ class BenchmarkFn:
     upper: float
     stochastic: bool = False
     min_dim: int = 1
-    batched = True  # a class attribute, not a field
 
     def __call__(self, x, rng: Optional[np.random.Generator] = None):
         if self.stochastic:

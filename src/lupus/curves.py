@@ -13,34 +13,6 @@ from dataclasses import dataclass
 DEGENERATE_AVG_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class CurveParams:
-    """Four-parameter bump curve family: ``cauchy_pdf(r, b, a) * c + d``.
-
-    ``a`` is the scale (must be strictly positive so the denominator never
-    vanishes), ``b`` shifts the peak location, ``c`` scales vertically and
-    ``d`` offsets vertically. All four must be finite: one NaN or infinity
-    makes the weights NaN, and a swarm with NaN weights never moves.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
-            raise ValueError(f"curve parameters must be finite, got {self}")
-        if not self.a > 0:
-            raise ValueError(f"curve scale a must be > 0, got {self.a}")
-
-
-# Default parameter sets: one for the iteration-indexed inertia schedule,
-# one for the fitness-indexed leader weights.
-INERTIA_DEFAULTS = CurveParams(a=1.0, b=0.0, c=2.0, d=1.7)
-LEADER_WEIGHT_DEFAULTS = CurveParams(a=1.0, b=0.0, c=2.0, d=2.1)
-
-
 def cauchy_pdf(x: float, x0: float, gamma: float) -> float:
     """Cauchy probability density with location ``x0`` and scale ``gamma``.
 
@@ -55,6 +27,42 @@ def cauchy_pdf(x: float, x0: float, gamma: float) -> float:
         return 0.0
     except ZeroDivisionError:  # gamma * gamma underflows to 0 at the peak
         return math.inf
+
+
+@dataclass(frozen=True)
+class CurveParams:
+    """Four-parameter bump curve family: ``cauchy_pdf(r, b, a) * c + d``.
+
+    ``a`` is the scale (must be strictly positive so the denominator never
+    vanishes), ``b`` shifts the peak location, ``c`` scales vertically and
+    ``d`` offsets vertically. All four must be finite: one NaN or infinity
+    makes the weights NaN, and a swarm with NaN weights never moves. So must
+    the extremes ``d + c/(pi*a)`` of the inertia curve and ``d - c/(pi*a)``
+    of the leader weights: below about 1.6e-162, ``a * a`` underflows to 0
+    and :func:`cauchy_pdf` gives inf at the peak, and large ``c`` and ``d``
+    overflow.
+    """
+
+    a: float
+    b: float
+    c: float
+    d: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
+            raise ValueError(f"curve parameters must be finite, got {self}")
+        if not self.a > 0:
+            raise ValueError(f"curve scale a must be > 0, got {self.a}")
+        peak = cauchy_pdf(self.b, self.b, self.a)
+        if not all(math.isfinite(self.d + sign * self.c * peak) for sign in (1.0, -1.0)):
+            raise ValueError(f"curve extremes d +- c/(pi*a) must be finite, got peak "
+                             f"density {peak!r} for {self}")
+
+
+# Default parameter sets: one for the iteration-indexed inertia schedule,
+# one for the fitness-indexed leader weights.
+INERTIA_DEFAULTS = CurveParams(a=1.0, b=0.0, c=2.0, d=1.7)
+LEADER_WEIGHT_DEFAULTS = CurveParams(a=1.0, b=0.0, c=2.0, d=2.1)
 
 
 def _check_iteration(iteration: int, max_iter: int) -> None:

@@ -7,6 +7,7 @@ binarizes the target to presence/absence.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -80,11 +81,15 @@ def _looks_numeric(field: str) -> bool:
 
 def _parse_value(field: str, row_index: int, col: str) -> float:
     try:
-        return float(field)
+        value = float(field)
     except ValueError:
+        value = math.nan
+    # float() also reads "nan", "inf" and "1e999", which no measurement is.
+    if not math.isfinite(value):
         raise DataError(
-            f"row {row_index}: column {col!r}: cannot parse {field!r}"
-        ) from None
+            f"row {row_index}: column {col!r}: cannot parse {field!r} as a finite number"
+        )
+    return value
 
 
 def clean(rows: list, impute: bool = False) -> Dataset:
@@ -94,33 +99,33 @@ def clean(rows: list, impute: bool = False) -> Dataset:
     each missing cell takes its column's most frequent value (smallest value
     on ties). Target values above 0 become 1.
     """
-    if impute:
-        rows = _impute_rows(rows)
-    else:
-        rows = [row for row in rows if MISSING not in row]
-    if not rows:
+    # Errors name a row by its place among the rows read, dropped ones included.
+    numbered = enumerate(_impute_rows(rows) if impute else rows, start=1)
+    numbered = [(i, row) for i, row in numbered if MISSING not in row]
+    if not numbered:
         raise DataError("no rows left after dropping missing values")
 
-    n = len(rows)
+    n = len(numbered)
     x = np.empty((n, len(FEATURE_NAMES)))
     y = np.empty(n, dtype=int)
-    for i, row in enumerate(rows, start=1):
+    for k, (i, row) in enumerate(numbered):
         for j, col in enumerate(FEATURE_NAMES):
-            x[i - 1, j] = _parse_value(row[j], i, col)
+            x[k, j] = _parse_value(row[j], i, col)
         target = _parse_value(row[-1], i, COLUMN_NAMES[-1])
-        y[i - 1] = 1 if target > 0 else 0
+        y[k] = 1 if target > 0 else 0
     return Dataset(X=x, y=y)
 
 
 def _impute_rows(rows):
     filled = [list(row) for row in rows]
-    for j in range(len(COLUMN_NAMES)):
-        observed = [row[j] for row in rows if row[j] != MISSING]
-        if not observed:
-            raise DataError(f"column {COLUMN_NAMES[j]!r} is entirely missing")
+    for j, col in enumerate(COLUMN_NAMES):
         counts = {}
-        for v in observed:
-            counts[v] = counts.get(v, 0) + 1
+        for i, row in enumerate(rows, start=1):
+            if row[j] != MISSING:
+                _parse_value(row[j], i, col)  # the mode's tie-break compares numbers
+                counts[row[j]] = counts.get(row[j], 0) + 1
+        if not counts:
+            raise DataError(f"column {col!r} is entirely missing")
         top = max(counts.values())
         mode = min((v for v, k in counts.items() if k == top), key=float)
         for row in filled:

@@ -226,9 +226,7 @@ def train_acgwo(arch: MlpArchitecture, X, y, cfg: GwoConfig,
     """Swarm-search the flattened parameters, minimizing the training loss."""
     lo, hi = bounds
     space = SearchSpace.uniform(arch.n_params, lo, hi)
-    objective = lambda P, rng: bce_loss(arch, P, X, y)
-    objective.batched = True
-    result = optimizer.run(objective, space, cfg)
+    result = optimizer.run(lambda P, rng: bce_loss(arch, P, X, y), space, cfg)
     return TrainReport(
         final_params=result.best_position,
         loss_history=result.history,

@@ -4,13 +4,11 @@ Four variants share one loop and are selected by flags: the plain scheme
 (``gwo``), the curve-scheduled inertia weight (``cgwo``), the adaptive
 per-leader fitness weights (``agwo``), and both together (``acgwo``).
 
-Objectives are callables ``objective(x, rng) -> float`` minimized over a
-box-bounded space, called once per agent with its position. An objective
-whose ``batched`` attribute is true is instead called once per iteration with
-the whole ``(n, dim)`` position matrix and returns the ``(n,)`` fitness array;
-its values must equal the per-agent calls. Deterministic objectives must
-ignore the ``rng`` argument; stochastic ones draw only from it, in agent-index
-order, which keeps every run reproducible from its seed.
+Objectives are callables ``objective(X, rng) -> (n,)`` minimized over a
+box-bounded space, called once per iteration with the whole ``(n, dim)``
+position matrix and returning the fitness of every agent. Deterministic
+objectives must ignore the ``rng`` argument; stochastic ones draw only from
+it, in agent-index order, which keeps every run reproducible from its seed.
 
 RNG draw order is fixed so determinism is testable: initialization draws the
 full position matrix agent-major; each iteration first evaluates objectives
@@ -30,11 +28,15 @@ from . import curves
 from .curves import CurveParams
 from .errors import ConfigError, LupusError
 
-Objective = Callable[[np.ndarray, np.random.Generator], float]
+Objective = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 VARIANTS = ("gwo", "cgwo", "agwo", "acgwo")
 _CURVE_VARIANTS = ("cgwo", "acgwo")
 _ADAPTIVE_VARIANTS = ("agwo", "acgwo")
+
+C1 = C2 = 2.0  # PSO acceleration coefficients; see PsoConfig for the rest
+W_MAX, W_MIN = 0.9, 0.4
+VELOCITY_CLAMP = 0.2
 
 
 @dataclass
@@ -80,16 +82,12 @@ class SearchSpace:
 class GwoConfig:
     """Settings of one grey-wolf run.
 
-    ``normalize_inertia`` applies the inertia curve relative to its value at
+    The curve variants apply the inertia curve relative to its value at
     iteration 0, so the position update starts exactly as the canonical
     scheme and the weight decays below 1 from there. With the default curve
     parameters the unnormalized curve stays above 2 for the whole run, which
     makes every update an expansion away from the leaders and the swarm
-    provably diverges; the raw reading remains available for study by
-    setting this to False.
-
-    ``abs_displacement`` keeps the displacement D a distance as in the
-    canonical scheme; False uses the signed displacement instead.
+    provably diverges.
     """
 
     variant: str = "acgwo"
@@ -98,8 +96,6 @@ class GwoConfig:
     inertia: CurveParams = curves.INERTIA_DEFAULTS
     leader: CurveParams = curves.LEADER_WEIGHT_DEFAULTS
     seed: int = 0
-    abs_displacement: bool = True
-    normalize_inertia: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -133,18 +129,13 @@ def check_leader_curve(variants, leader: CurveParams, name: str = "leader") -> N
 class PsoConfig:
     """Settings of one global-best PSO run.
 
-    Inertia decreases linearly from ``w_max`` to ``w_min`` over the run;
-    velocities are clamped per coordinate to ``velocity_clamp`` times the
+    Inertia decreases linearly from ``W_MAX`` to ``W_MIN`` over the run;
+    velocities are clamped per coordinate to ``VELOCITY_CLAMP`` times the
     coordinate range and start at zero.
     """
 
     n_particles: int = 40
     max_iter: int = 500
-    c1: float = 2.0
-    c2: float = 2.0
-    w_max: float = 0.9
-    w_min: float = 0.4
-    velocity_clamp: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -152,10 +143,6 @@ class PsoConfig:
             raise ConfigError(f"n_particles must be >= 1, got {self.n_particles}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.w_max < self.w_min:
-            raise ConfigError("w_max must be >= w_min")
-        if self.velocity_clamp <= 0:
-            raise ConfigError("velocity_clamp must be > 0")
 
 
 @dataclass(frozen=True)
@@ -174,14 +161,14 @@ def control_wa(iteration: int, max_iter: int) -> float:
     return 2.0 - iteration * (2.0 / max_iter)
 
 
-def _move(positions, leaders, weights, wa: float, ww: float, abs_displacement: bool,
+def _move(positions, leaders, weights, wa: float, ww: float,
           rng: np.random.Generator) -> np.ndarray:
     """Every wolf's weighted mean of its three leader candidates, unclamped.
 
-    Per leader L: A = 2*wa*r1 - wa, C = 2*r2, D = |C*L - X| (signed unless
-    ``abs_displacement``) and the candidate is ww*L - A*D, computed in place on
-    ``(n, dim)`` scratch arrays. The weighted candidates are summed from zero in
-    leader order, as ``sum(axis=-2)`` does, then divided once by the weight sum.
+    Per leader L: A = 2*wa*r1 - wa, C = 2*r2, D = |C*L - X| and the candidate
+    is ww*L - A*D, computed in place on ``(n, dim)`` scratch arrays. The
+    weighted candidates are summed from zero in leader order, as
+    ``sum(axis=-2)`` does, then divided once by the weight sum.
     """
     total = weights.sum()
     if total <= 0:
@@ -195,8 +182,7 @@ def _move(positions, leaders, weights, wa: float, ww: float, abs_displacement: b
         np.multiply(draws[:, k, :, 1], 2.0, out=d)
         d *= leader
         d -= positions
-        if abs_displacement:
-            np.abs(d, out=d)
+        np.abs(d, out=d)
         a *= d
         np.multiply(leader, ww, out=d)
         d -= a
@@ -212,18 +198,14 @@ def clamp(pos, space: SearchSpace) -> np.ndarray:
 
 
 def _evaluate(objective: Objective, positions: np.ndarray, rng) -> np.ndarray:
-    # Agent-index order; a NaN fitness ranks as +inf so a misbehaving
-    # objective can never become a leader.
+    # A NaN fitness ranks as +inf so a misbehaving objective can never become
+    # a leader.
     n = positions.shape[0]
-    if getattr(objective, "batched", False):
-        fitness = np.array(objective(positions, rng), dtype=float)
-        if fitness.shape != (n,):
-            raise LupusError(
-                f"batched objective returned shape {fitness.shape} for {n} agents; "
-                f"expected ({n},)"
-            )
-    else:
-        fitness = np.array([float(objective(p, rng)) for p in positions])
+    fitness = np.array(objective(positions, rng), dtype=float)
+    if fitness.shape != (n,):
+        raise LupusError(
+            f"objective returned shape {fitness.shape} for {n} agents; expected ({n},)"
+        )
     fitness[np.isnan(fitness)] = math.inf
     return fitness
 
@@ -261,7 +243,7 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
     use_curve = cfg.variant in _CURVE_VARIANTS
     use_weights = cfg.variant in _ADAPTIVE_VARIANTS
     ww_scale = 1.0
-    if use_curve and cfg.normalize_inertia:
+    if use_curve:
         ww_scale = curves.cauchy_inertia(0, cfg.max_iter, cfg.inertia)
         if ww_scale == 0:
             raise ConfigError("inertia curve is 0 at iteration 0; cannot normalize")
@@ -284,8 +266,7 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
         else:
             weights = np.ones(3)
 
-        positions = clamp(_move(positions, leaders, weights, wa, ww, cfg.abs_displacement,
-                                rng), space)
+        positions = clamp(_move(positions, leaders, weights, wa, ww, rng), space)
         history[it] = scores[0]
 
     return RunResult(
@@ -307,7 +288,7 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
     rng = np.random.default_rng(cfg.seed)
     positions = rng.uniform(space.lower, space.upper, size=(n, dim))
     velocities = np.zeros((n, dim))
-    v_max = cfg.velocity_clamp * (space.upper - space.lower)
+    v_max = VELOCITY_CLAMP * (space.upper - space.lower)
     pull, gap = np.empty((n, dim)), np.empty((n, dim))
 
     pbest = positions.copy()
@@ -330,10 +311,10 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
             gbest = pbest[best].copy()
         history[it] = gbest_f
 
-        w = cfg.w_max - (cfg.w_max - cfg.w_min) * it / cfg.max_iter
+        w = W_MAX - (W_MAX - W_MIN) * it / cfg.max_iter
         draws = rng.random((n, dim, 2))
         velocities *= w
-        for r, coef, best in ((draws[..., 0], cfg.c1, pbest), (draws[..., 1], cfg.c2, gbest)):
+        for r, coef, best in ((draws[..., 0], C1, pbest), (draws[..., 1], C2, gbest)):
             np.multiply(r, coef, out=pull)
             np.subtract(best, positions, out=gap)
             pull *= gap

@@ -241,9 +241,9 @@ class TestAcceptance:
         space = optimizer.SearchSpace.uniform(3, -2.0, 2.0)
         seen = []
 
-        def recording(x, _rng):
-            seen.append(x.copy())
-            return float(np.square(x).sum())
+        def recording(X, _rng):
+            seen.append(X.copy())
+            return np.square(X).sum(axis=1)
 
         result = optimizer.run(
             recording, space,

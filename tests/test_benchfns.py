@@ -200,7 +200,6 @@ class TestBatched:
     @pytest.mark.parametrize("fn_id", sorted(benchfns.REGISTRY))
     def test_stack_equals_per_row_bit_for_bit(self, fn_id, dim):
         bf = get_function(fn_id)
-        assert bf.batched
         # Rows shrink from the full box to 1e-3 of it; at dim 2 there are
         # enough of them that a last-bit difference in 0.1% of values shows.
         n = max(1000, 20000 // dim)

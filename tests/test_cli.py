@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lupus import cli, mlp
+from lupus import cli, dataprep, mlp
 from lupus.cli import main
 
 BENCH_SMALL = ["bench", "--functions", "f1", "--dims", "4", "--algs", "gwo,acgwo",
@@ -60,8 +60,15 @@ class TestCurveFlags:
         (["curves", "--inertia", "1,nan,2,1.7"], "--inertia"),
         (["curves", "--inertia", "inf,0,2,1.7"], "--inertia"),
         (["curves", "--leader", "1,0,-inf,2.1"], "--leader"),
+        # Finite, but a * a underflows to 0, so the curve's peak is inf.
+        (["curves", "--inertia", "1e-300,0,0,1.7"], "--inertia"),
+        (["bench", "--algs", "cgwo", "--functions", "f1", "--runs", "1",
+          "--inertia", "1e-300,0,2,1.7"], "--inertia"),
+        # Finite, but d + c/pi overflows, so every inertia weight is inf.
+        (["curves", "--inertia", "1,0,1.7e308,1.7e308"], "--inertia"),
     ], ids=["bench-inertia-nan", "bench-leader-nan", "curves-inertia-nan",
-            "curves-inertia-inf", "curves-leader-minus-inf"])
+            "curves-inertia-inf", "curves-leader-minus-inf", "curves-inertia-tiny-scale",
+            "bench-inertia-tiny-scale", "curves-inertia-overflow"])
     def test_non_finite_parameter_exit_one(self, workdir, capsys, args, flag):
         assert run_cli(args + ["--iters", "3"]) == 1
         err = capsys.readouterr().err
@@ -257,6 +264,25 @@ class TestEdaCommand:
         assert Path("results/corr.csv").read_bytes() == first
 
 
+class TestNonFiniteData:
+    @pytest.mark.parametrize("command", [["eda"], TRAIN_SMALL], ids=["eda", "train"])
+    @pytest.mark.parametrize("column,value", [(4, "nan"), (0, "inf"), (9, "1e999")])
+    def test_cell_exit_two_naming_row_and_column(self, workdir, capsys, command, column,
+                                                 value):
+        # float() reads all three; eda wrote NaN correlations and train a model
+        # with held-out AUC 0, both with exit 0.
+        path = Path("data/heart.csv")
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[column] = value
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli(command) == 2
+        name = dataprep.COLUMN_NAMES[column]
+        assert f"row 6: column {name!r}" in capsys.readouterr().err
+        assert not Path("results").exists() and not Path("data/clean.csv").exists()
+
+
 class TestTrainCommand:
     def test_hybrid_small(self, workdir):
         assert run_cli(TRAIN_SMALL) == 0
@@ -406,12 +432,21 @@ def _curve_number_text():
                      st.floats()).map(repr)
 
 
+def _output_path(root, kind, name):
+    """A fresh path, an existing directory, or a path under a file."""
+    return {"fresh": root / "new" / name, "directory": root,
+            "under-file": root / "file" / name}[kind]
+
+
+_OUTPUT_KINDS = st.sampled_from(["fresh", "directory", "under-file"])
+
+
 class TestCurvesNeverInternalError:
     @given(
         iters=st.integers(-2, 5),
         inertia=st.lists(_curve_number_text(), min_size=4, max_size=4).map(",".join),
         leader=st.lists(_curve_number_text(), min_size=4, max_size=4).map(",".join),
-        out=st.sampled_from(["fresh", "directory", "under-file"]),
+        out=_OUTPUT_KINDS,
     )
     # Output locations that exited 3 after the whole schedule was computed.
     @example(iters=3, inertia=cli._INERTIA_DEFAULT, leader=cli._LEADER_DEFAULT, out="directory")
@@ -421,11 +456,53 @@ class TestCurvesNeverInternalError:
     def test_exit_code_never_three(self, tmp_path_factory, iters, inertia, leader, out):
         root = tmp_path_factory.mktemp("curves")
         (root / "file").write_text("x")
-        path = {"fresh": root / "new" / "curves.csv", "directory": root,
-                "under-file": root / "file" / "curves.csv"}[out]
+        path = _output_path(root, out, "curves.csv")
         code = run_cli(["curves", f"--iters={iters}", f"--inertia={inertia}",
                         f"--leader={leader}", "--out", str(path)])
         assert code in (0, 1, 2)
+
+
+class TestEdaNeverInternalError:
+    @given(
+        keep=st.one_of(st.none(), st.integers(0, 3)),
+        cells=st.lists(st.tuples(st.integers(0, 302), st.integers(0, 13),
+                                 st.sampled_from(["?", "nan", "inf", "1e999", "", "x"])),
+                       max_size=3),
+        constant=st.one_of(st.none(), st.integers(0, 13)),
+        impute=st.booleans(),
+        out=_OUTPUT_KINDS,
+        clean_out=_OUTPUT_KINDS,
+    )
+    # Cells that float() reads but are no number; eda wrote NaN correlations.
+    @example(keep=None, cells=[(5, 4, "nan")], constant=None, impute=False,
+             out="fresh", clean_out="fresh")
+    @example(keep=None, cells=[(7, 0, "inf")], constant=None, impute=True,
+             out="fresh", clean_out="fresh")
+    # A blank cell that --impute's mode tie-break passed to float() (exit 3).
+    @example(keep=1, cells=[(0, 1, "")], constant=None, impute=True,
+             out="fresh", clean_out="fresh")
+    def test_exit_code_never_three(self, heart_csv, tmp_path_factory, keep, cells,
+                                   constant, impute, out, clean_out):
+        # keep=None keeps every bundled row; 0-3 rows leave too few to correlate.
+        rows = [line.split(",") for line in heart_csv.read_text().splitlines()][:keep]
+        if constant is not None:
+            for row in rows:
+                row[constant] = rows[0][constant]
+        for i, j, value in cells:
+            if rows:
+                rows[i % len(rows)][j] = value
+        root = tmp_path_factory.mktemp("eda")
+        (root / "file").write_text("x")
+        (root / "data.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+        corr = _output_path(root, out, "corr.csv")
+        code = run_cli(["eda", "--data", str(root / "data.csv"),
+                        "--impute" if impute else "--drop-missing", "--out", str(corr),
+                        "--clean-out", str(_output_path(root, clean_out, "clean.csv"))])
+        assert code in (0, 1, 2)
+        if code == 0:
+            values = [v for line in corr.read_text().splitlines()[1:]
+                      for v in line.split(",")[1:]]
+            assert all(math.isfinite(float(v)) for v in values)
 
 
 # Any JSON document: NaN and infinities included, as json.loads reads them.

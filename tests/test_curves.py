@@ -34,6 +34,25 @@ class TestCurveParams:
         with pytest.raises(ValueError, match="must be finite"):
             CurveParams(**params)
 
+    # a * a underflows to 0, so cauchy_pdf's peak is inf and c * inf is NaN
+    # at c = 0: the inertia weight or leader weight would not be a number.
+    @pytest.mark.parametrize("a", [5e-324, 1e-300, 1e-163])
+    @pytest.mark.parametrize("c", [0.0, 2.0])
+    def test_scale_with_infinite_peak_rejected(self, a, c):
+        with pytest.raises(ValueError, match="must be finite, got peak density inf"):
+            CurveParams(a=a, b=0.0, c=c, d=1.7)
+
+    # d + c/pi overflows the inertia curve's peak, d - c/pi the leader weights'.
+    @pytest.mark.parametrize("c", [1.7e308, -1.7e308])
+    def test_extremes_beyond_float_range_rejected(self, c):
+        with pytest.raises(ValueError, match="curve extremes .* must be finite"):
+            CurveParams(a=1.0, b=0.0, c=c, d=1.7e308)
+
+    @pytest.mark.parametrize("a", [1e-161, 1e-100])
+    def test_small_scale_with_finite_peak_accepted(self, a):
+        p = CurveParams(a=a, b=0.5, c=0.0, d=1.7)
+        assert math.isfinite(cauchy_pdf(p.b, p.b, p.a))
+
 
 class TestCauchyPdf:
     def test_standard_peak(self):

@@ -103,6 +103,28 @@ class TestClean:
         with pytest.raises(DataError, match="chol"):
             clean(_table(rows))
 
+    # float() reads all of these; none is a measurement.
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("impute", [False, True], ids=["drop", "impute"])
+    def test_non_finite_field_errors(self, value, impute):
+        rows = _synthetic_rows(3)
+        rows[1][4] = value
+        with pytest.raises(DataError, match=f"row 2: column 'chol': cannot parse '{value}'"):
+            clean(_table(rows), impute=impute)
+
+    def test_error_counts_dropped_rows(self):
+        rows = _synthetic_rows(4, missing=(0,))
+        rows[2][4] = "nan"
+        with pytest.raises(DataError, match="row 3: column 'chol'"):
+            clean(_table(rows))
+
+    def test_impute_non_numeric_field_errors(self):
+        # Every value of the column is its mode, so the tie-break compares them.
+        rows = _synthetic_rows(3)
+        rows[1][4] = "abc"
+        with pytest.raises(DataError, match="row 2: column 'chol'"):
+            clean(_table(rows), impute=True)
+
     def test_never_invents_values(self, heart_csv):
         raw = load_table(heart_csv)
         ds = clean(raw)

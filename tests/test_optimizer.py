@@ -20,8 +20,13 @@ from lupus.optimizer import (
 )
 
 
-def sphere_objective(x, rng):
-    return sphere(x)
+def sphere_objective(X, rng):
+    return sphere(X)
+
+
+def recording(seen, objective=sphere_objective):
+    """``objective`` that appends every position block it is called with to ``seen``."""
+    return lambda X, rng: seen.append(X.copy()) or objective(X, rng)
 
 
 class TestSearchSpace:
@@ -71,22 +76,17 @@ class TestConfigs:
             assert GwoConfig(variant=variant, leader=bad).leader == bad
 
     def test_pso_validation(self):
-        with pytest.raises(ConfigError):
-            PsoConfig(w_max=0.3, w_min=0.4)
-        with pytest.raises(ConfigError):
-            PsoConfig(velocity_clamp=0.0)
+        with pytest.raises(ConfigError, match="n_particles"):
+            PsoConfig(n_particles=0)
+        with pytest.raises(ConfigError, match="max_iter"):
+            PsoConfig(max_iter=0)
 
 
 def _initial_positions(space, cfg):
     """The positions run() evaluates first: its initialization."""
     seen = []
-
-    def recording(x, rng):
-        seen.append(x.copy())
-        return sphere(x)
-
-    run(recording, space, GwoConfig(n_agents=cfg.n_agents, max_iter=1, seed=cfg.seed))
-    return np.stack(seen)
+    run(recording(seen), space, GwoConfig(n_agents=cfg.n_agents, max_iter=1, seed=cfg.seed))
+    return seen[0]
 
 
 class TestInitialize:
@@ -106,7 +106,7 @@ class TestInitialize:
     def test_leader_sentinels(self):
         # No fitness beats the +inf start, so no agent ever becomes a leader.
         space = SearchSpace.uniform(2, -1.0, 1.0)
-        result = run(lambda x, rng: math.inf, space,
+        result = run(lambda X, rng: np.full(len(X), math.inf), space,
                      GwoConfig(variant="gwo", n_agents=3, max_iter=2, seed=0))
         assert result.best_score == math.inf
         assert np.all(result.history == math.inf)
@@ -137,12 +137,9 @@ def step_coefficients(wa, shape, rng):
     return 2.0 * wa * draws[..., 0] - wa, 2.0 * draws[..., 1]
 
 
-def candidate_from_leader(wolf_pos, leader_pos, a, c, ww, abs_displacement=True):
-    """ww*leader - A*D with D = |C*leader - wolf| (signed when asked); broadcasts."""
-    disp = c * leader_pos - wolf_pos
-    if abs_displacement:
-        disp = np.abs(disp)
-    return ww * leader_pos - a * disp
+def candidate_from_leader(wolf_pos, leader_pos, a, c, ww):
+    """ww*leader - A*D with D = |C*leader - wolf|; broadcasts."""
+    return ww * leader_pos - a * np.abs(c * leader_pos - wolf_pos)
 
 
 def combine_candidates(candidates, weights):
@@ -151,10 +148,9 @@ def combine_candidates(candidates, weights):
     return (weights[:, None] * np.asarray(candidates)).sum(axis=-2) / weights.sum()
 
 
-def _reference_move(positions, leaders, weights, wa, ww, abs_displacement, rng):
+def _reference_move(positions, leaders, weights, wa, ww, rng):
     a, c = step_coefficients(wa, (positions.shape[0], 3, positions.shape[1]), rng)
-    cands = candidate_from_leader(positions[:, None, :], np.stack(leaders), a, c, ww,
-                                  abs_displacement)
+    cands = candidate_from_leader(positions[:, None, :], np.stack(leaders), a, c, ww)
     return combine_candidates(cands, weights)
 
 
@@ -195,14 +191,6 @@ class TestCandidateFromLeader:
             np.array([0.3]), np.array([1.0]), np.array([0.0]), np.array([1.0]), ww=2.33662)
         assert cand[0] == pytest.approx(2.33662)
 
-    def test_signed_displacement_mode(self):
-        wolf = np.array([10.0])
-        leader = np.array([5.0])
-        a = np.array([1.0])
-        c = np.array([1.0])
-        signed = candidate_from_leader(wolf, leader, a, c, 1.0, abs_displacement=False)
-        assert signed[0] == pytest.approx(5.0 - (5.0 - 10.0))
-
 
 class TestCombineCandidates:
     def test_identical_candidates(self):
@@ -225,16 +213,15 @@ def _bits(x):
 
 class TestMove:
     @pytest.mark.parametrize("dim,n", [(1, 3), (30, 40), (241, 100), (1000, 40), (1000, 100)])
-    @pytest.mark.parametrize("abs_displacement", [True, False], ids=["abs", "signed"])
-    def test_bit_identical_to_reference(self, dim, n, abs_displacement):
+    def test_bit_identical_to_reference(self, dim, n):
         setup = np.random.default_rng(dim * n)
         positions = setup.uniform(-5.0, 5.0, (n, dim))
         leaders = [setup.uniform(-5.0, 5.0, dim) for _ in range(3)]
         for wa, ww, weights in ((1.7, 1.0, [1.0, 1.0, 1.0]), (0.3, 0.81, [1.46, 0.2, 2.9])):
             weights = np.array(weights)
-            moved = optimizer._move(positions, leaders, weights, wa, ww, abs_displacement,
+            moved = optimizer._move(positions, leaders, weights, wa, ww,
                                     np.random.default_rng(5))
-            expected = _reference_move(positions, leaders, weights, wa, ww, abs_displacement,
+            expected = _reference_move(positions, leaders, weights, wa, ww,
                                        np.random.default_rng(5))
             assert np.array_equal(_bits(moved), _bits(expected))
 
@@ -246,7 +233,7 @@ class TestMove:
         a, c = step_coefficients(0.5, (20, 3, 10), np.random.default_rng(0))
         cands = candidate_from_leader(positions[:, None, :], np.stack(leaders), a, c, 1.0)
         assert np.signbit(cands).all(axis=1).any()
-        moved = optimizer._move(positions, leaders, np.ones(3), 0.5, 1.0, True,
+        moved = optimizer._move(positions, leaders, np.ones(3), 0.5, 1.0,
                                 np.random.default_rng(0))
         assert not np.signbit(moved).any()
 
@@ -255,13 +242,13 @@ class TestMove:
         positions = np.array([[10.0, -4.0], [0.5, 7.0]])
         leaders = [np.array([0.0, 2.0]), np.array([3.0, 2.0]), np.array([6.0, 2.0])]
         moved = optimizer._move(positions, leaders, np.array([2.0, 1.0, 1.0]), 0.0, 1.5,
-                                True, np.random.default_rng(3))
+                                np.random.default_rng(3))
         # (2*0 + 1*4.5 + 1*9) / 4 = 3.375 and (2*3 + 3 + 3) / 4 = 3.
         assert moved.tolist() == [[3.375, 3.0], [3.375, 3.0]]
 
     def test_draws_one_block(self):
         rng = np.random.default_rng(9)
-        optimizer._move(np.zeros((4, 5)), [np.ones(5)] * 3, np.ones(3), 1.0, 1.0, True, rng)
+        optimizer._move(np.zeros((4, 5)), [np.ones(5)] * 3, np.ones(3), 1.0, 1.0, rng)
         expected = np.random.default_rng(9)
         expected.random((4, 3, 5, 2))
         assert rng.random() == expected.random()
@@ -271,7 +258,7 @@ class TestMove:
     def test_rejects_nonpositive_weight_sum(self, weights):
         with pytest.raises(LupusError, match="non-positive leader weight sum"):
             optimizer._move(np.zeros((3, 2)), [np.ones(2)] * 3, np.array(weights), 1.0, 1.0,
-                            True, np.random.default_rng(0))
+                            np.random.default_rng(0))
 
 
 class TestClamp:
@@ -292,9 +279,10 @@ def _reference_run(objective, space, cfg, weights_seen=None):
     """Rebuild run() step by step from the reference movement operations.
 
     Serves as the documented-draw-order oracle: one shared stream, init
-    first, then per iteration objective calls in agent order followed by
-    per-agent, per-leader step coefficients. Each iteration's leader weights
-    are appended to ``weights_seen`` when it is given.
+    first, then per iteration objective calls in agent order, each on a
+    one-row slice of the swarm, followed by per-agent, per-leader step
+    coefficients. Each iteration's leader weights are appended to
+    ``weights_seen`` when it is given.
     """
     rng = np.random.default_rng(cfg.seed)
     state = SimpleNamespace(
@@ -307,12 +295,12 @@ def _reference_run(objective, space, cfg, weights_seen=None):
     use_curve = cfg.variant in ("cgwo", "acgwo")
     use_weights = cfg.variant in ("agwo", "acgwo")
     ww0 = 1.0
-    if use_curve and cfg.normalize_inertia:
+    if use_curve:
         ww0 = curves.cauchy_inertia(0, cfg.max_iter, cfg.inertia)
     history = []
     for it in range(cfg.max_iter):
         for i in range(n):
-            value = float(objective(state.positions[i], rng))
+            value = float(objective(state.positions[i:i + 1], rng)[0])
             state.fitness[i] = math.inf if math.isnan(value) else value
         for i in range(n):
             f = state.fitness[i]
@@ -343,8 +331,7 @@ def _reference_run(objective, space, cfg, weights_seen=None):
             cands = []
             for leader in (state.alpha_pos, state.beta_pos, state.delta_pos):
                 a, c = step_coefficients(wa, space.dim, rng)
-                cands.append(candidate_from_leader(
-                    state.positions[i], leader, a, c, ww, cfg.abs_displacement))
+                cands.append(candidate_from_leader(state.positions[i], leader, a, c, ww))
             new_positions[i] = clamp(combine_candidates(cands, weights), space)
         state.positions = new_positions
         history.append(state.alpha_score)
@@ -352,41 +339,31 @@ def _reference_run(objective, space, cfg, weights_seen=None):
 
 
 class TestRun:
-    @pytest.mark.parametrize("variant,options", [
-        pytest.param(variant, options, id=variant + suffix)
-        for suffix, options in (("", {}),
-                                ("-signed", {"abs_displacement": False}),
-                                ("-raw-inertia", {"normalize_inertia": False}))
-        for variant in ("gwo", "cgwo", "agwo", "acgwo")
-    ])
-    def test_matches_operation_composition(self, variant, options):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_operation_composition(self, variant):
         space = SearchSpace.uniform(3, -10.0, 10.0)
-        cfg = GwoConfig(variant=variant, n_agents=4, max_iter=5, seed=123, **options)
+        cfg = GwoConfig(variant=variant, n_agents=4, max_iter=5, seed=123)
         result = run(sphere_objective, space, cfg)
         ref_pos, ref_history = _reference_run(sphere_objective, space, cfg)
         assert np.array_equal(result.best_position, ref_pos)
         assert np.array_equal(result.history, ref_history)
 
     @pytest.mark.parametrize("dim,n", [(1, 3), (30, 40), (241, 100), (1000, 40)])
-    @pytest.mark.parametrize("variant,options", [
-        pytest.param(variant, {"abs_displacement": abs_d, "normalize_inertia": norm},
-                     id=f"{variant}-{'abs' if abs_d else 'signed'}-{'norm' if norm else 'raw'}")
-        for variant in VARIANTS for abs_d in (True, False) for norm in (True, False)
-    ])
-    def test_bit_identical_to_reference_run(self, variant, options, dim, n):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bit_identical_to_reference_run(self, variant, dim, n):
         # The optimum sits near the edge of the [-1, 1] box, so the clamp
         # binds, and scores near the population mean keep the three adaptive
         # weights apart.
-        def objective(x, rng):
-            return 1.0 + float(np.mean((x - 0.95) ** 2))
+        def objective(X, rng):
+            return 1.0 + np.mean((X - 0.95) ** 2, axis=1)
 
         space = SearchSpace.uniform(dim, -1.0, 1.0)
-        cfg = GwoConfig(variant=variant, n_agents=n, max_iter=6, seed=dim + n, **options)
+        cfg = GwoConfig(variant=variant, n_agents=n, max_iter=6, seed=dim + n)
         seen, ref_seen, weights = [], [], []
-        result = run(lambda x, rng: seen.append(x.copy()) or objective(x, rng), space, cfg)
-        ref_pos, ref_history = _reference_run(
-            lambda x, rng: ref_seen.append(x.copy()) or objective(x, rng), space, cfg, weights)
-        assert np.array_equal(_bits(seen), _bits(ref_seen))
+        result = run(recording(seen, objective), space, cfg)
+        ref_pos, ref_history = _reference_run(recording(ref_seen, objective), space, cfg,
+                                              weights)
+        assert np.array_equal(_bits(np.concatenate(seen)), _bits(np.concatenate(ref_seen)))
         assert np.array_equal(_bits(result.best_position), _bits(ref_pos))
         assert np.array_equal(_bits(result.history), _bits(ref_history))
         assert (np.abs(np.stack(seen)) == 1.0).any()
@@ -414,13 +391,8 @@ class TestRun:
     @pytest.mark.parametrize("variant", ["gwo", "acgwo"])
     def test_positions_stay_in_bounds(self, variant):
         seen = []
-
-        def recording(x, rng):
-            seen.append(x.copy())
-            return sphere(x)
-
         space = SearchSpace.uniform(3, -2.0, 2.0)
-        run(recording, space, GwoConfig(variant=variant, n_agents=5, max_iter=30, seed=11))
+        run(recording(seen), space, GwoConfig(variant=variant, n_agents=5, max_iter=30, seed=11))
         stacked = np.stack(seen)
         assert np.all(stacked >= -2.0) and np.all(stacked <= 2.0)
 
@@ -444,8 +416,8 @@ class TestRun:
             positions = clamp((stacked[None] - a * disp).mean(axis=1), space)
 
     def test_nan_fitness_never_leads(self):
-        def sometimes_nan(x, rng):
-            return math.nan if x[0] > 0 else sphere(x)
+        def sometimes_nan(X, rng):
+            return np.where(X[:, 0] > 0, math.nan, sphere(X))
 
         space = SearchSpace.uniform(2, -1.0, 1.0)
         result = run(sometimes_nan, space, GwoConfig(variant="gwo", n_agents=6, max_iter=10, seed=5))
@@ -467,13 +439,6 @@ class TestRun:
         a = run(sphere_objective, space, GwoConfig(variant="gwo", **base))
         b = run(sphere_objective, space, GwoConfig(variant="cgwo", **base))
         assert np.array_equal(a.history, b.history)
-
-    def test_raw_inertia_mode_runs(self):
-        space = SearchSpace.uniform(2, -5.0, 5.0)
-        cfg = GwoConfig(variant="acgwo", n_agents=5, max_iter=10, seed=3,
-                        normalize_inertia=False)
-        result = run(sphere_objective, space, cfg)
-        assert np.all(np.diff(result.history) <= 0)
 
 
 # Fitness rows with ties, repeated values and +inf, one row per iteration. The
@@ -504,7 +469,7 @@ class TestUpdateLeaders:
     def test_matches_reference_cascade_on_ties(self, variant):
         def replay():
             values = iter(v for row in _TIED_FITNESS for v in row)
-            return lambda x, rng: next(values)
+            return lambda X, rng: np.array([next(values) for _ in X])
 
         space = SearchSpace.uniform(2, -3.0, 3.0)
         cfg = GwoConfig(variant=variant, n_agents=6, max_iter=len(_TIED_FITNESS), seed=4)
@@ -516,12 +481,16 @@ class TestUpdateLeaders:
 
 
 def _reference_pso_run(objective, space, cfg):
-    """pso_run() with its velocity update written as one expression."""
+    """pso_run() with its velocity update written as one expression.
+
+    The coefficients are the published ones: pulls of 2, inertia falling
+    linearly from 0.9 to 0.4, velocities clamped to 0.2 of the range.
+    """
     n, dim = cfg.n_particles, space.dim
     rng = np.random.default_rng(cfg.seed)
     positions = rng.uniform(space.lower, space.upper, size=(n, dim))
     velocities = np.zeros((n, dim))
-    v_max = cfg.velocity_clamp * (space.upper - space.lower)
+    v_max = 0.2 * (space.upper - space.lower)
     pbest, pbest_f = positions.copy(), np.full(n, math.inf)
     gbest, gbest_f = np.zeros(dim), math.inf
     history = []
@@ -534,12 +503,12 @@ def _reference_pso_run(objective, space, cfg):
         if pbest_f[best] < gbest_f:
             gbest_f, gbest = float(pbest_f[best]), pbest[best].copy()
         history.append(gbest_f)
-        w = cfg.w_max - (cfg.w_max - cfg.w_min) * it / cfg.max_iter
+        w = 0.9 - (0.9 - 0.4) * it / cfg.max_iter
         draws = rng.random((n, dim, 2))
         velocities = (
             w * velocities
-            + cfg.c1 * draws[..., 0] * (pbest - positions)
-            + cfg.c2 * draws[..., 1] * (gbest[None, :] - positions)
+            + 2.0 * draws[..., 0] * (pbest - positions)
+            + 2.0 * draws[..., 1] * (gbest[None, :] - positions)
         )
         velocities = np.clip(velocities, -v_max, v_max)
         positions = clamp(positions + velocities, space)
@@ -551,15 +520,14 @@ class TestPso:
     def test_bit_identical_to_reference(self, dim, n):
         # The optimum sits near the edge of the [-1, 1] box, so both the
         # velocity clamp and the position clamp bind.
-        def objective(x, rng):
-            return sphere(x - 0.95)
+        def objective(X, rng):
+            return sphere(X - 0.95)
 
         space = SearchSpace.uniform(dim, -1.0, 1.0)
         cfg = PsoConfig(n_particles=n, max_iter=8, seed=dim + n)
         seen, ref_seen = [], []
-        result = pso_run(lambda x, rng: seen.append(x.copy()) or objective(x, rng), space, cfg)
-        ref_pos, ref_history = _reference_pso_run(
-            lambda x, rng: ref_seen.append(x.copy()) or objective(x, rng), space, cfg)
+        result = pso_run(recording(seen, objective), space, cfg)
+        ref_pos, ref_history = _reference_pso_run(recording(ref_seen, objective), space, cfg)
         assert np.array_equal(_bits(seen), _bits(ref_seen))
         assert np.array_equal(_bits(result.best_position), _bits(ref_pos))
         assert np.array_equal(_bits(result.history), _bits(ref_history))
@@ -583,27 +551,10 @@ class TestPso:
 
     def test_positions_stay_in_bounds(self):
         seen = []
-
-        def recording(x, rng):
-            seen.append(x.copy())
-            return sphere(x)
-
         space = SearchSpace.uniform(2, -1.0, 3.0)
-        pso_run(recording, space, PsoConfig(n_particles=8, max_iter=25, seed=4))
+        pso_run(recording(seen), space, PsoConfig(n_particles=8, max_iter=25, seed=4))
         stacked = np.stack(seen)
         assert np.all(stacked >= -1.0) and np.all(stacked <= 3.0)
-
-
-class _Batched:
-    """A batched objective computed from the whole (n, dim) position matrix."""
-
-    batched = True
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, positions, rng):
-        return self.fn(positions)
 
 
 class TestBatchedObjective:
@@ -620,7 +571,7 @@ class TestBatchedObjective:
             return run(objective, space, cfg)
 
         batched = run_with(bf)
-        per_row = run_with(lambda x, rng: bf(x, rng))
+        per_row = run_with(lambda X, rng: np.array([bf(x, rng) for x in X]))
         assert batched.best_position.tobytes() == per_row.best_position.tobytes()
         assert batched.history.tobytes() == per_row.history.tobytes()
         assert (batched.best_score, batched.evaluations) == (
@@ -635,13 +586,15 @@ class TestBatchedObjective:
         y = rng.integers(0, 2, 208).astype(float)
         cfg = GwoConfig(variant="acgwo", n_agents=20, max_iter=12, seed=21)
         report = mlp.train_acgwo(arch, X, y, cfg, (-5.0, 5.0))
-        per_row = run(lambda v, rng: mlp.bce_loss(arch, v, X, y),
+        per_row = run(lambda P, rng: np.array([mlp.bce_loss(arch, v, X, y) for v in P]),
                       SearchSpace.uniform(arch.n_params, -5.0, 5.0), cfg)
         assert report.final_params.tobytes() == per_row.best_position.tobytes()
         assert report.loss_history.tobytes() == per_row.history.tobytes()
 
     def test_nan_ranks_as_inf(self):
-        objective = _Batched(lambda X: np.where(X[:, 0] > 0, math.nan, X[:, 0]))
+        def objective(X, rng):
+            return np.where(X[:, 0] > 0, math.nan, X[:, 0])
+
         positions = np.array([[1.0], [-1.0], [2.0]])
         fitness = optimizer._evaluate(objective, positions, None)
         assert fitness.tolist() == [math.inf, -1.0, math.inf]
@@ -653,4 +606,4 @@ class TestBatchedObjective:
     def test_wrong_shape_raises(self, wrong):
         positions = np.zeros((4, 3))
         with pytest.raises(LupusError, match=r"expected \(4,\)"):
-            optimizer._evaluate(_Batched(wrong), positions, None)
+            optimizer._evaluate(lambda X, rng: wrong(X), positions, None)
