@@ -212,7 +212,11 @@ def _bits(x):
 
 
 class TestMove:
-    @pytest.mark.parametrize("dim,n", [(1, 3), (30, 40), (241, 100), (1000, 40), (1000, 100)])
+    # "abs" names the displacement the move uses: |C*Xp - X|.
+    @pytest.mark.parametrize("dim,n", [
+        pytest.param(dim, n, id=f"abs-{dim}-{n}")
+        for dim, n in ((1, 3), (30, 40), (241, 100), (1000, 40), (1000, 100))
+    ])
     def test_bit_identical_to_reference(self, dim, n):
         setup = np.random.default_rng(dim * n)
         positions = setup.uniform(-5.0, 5.0, (n, dim))
@@ -339,16 +343,29 @@ def _reference_run(objective, space, cfg, weights_seen=None):
 
 
 class TestRun:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_matches_operation_composition(self, variant):
+    # The "-raw-inertia" cases give run a caller's raw inertia curve whose
+    # iteration-0 value is not the default's, as ``--inertia`` does; run
+    # divides it by that value. gwo and agwo must ignore it.
+    @pytest.mark.parametrize("variant,inertia", [
+        pytest.param(variant, inertia, id=variant + suffix)
+        for suffix, inertia in (("", curves.INERTIA_DEFAULTS),
+                                ("-raw-inertia", curves.CurveParams(0.5, 0.3, 1.0, 0.4)))
+        for variant in VARIANTS
+    ])
+    def test_matches_operation_composition(self, variant, inertia):
         space = SearchSpace.uniform(3, -10.0, 10.0)
-        cfg = GwoConfig(variant=variant, n_agents=4, max_iter=5, seed=123)
+        cfg = GwoConfig(variant=variant, n_agents=4, max_iter=5, seed=123, inertia=inertia)
         result = run(sphere_objective, space, cfg)
         ref_pos, ref_history = _reference_run(sphere_objective, space, cfg)
         assert np.array_equal(result.best_position, ref_pos)
         assert np.array_equal(result.history, ref_history)
 
-    @pytest.mark.parametrize("dim,n", [(1, 3), (30, 40), (241, 100), (1000, 40)])
+    # "abs-norm" names the fixed movement rule: absolute displacement and
+    # the inertia curve normalized by its iteration-0 value.
+    @pytest.mark.parametrize("dim,n", [
+        pytest.param(dim, n, id=f"abs-norm-{dim}-{n}")
+        for dim, n in ((1, 3), (30, 40), (241, 100), (1000, 40))
+    ])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_bit_identical_to_reference_run(self, variant, dim, n):
         # The optimum sits near the edge of the [-1, 1] box, so the clamp
@@ -439,6 +456,18 @@ class TestRun:
         a = run(sphere_objective, space, GwoConfig(variant="gwo", **base))
         b = run(sphere_objective, space, GwoConfig(variant="cgwo", **base))
         assert np.array_equal(a.history, b.history)
+
+    def test_raw_inertia_mode_runs(self):
+        # Read raw, the default curve stays above 2, an expansion away from
+        # the leaders on every step; run divides it by its iteration-0 value,
+        # so acgwo still closes in on the optimum.
+        space = SearchSpace.uniform(2, -5.0, 5.0)
+        cfg = GwoConfig(variant="acgwo", n_agents=5, max_iter=10, seed=3)
+        raw = [curves.cauchy_inertia(it, cfg.max_iter, cfg.inertia) for it in range(10)]
+        assert min(raw) > 2.0
+        result = run(sphere_objective, space, cfg)
+        assert np.all(np.diff(result.history) <= 0)
+        assert result.history[-1] < result.history[0]
 
 
 # Fitness rows with ties, repeated values and +inf, one row per iteration. The
