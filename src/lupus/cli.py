@@ -170,6 +170,9 @@ def cli():
 def cmd_bench(ctx, **_kwargs):
     """Sweep algorithms over benchmark functions and export statistics."""
     p = _resolve(ctx, "bench")
+    out = Path(p["out"])
+    _check_output("--out", out, "table.csv")
+    _check_output("--out", out / "convergence")
     algorithms = _parse_id_list(p["algs"], "--algs")
     leader = _parse_curve(p["leader"], "--leader")
     optimizer.check_leader_curve(algorithms, leader, "--leader")
@@ -184,9 +187,6 @@ def cmd_bench(ctx, **_kwargs):
         inertia=_parse_curve(p["inertia"], "--inertia"),
         leader=leader,
     )
-    out = Path(p["out"])
-    _check_output("--out", out, "table.csv")
-    _check_output("--out", out / "convergence")
     result = harness.run_plan(plan, workers=p["workers"])
     harness.export_table(result.rows, out / "table.csv")
     harness.export_convergence(result.histories, out / "convergence")
@@ -287,7 +287,7 @@ def cmd_train(ctx, **_kwargs):
     except ValueError:
         raise ConfigError(f"--bounds expects two numbers lo,hi, got {p['bounds']!r}") from None
     try:
-        optimizer.SearchSpace.uniform(1, lo, hi)
+        optimizer.SearchSpace(1, lo, hi)
     except ConfigError as exc:
         raise ConfigError(f"--bounds {p['bounds']!r}: {exc}") from None
     bounds = (lo, hi)

@@ -1,7 +1,8 @@
 """Ingestion and preparation of the heart-disease table.
 
 The expected file is comma-separated with 14 columns (13 features plus the
-0-4 graded target), an optional header row, and "?" marking missing values.
+0-4 graded target), an optional header line that names them as
+``COLUMN_NAMES`` does, and "?" marking missing values.
 Cleaning drops rows carrying "?" (or mode-imputes them behind a flag) and
 binarizes the target to presence/absence.
 """
@@ -45,7 +46,8 @@ class StandardizationStats:
 
 def load_table(path) -> list:
     """Parse the CSV file into rows of text fields; missing markers are kept
-    verbatim and a header row is skipped."""
+    verbatim. Line 1 is skipped as a header only when its fields are
+    ``COLUMN_NAMES``; any other line 1 is a data row."""
     rows = []
     try:
         fh = open(path, newline="")
@@ -55,7 +57,7 @@ def load_table(path) -> list:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if lineno == 1 and not _looks_numeric(row[0]):
+            if lineno == 1 and tuple(f.strip() for f in row) == COLUMN_NAMES:
                 continue
             if len(row) != len(COLUMN_NAMES):
                 raise DataError(
@@ -66,17 +68,6 @@ def load_table(path) -> list:
     if not rows:
         raise DataError(f"{path}: no data rows")
     return rows
-
-
-def _looks_numeric(field: str) -> bool:
-    field = field.strip()
-    if field == MISSING:
-        return True
-    try:
-        float(field)
-    except ValueError:
-        return False
-    return True
 
 
 def _parse_value(field: str, row_index: int, col: str) -> float:

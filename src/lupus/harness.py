@@ -58,7 +58,20 @@ class ExperimentPlan:
                     )
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
-        optimizer.check_leader_curve(self.algorithms, self.leader)
+        # Each algorithm's settings are checked here, before any cell runs.
+        for alg in self.algorithms:
+            self.run_config(alg, self.base_seed)
+
+    def run_config(self, algorithm: str, seed: int):
+        """The optimizer settings of one of this plan's cell-runs."""
+        if algorithm == "pso":
+            return optimizer.PsoConfig(
+                n_particles=self.n_agents, max_iter=self.max_iter, seed=seed,
+            )
+        return optimizer.GwoConfig(
+            variant=algorithm, n_agents=self.n_agents, max_iter=self.max_iter,
+            inertia=self.inertia, leader=self.leader, seed=seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -86,18 +99,11 @@ def run_single(plan: ExperimentPlan, algorithm: str, fn_id: str, dim: int,
                run_index: int) -> np.ndarray:
     """One seeded cell-run; returns the per-iteration best-score history."""
     bf = benchfns.get_function(fn_id)
-    space = optimizer.SearchSpace.uniform(dim, bf.lower, bf.upper)
-    seed = derive_seed(plan.base_seed, algorithm, fn_id, dim, run_index)
-    if algorithm == "pso":
-        cfg = optimizer.PsoConfig(
-            n_particles=plan.n_agents, max_iter=plan.max_iter, seed=seed,
-        )
-        return optimizer.pso_run(bf, space, cfg).history
-    cfg = optimizer.GwoConfig(
-        variant=algorithm, n_agents=plan.n_agents, max_iter=plan.max_iter,
-        inertia=plan.inertia, leader=plan.leader, seed=seed,
-    )
-    return optimizer.run(bf, space, cfg).history
+    space = optimizer.SearchSpace(dim, bf.lower, bf.upper)
+    cfg = plan.run_config(algorithm, derive_seed(plan.base_seed, algorithm, fn_id, dim,
+                                                 run_index))
+    run = optimizer.pso_run if algorithm == "pso" else optimizer.run
+    return run(bf, space, cfg).history
 
 
 def _pool_task(args):

@@ -225,7 +225,7 @@ def train_acgwo(arch: MlpArchitecture, X, y, cfg: GwoConfig,
                 bounds: Tuple[float, float] = (-5.0, 5.0)) -> TrainReport:
     """Swarm-search the flattened parameters, minimizing the training loss."""
     lo, hi = bounds
-    space = SearchSpace.uniform(arch.n_params, lo, hi)
+    space = SearchSpace(arch.n_params, lo, hi)
     result = optimizer.run(lambda P, rng: bce_loss(arch, P, X, y), space, cfg)
     return TrainReport(
         final_params=result.best_position,

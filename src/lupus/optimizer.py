@@ -39,43 +39,25 @@ W_MAX, W_MIN = 0.9, 0.4
 VELOCITY_CLAMP = 0.2
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchSpace:
-    """Box-bounded continuous search space with per-coordinate limits."""
+    """The box ``[lower, upper]`` in each of ``dim`` coordinates."""
 
-    lower: np.ndarray
-    upper: np.ndarray
+    dim: int
+    lower: float
+    upper: float
 
     def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
-            raise ConfigError("lower and upper bounds must be 1-D and equally long")
-        if self.lower.size == 0:
-            raise ConfigError("search space must have at least one dimension")
+        if self.dim < 1:
+            raise ConfigError(f"dim must be >= 1, got {self.dim}")
         # Uniform initialization draws lower + (upper - lower) * u, which needs
         # a finite width, not only finite bounds.
-        with np.errstate(over="ignore", invalid="ignore"):
-            width = self.upper - self.lower
-        if not np.all(np.isfinite(width)):
+        if not math.isfinite(self.upper - self.lower):
             raise ConfigError("bounds and their width upper - lower must be finite")
-        if not np.all(self.lower < self.upper):
-            bad = int(np.argmin(self.upper - self.lower))
+        if not self.lower < self.upper:
             raise ConfigError(
-                f"lower must be strictly below upper in every coordinate "
-                f"(violated at coordinate {bad}: [{self.lower[bad]}, {self.upper[bad]}])"
+                f"lower must be strictly below upper, got [{self.lower}, {self.upper}]"
             )
-
-    @classmethod
-    def uniform(cls, dim: int, lower: float, upper: float) -> "SearchSpace":
-        """Same scalar bounds in every one of ``dim`` coordinates."""
-        if dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {dim}")
-        return cls(np.full(dim, lower), np.full(dim, upper))
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
 
 
 @dataclass
@@ -83,11 +65,11 @@ class GwoConfig:
     """Settings of one grey-wolf run.
 
     The curve variants apply the inertia curve relative to its value at
-    iteration 0, so the position update starts exactly as the canonical
-    scheme and the weight decays below 1 from there. With the default curve
-    parameters the unnormalized curve stays above 2 for the whole run, which
-    makes every update an expansion away from the leaders and the swarm
-    provably diverges.
+    iteration 0, which must not be 0, so the position update starts exactly
+    as the canonical scheme and the weight decays below 1 from there. With
+    the default curve parameters the unnormalized curve stays above 2 for the
+    whole run, which makes every update an expansion away from the leaders
+    and the swarm provably diverges.
     """
 
     variant: str = "acgwo"
@@ -106,6 +88,9 @@ class GwoConfig:
             raise ConfigError(f"n_agents must be >= 3, got {self.n_agents}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.variant in _CURVE_VARIANTS and \
+                curves.cauchy_inertia(0, self.max_iter, self.inertia) == 0:
+            raise ConfigError("inertia curve is 0 at iteration 0; cannot normalize")
         check_leader_curve((self.variant,), self.leader)
 
 
@@ -131,7 +116,7 @@ class PsoConfig:
 
     Inertia decreases linearly from ``W_MAX`` to ``W_MIN`` over the run;
     velocities are clamped per coordinate to ``VELOCITY_CLAMP`` times the
-    coordinate range and start at zero.
+    box width and start at zero.
     """
 
     n_particles: int = 40
@@ -193,7 +178,7 @@ def _move(positions, leaders, weights, wa: float, ww: float,
 
 
 def clamp(pos, space: SearchSpace) -> np.ndarray:
-    """Trim positions to the box, coordinate-wise."""
+    """Trim positions to the box."""
     return np.clip(pos, space.lower, space.upper)
 
 
@@ -242,11 +227,8 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
 
     use_curve = cfg.variant in _CURVE_VARIANTS
     use_weights = cfg.variant in _ADAPTIVE_VARIANTS
-    ww_scale = 1.0
     if use_curve:
         ww_scale = curves.cauchy_inertia(0, cfg.max_iter, cfg.inertia)
-        if ww_scale == 0:
-            raise ConfigError("inertia curve is 0 at iteration 0; cannot normalize")
 
     history = np.empty(cfg.max_iter)
     evaluations = 0

@@ -238,7 +238,7 @@ class TestAcceptance:
         # runs on synthetic fixtures only; no dataset file is touched
         rng = np.random.default_rng(BASE_SEED)
 
-        space = optimizer.SearchSpace.uniform(3, -2.0, 2.0)
+        space = optimizer.SearchSpace(3, -2.0, 2.0)
         seen = []
 
         def recording(X, _rng):

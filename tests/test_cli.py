@@ -181,6 +181,20 @@ class TestBenchCommand:
         assert Path("results/table.csv").read_bytes() == from_config
 
 
+    @pytest.mark.parametrize("args,named", [
+        (["--algs", "pso,gwo", "--agents", "2"], "n_agents must be >= 3"),
+        (["--algs", "pso,cgwo", "--inertia", f"1,0,{math.pi!r},-1"], "inertia curve is 0"),
+    ], ids=["gwo-agents", "cgwo-inertia-zero-at-start"])
+    def test_every_algorithm_checked_before_any_run(self, workdir, monkeypatch, capsys,
+                                                    args, named):
+        # pso's cells run first; the settings of a later algorithm were
+        # checked only when its own first cell started.
+        monkeypatch.setattr(cli.optimizer, "pso_run", _no_work)
+        assert run_cli(["bench", "--functions", "f1", "--dims", "2", "--runs", "1",
+                        "--iters", "3"] + args) == 1
+        assert named in capsys.readouterr().err
+        assert not Path("results").exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_one(self, workdir, capsys, workers):
         assert run_cli(BENCH_SMALL + ["--workers", workers]) == 1
@@ -281,6 +295,19 @@ class TestNonFiniteData:
         name = dataprep.COLUMN_NAMES[column]
         assert f"row 6: column {name!r}" in capsys.readouterr().err
         assert not Path("results").exists() and not Path("data/clean.csv").exists()
+
+
+class TestFirstLine:
+    @pytest.mark.parametrize("age", ["x", ""], ids=["text", "blank"])
+    def test_only_the_column_names_make_a_header(self, workdir, capsys, age):
+        # A first line whose age was not a number was dropped as a header, so
+        # eda wrote 296 rows with exit 0.
+        path = Path("data/heart.csv")
+        lines = path.read_text().splitlines()
+        lines[0] = age + lines[0][lines[0].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli(["eda"]) == 2
+        assert "row 1: column 'age'" in capsys.readouterr().err
 
 
 class TestTrainCommand:

@@ -21,7 +21,7 @@ from lupus.optimizer import (
 
 
 def sphere_objective(X, rng):
-    return sphere(X)
+    return sphere(X, rng)
 
 
 def recording(seen, objective=sphere_objective):
@@ -31,27 +31,23 @@ def recording(seen, objective=sphere_objective):
 
 class TestSearchSpace:
     def test_uniform_factory(self):
-        space = SearchSpace.uniform(3, -1.0, 2.0)
-        assert space.dim == 3
-        assert np.all(space.lower == -1.0) and np.all(space.upper == 2.0)
+        # One box, the same bounds in every coordinate.
+        space = SearchSpace(3, -1.0, 2.0)
+        assert (space.dim, space.lower, space.upper) == (3, -1.0, 2.0)
 
     def test_rejects_zero_width(self):
-        with pytest.raises(ConfigError):
-            SearchSpace(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ConfigError):
-            SearchSpace(np.zeros(2), np.ones(3))
+        with pytest.raises(ConfigError, match="strictly below"):
+            SearchSpace(2, 1.0, 1.0)
 
     @pytest.mark.parametrize("lower,upper", [(0.0, math.inf), (-math.inf, math.inf),
                                              (math.nan, 1.0), (-1e308, 1e308)])
     def test_rejects_non_finite_bounds_or_width(self, lower, upper):
         with pytest.raises(ConfigError, match="finite"):
-            SearchSpace.uniform(3, lower, upper)
+            SearchSpace(3, lower, upper)
 
     def test_rejects_empty(self):
-        with pytest.raises(ConfigError):
-            SearchSpace(np.zeros(0), np.ones(0))
+        with pytest.raises(ConfigError, match="dim"):
+            SearchSpace(0, 0.0, 1.0)
 
 
 class TestConfigs:
@@ -75,6 +71,15 @@ class TestConfigs:
         for variant in ("gwo", "cgwo"):
             assert GwoConfig(variant=variant, leader=bad).leader == bad
 
+    def test_curve_variants_need_nonzero_inertia_at_start(self):
+        # The curve variants divide by the inertia at iteration 0; here it is 0.
+        zero_at_start = curves.CurveParams(a=1.0, b=0.0, c=math.pi, d=-1.0)
+        for variant in ("cgwo", "acgwo"):
+            with pytest.raises(ConfigError, match="inertia curve is 0"):
+                GwoConfig(variant=variant, inertia=zero_at_start)
+        for variant in ("gwo", "agwo"):
+            assert GwoConfig(variant=variant, inertia=zero_at_start).inertia == zero_at_start
+
     def test_pso_validation(self):
         with pytest.raises(ConfigError, match="n_particles"):
             PsoConfig(n_particles=0)
@@ -91,13 +96,13 @@ def _initial_positions(space, cfg):
 
 class TestInitialize:
     def test_bounds_containment(self):
-        space = SearchSpace.uniform(2, -1.0, 1.0)
+        space = SearchSpace(2, -1.0, 1.0)
         positions = _initial_positions(space, GwoConfig(n_agents=5, max_iter=10, seed=3))
         assert positions.shape == (5, 2)
         assert np.all(positions >= -1.0) and np.all(positions <= 1.0)
 
     def test_deterministic(self):
-        space = SearchSpace.uniform(4, -2.0, 7.0)
+        space = SearchSpace(4, -2.0, 7.0)
         cfg = GwoConfig(n_agents=6, max_iter=10, seed=99)
         a = _initial_positions(space, cfg)
         b = _initial_positions(space, cfg)
@@ -105,7 +110,7 @@ class TestInitialize:
 
     def test_leader_sentinels(self):
         # No fitness beats the +inf start, so no agent ever becomes a leader.
-        space = SearchSpace.uniform(2, -1.0, 1.0)
+        space = SearchSpace(2, -1.0, 1.0)
         result = run(lambda X, rng: np.full(len(X), math.inf), space,
                      GwoConfig(variant="gwo", n_agents=3, max_iter=2, seed=0))
         assert result.best_score == math.inf
@@ -268,13 +273,13 @@ class TestMove:
 class TestClamp:
     @pytest.mark.parametrize("value,expected", [(150.0, 100.0), (-150.0, -100.0), (37.5, 37.5)])
     def test_examples(self, value, expected):
-        space = SearchSpace.uniform(1, -100.0, 100.0)
+        space = SearchSpace(1, -100.0, 100.0)
         assert clamp(np.array([value]), space)[0] == expected
 
     @given(st.lists(st.floats(allow_nan=False, min_value=-1e6, max_value=1e6),
                     min_size=1, max_size=8))
     def test_always_inside(self, values):
-        space = SearchSpace.uniform(len(values), -3.0, 5.0)
+        space = SearchSpace(len(values), -3.0, 5.0)
         out = clamp(np.array(values), space)
         assert np.all(out >= -3.0) and np.all(out <= 5.0)
 
@@ -353,7 +358,7 @@ class TestRun:
         for variant in VARIANTS
     ])
     def test_matches_operation_composition(self, variant, inertia):
-        space = SearchSpace.uniform(3, -10.0, 10.0)
+        space = SearchSpace(3, -10.0, 10.0)
         cfg = GwoConfig(variant=variant, n_agents=4, max_iter=5, seed=123, inertia=inertia)
         result = run(sphere_objective, space, cfg)
         ref_pos, ref_history = _reference_run(sphere_objective, space, cfg)
@@ -374,7 +379,7 @@ class TestRun:
         def objective(X, rng):
             return 1.0 + np.mean((X - 0.95) ** 2, axis=1)
 
-        space = SearchSpace.uniform(dim, -1.0, 1.0)
+        space = SearchSpace(dim, -1.0, 1.0)
         cfg = GwoConfig(variant=variant, n_agents=n, max_iter=6, seed=dim + n)
         seen, ref_seen, weights = [], [], []
         result = run(recording(seen, objective), space, cfg)
@@ -388,7 +393,7 @@ class TestRun:
             assert np.ptp(weights, axis=1).max() > 1e-3
 
     def test_deterministic(self):
-        space = SearchSpace.uniform(2, -5.0, 5.0)
+        space = SearchSpace(2, -5.0, 5.0)
         cfg = GwoConfig(variant="acgwo", n_agents=10, max_iter=50, seed=7)
         a = run(sphere_objective, space, cfg)
         b = run(sphere_objective, space, cfg)
@@ -397,7 +402,7 @@ class TestRun:
         assert a.best_score == b.best_score
 
     def test_history_non_increasing_and_improves(self):
-        space = SearchSpace.uniform(2, -100.0, 100.0)
+        space = SearchSpace(2, -100.0, 100.0)
         cfg = GwoConfig(variant="acgwo", n_agents=10, max_iter=50, seed=7)
         result = run(sphere_objective, space, cfg)
         assert np.all(np.diff(result.history) <= 0)
@@ -408,14 +413,14 @@ class TestRun:
     @pytest.mark.parametrize("variant", ["gwo", "acgwo"])
     def test_positions_stay_in_bounds(self, variant):
         seen = []
-        space = SearchSpace.uniform(3, -2.0, 2.0)
+        space = SearchSpace(3, -2.0, 2.0)
         run(recording(seen), space, GwoConfig(variant=variant, n_agents=5, max_iter=30, seed=11))
         stacked = np.stack(seen)
         assert np.all(stacked >= -2.0) and np.all(stacked <= 2.0)
 
     def test_leader_ordering_invariant(self):
         # replay the leader cascade over the run and check the ordering
-        space = SearchSpace.uniform(2, -5.0, 5.0)
+        space = SearchSpace(2, -5.0, 5.0)
         cfg = GwoConfig(variant="gwo", n_agents=5, max_iter=15, seed=2)
         rng = np.random.default_rng(cfg.seed)
         positions = rng.uniform(space.lower, space.upper, size=(cfg.n_agents, space.dim))
@@ -434,15 +439,15 @@ class TestRun:
 
     def test_nan_fitness_never_leads(self):
         def sometimes_nan(X, rng):
-            return np.where(X[:, 0] > 0, math.nan, sphere(X))
+            return np.where(X[:, 0] > 0, math.nan, sphere(X, rng))
 
-        space = SearchSpace.uniform(2, -1.0, 1.0)
+        space = SearchSpace(2, -1.0, 1.0)
         result = run(sometimes_nan, space, GwoConfig(variant="gwo", n_agents=6, max_iter=10, seed=5))
         assert math.isfinite(result.best_score)
 
     def test_stochastic_objective_draws_in_agent_order(self):
         f5 = get_function("f5")
-        space = SearchSpace.uniform(3, f5.lower, f5.upper)
+        space = SearchSpace(3, f5.lower, f5.upper)
         cfg = GwoConfig(variant="acgwo", n_agents=5, max_iter=8, seed=21)
         a = run(f5, space, cfg)
         b = run(f5, space, cfg)
@@ -451,7 +456,7 @@ class TestRun:
     def test_gwo_ww_is_one(self):
         # cgwo with a curve that is constant 1 must equal plain gwo
         flat = curves.CurveParams(a=1.0, b=0.0, c=0.0, d=1.0)
-        space = SearchSpace.uniform(2, -5.0, 5.0)
+        space = SearchSpace(2, -5.0, 5.0)
         base = dict(n_agents=5, max_iter=12, seed=9, inertia=flat)
         a = run(sphere_objective, space, GwoConfig(variant="gwo", **base))
         b = run(sphere_objective, space, GwoConfig(variant="cgwo", **base))
@@ -461,7 +466,7 @@ class TestRun:
         # Read raw, the default curve stays above 2, an expansion away from
         # the leaders on every step; run divides it by its iteration-0 value,
         # so acgwo still closes in on the optimum.
-        space = SearchSpace.uniform(2, -5.0, 5.0)
+        space = SearchSpace(2, -5.0, 5.0)
         cfg = GwoConfig(variant="acgwo", n_agents=5, max_iter=10, seed=3)
         raw = [curves.cauchy_inertia(it, cfg.max_iter, cfg.inertia) for it in range(10)]
         assert min(raw) > 2.0
@@ -500,7 +505,7 @@ class TestUpdateLeaders:
             values = iter(v for row in _TIED_FITNESS for v in row)
             return lambda X, rng: np.array([next(values) for _ in X])
 
-        space = SearchSpace.uniform(2, -3.0, 3.0)
+        space = SearchSpace(2, -3.0, 3.0)
         cfg = GwoConfig(variant=variant, n_agents=6, max_iter=len(_TIED_FITNESS), seed=4)
         result = run(replay(), space, cfg)
         ref_pos, ref_history = _reference_run(replay(), space, cfg)
@@ -550,9 +555,9 @@ class TestPso:
         # The optimum sits near the edge of the [-1, 1] box, so both the
         # velocity clamp and the position clamp bind.
         def objective(X, rng):
-            return sphere(X - 0.95)
+            return sphere(X - 0.95, rng)
 
-        space = SearchSpace.uniform(dim, -1.0, 1.0)
+        space = SearchSpace(dim, -1.0, 1.0)
         cfg = PsoConfig(n_particles=n, max_iter=8, seed=dim + n)
         seen, ref_seen = [], []
         result = pso_run(recording(seen, objective), space, cfg)
@@ -563,7 +568,7 @@ class TestPso:
         assert (np.abs(np.stack(seen)) == 1.0).any()
 
     def test_improves_from_random_init(self):
-        space = SearchSpace.uniform(2, -100.0, 100.0)
+        space = SearchSpace(2, -100.0, 100.0)
         cfg = PsoConfig(n_particles=40, max_iter=200, seed=0)
         result = pso_run(sphere_objective, space, cfg)
         assert result.best_score < result.history[0]
@@ -571,7 +576,7 @@ class TestPso:
         assert result.evaluations == 40 * 200
 
     def test_deterministic(self):
-        space = SearchSpace.uniform(3, -10.0, 10.0)
+        space = SearchSpace(3, -10.0, 10.0)
         cfg = PsoConfig(n_particles=12, max_iter=40, seed=17)
         a = pso_run(sphere_objective, space, cfg)
         b = pso_run(sphere_objective, space, cfg)
@@ -580,7 +585,7 @@ class TestPso:
 
     def test_positions_stay_in_bounds(self):
         seen = []
-        space = SearchSpace.uniform(2, -1.0, 3.0)
+        space = SearchSpace(2, -1.0, 3.0)
         pso_run(recording(seen), space, PsoConfig(n_particles=8, max_iter=25, seed=4))
         stacked = np.stack(seen)
         assert np.all(stacked >= -1.0) and np.all(stacked <= 3.0)
@@ -591,7 +596,7 @@ class TestBatchedObjective:
     @pytest.mark.parametrize("algorithm", VARIANTS + ("pso",))
     def test_benchmark_fn_matches_per_row_path(self, algorithm, fn_id):
         bf = get_function(fn_id)
-        space = SearchSpace.uniform(4, bf.lower, bf.upper)
+        space = SearchSpace(4, bf.lower, bf.upper)
 
         def run_with(objective):
             if algorithm == "pso":
@@ -600,7 +605,7 @@ class TestBatchedObjective:
             return run(objective, space, cfg)
 
         batched = run_with(bf)
-        per_row = run_with(lambda X, rng: np.array([bf(x, rng) for x in X]))
+        per_row = run_with(lambda X, rng: np.concatenate([bf(x[None], rng) for x in X]))
         assert batched.best_position.tobytes() == per_row.best_position.tobytes()
         assert batched.history.tobytes() == per_row.history.tobytes()
         assert (batched.best_score, batched.evaluations) == (
@@ -616,7 +621,7 @@ class TestBatchedObjective:
         cfg = GwoConfig(variant="acgwo", n_agents=20, max_iter=12, seed=21)
         report = mlp.train_acgwo(arch, X, y, cfg, (-5.0, 5.0))
         per_row = run(lambda P, rng: np.array([mlp.bce_loss(arch, v, X, y) for v in P]),
-                      SearchSpace.uniform(arch.n_params, -5.0, 5.0), cfg)
+                      SearchSpace(arch.n_params, -5.0, 5.0), cfg)
         assert report.final_params.tobytes() == per_row.best_position.tobytes()
         assert report.loss_history.tobytes() == per_row.history.tobytes()
 
@@ -627,7 +632,7 @@ class TestBatchedObjective:
         positions = np.array([[1.0], [-1.0], [2.0]])
         fitness = optimizer._evaluate(objective, positions, None)
         assert fitness.tolist() == [math.inf, -1.0, math.inf]
-        space = SearchSpace.uniform(2, -1.0, 1.0)
+        space = SearchSpace(2, -1.0, 1.0)
         result = run(objective, space, GwoConfig(variant="gwo", n_agents=6, max_iter=10, seed=5))
         assert math.isfinite(result.best_score)
 
