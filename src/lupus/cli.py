@@ -150,11 +150,11 @@ def cli():
               help="Comma-separated dimensions.")
 @click.option("--algs", default="gwo,cgwo,agwo,acgwo,pso", show_default=True,
               help="Comma-separated algorithm ids.")
-@click.option("--runs", type=int, default=10, show_default=True,
+@click.option("--runs", type=click.IntRange(min=1), default=10, show_default=True,
               help="Independent runs per cell.")
-@click.option("--agents", type=int, default=40, show_default=True,
+@click.option("--agents", type=click.IntRange(min=3), default=40, show_default=True,
               help="Swarm size for benchmark sweeps.")
-@click.option("--iters", type=int, default=500, show_default=True,
+@click.option("--iters", type=click.IntRange(min=1), default=500, show_default=True,
               help="Iterations per run.")
 @click.option("--inertia", default=_INERTIA_DEFAULT, show_default=True,
               help="Inertia curve a,b,c,d.")
@@ -195,7 +195,7 @@ def cmd_bench(ctx, **_kwargs):
 
 
 @cli.command("curves")
-@click.option("--iters", type=int, default=1000, show_default=True,
+@click.option("--iters", type=click.IntRange(min=1), default=1000, show_default=True,
               help="Schedule horizon; rows cover 0..iters inclusive.")
 @click.option("--inertia", default=_INERTIA_DEFAULT, show_default=True,
               help="Inertia curve a,b,c,d.")
@@ -209,8 +209,6 @@ def cmd_curves(ctx, **_kwargs):
     """Dump the control, inertia and unit-ratio leader weight schedules."""
     p = _resolve(ctx, "curves")
     iters = p["iters"]
-    if iters < 1:
-        raise ConfigError(f"--iters must be >= 1, got {iters}")
     inertia = _parse_curve(p["inertia"], "--inertia")
     leader = _parse_curve(p["leader"], "--leader")
     out = Path(p["out"])
@@ -223,16 +221,6 @@ def cmd_curves(ctx, **_kwargs):
         lines.append(f"{it},{wa!r},{ww!r},{fi_unit!r}")
     write_text_atomic(p["out"], "\n".join(lines) + "\n")
     click.echo(f"wrote {p['out']} ({iters + 1} rows)")
-
-
-def _prepare_splits(data_path, impute, one_hot, train_fraction, split_seed):
-    raw = dataprep.load_table(data_path)
-    ds = dataprep.clean(raw, impute=impute)
-    if one_hot:
-        ds = dataprep.one_hot_encode(ds)
-    train, test = dataprep.stratified_split(ds, train_fraction, split_seed)
-    stats = dataprep.fit_standardizer(train.X, train.feature_names)
-    return train, test, stats
 
 
 def _print_report(label, report):
@@ -254,11 +242,11 @@ def _print_report(label, report):
               help="Comma-separated hidden layer sizes; empty for none.")
 @click.option("--bounds", default="-5.0,5.0", show_default=True,
               help="Search bounds lo,hi for the swarm phase.")
-@click.option("--swarm", type=int, default=100, show_default=True,
+@click.option("--swarm", type=click.IntRange(min=3), default=100, show_default=True,
               help="Swarm size for the search phase.")
-@click.option("--iters", type=int, default=1000, show_default=True,
+@click.option("--iters", type=click.IntRange(min=1), default=1000, show_default=True,
               help="Swarm iterations.")
-@click.option("--bp-epochs", type=int, default=100, show_default=True,
+@click.option("--bp-epochs", type=click.IntRange(min=0), default=100, show_default=True,
               help="Full-batch gradient steps.")
 @click.option("--learning-rate", type=float, default=0.1, show_default=True,
               help="Gradient step size.")
@@ -268,8 +256,6 @@ def _print_report(label, report):
               help="Stratified train share.")
 @click.option("--impute/--drop-missing", default=False, show_default=True,
               help="Mode-impute missing cells instead of dropping rows.")
-@click.option("--one-hot/--integer-codes", default=False, show_default=True,
-              help="One-hot expand categorical features.")
 @click.option("--out", default=DEFAULT_OUT, show_default=True,
               help="Output directory for model.json and train_report.json.")
 @_seed_option
@@ -295,13 +281,12 @@ def cmd_train(ctx, **_kwargs):
     mlp.check_learning_rate(learning_rate, "--learning-rate")
     train_fraction = p["train_fraction"]
     impute = p["impute"]
-    one_hot = p["one_hot"]
     out = Path(p["out"])
     _check_output("--out", out, "model.json", "train_report.json")
     split_seed = derive_seed(seed, "split")
-    train, test, stats = _prepare_splits(
-        p["data"], impute, one_hot, train_fraction, split_seed,
-    )
+    ds = dataprep.clean(dataprep.load_table(p["data"]), impute=impute)
+    train, test = dataprep.stratified_split(ds, train_fraction, split_seed)
+    stats = dataprep.fit_standardizer(train.X, train.feature_names)
     x_train = dataprep.apply_standardizer(stats, train.X)
     x_test = dataprep.apply_standardizer(stats, test.X)
 
@@ -353,7 +338,7 @@ def cmd_train(ctx, **_kwargs):
         "threshold": threshold,
         "train_fraction": train_fraction,
         "impute": impute,
-        "one_hot": one_hot,
+        "one_hot": False,  # pinned by the seed-0 witness digests of train_report.json
         "loss_history": [float(v) for v in report.loss_history],
         "final_train_loss": mlp.bce_loss(arch, report.final_params, x_train, train.y),
         "train_metrics": json.loads(train_eval.to_json()),

@@ -125,32 +125,6 @@ def _impute_rows(rows):
     return filled
 
 
-# The integer-coded categorical features of the table; the rest are treated
-# as continuous.
-CATEGORICAL_FEATURES = ("sex", "cp", "fbs", "restecg", "exang", "slope", "ca", "thal")
-
-
-def one_hot_encode(ds: Dataset) -> Dataset:
-    """Expand categorical features into indicator columns.
-
-    Categories come from the data, sorted numerically; continuous columns
-    pass through unchanged. Indicator columns are named ``feature=value``.
-    """
-    columns = []
-    names = []
-    for j, name in enumerate(ds.feature_names):
-        col = ds.X[:, j]
-        if name in CATEGORICAL_FEATURES:
-            for value in sorted(set(col.tolist())):
-                columns.append((col == value).astype(float))
-                names.append(f"{name}={value:g}")
-        else:
-            columns.append(col.copy())
-            names.append(name)
-    return Dataset(X=np.column_stack(columns), y=ds.y.copy(),
-                   feature_names=tuple(names))
-
-
 def fit_standardizer(X: np.ndarray,
                      feature_names: Optional[Sequence[str]] = None) -> StandardizationStats:
     """Column means and population standard deviations of the training rows."""

@@ -137,7 +137,6 @@ class RunResult:
     best_position: np.ndarray
     best_score: float
     history: np.ndarray
-    evaluations: int
 
 
 def control_wa(iteration: int, max_iter: int) -> float:
@@ -231,10 +230,8 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
         ww_scale = curves.cauchy_inertia(0, cfg.max_iter, cfg.inertia)
 
     history = np.empty(cfg.max_iter)
-    evaluations = 0
     for it in range(cfg.max_iter):
         fitness = _evaluate(objective, positions, rng)
-        evaluations += n
         _update_leaders(fitness, positions, scores, leaders)
 
         # Population average before any position update.
@@ -255,7 +252,6 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
         best_position=leaders[0].copy(),
         best_score=float(scores[0]),
         history=history,
-        evaluations=evaluations,
     )
 
 
@@ -279,10 +275,8 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
     gbest_f = math.inf
 
     history = np.empty(cfg.max_iter)
-    evaluations = 0
     for it in range(cfg.max_iter):
         fitness = _evaluate(objective, positions, rng)
-        evaluations += n
 
         improved = fitness < pbest_f
         pbest[improved] = positions[improved]
@@ -308,5 +302,4 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
         best_position=gbest.copy(),
         best_score=gbest_f,
         history=history,
-        evaluations=evaluations,
     )

@@ -108,6 +108,27 @@ class TestOutputLocation:
         assert named in capsys.readouterr().err
 
 
+class TestIntegerFlagRanges:
+    """An integer flag below its least value exits 1, naming the flag, before
+    any work starts."""
+
+    @pytest.mark.parametrize("args", [
+        BENCH_SMALL + ["--agents", "2"],
+        BENCH_SMALL + ["--runs", "0"],
+        BENCH_SMALL + ["--iters", "0"],
+        TRAIN_SMALL + ["--swarm", "2"],
+        TRAIN_SMALL + ["--iters", "0"],
+        # acgwo mode runs no gradient steps, yet the value is still checked.
+        TRAIN_SMALL + ["--mode", "acgwo", "--bp-epochs", "-1"],
+        ["curves", "--iters", "0"],
+    ], ids=["bench-agents", "bench-runs", "bench-iters", "train-swarm", "train-iters",
+            "train-bp-epochs", "curves-iters"])
+    def test_below_least_value_exit_one(self, workdir, capsys, args):
+        assert run_cli(args) == 1
+        assert args[-2] in capsys.readouterr().err
+        assert not Path("results").exists()
+
+
 class TestBenchCommand:
     def test_small_sweep(self, workdir):
         assert run_cli(BENCH_SMALL) == 0
@@ -182,7 +203,7 @@ class TestBenchCommand:
 
 
     @pytest.mark.parametrize("args,named", [
-        (["--algs", "pso,gwo", "--agents", "2"], "n_agents must be >= 3"),
+        (["--algs", "pso,gwo", "--agents", "2"], "--agents"),
         (["--algs", "pso,cgwo", "--inertia", f"1,0,{math.pi!r},-1"], "inertia curve is 0"),
     ], ids=["gwo-agents", "cgwo-inertia-zero-at-start"])
     def test_every_algorithm_checked_before_any_run(self, workdir, monkeypatch, capsys,
@@ -211,6 +232,7 @@ class TestConfigFile:
         pytest.param(BENCH_SMALL[:-2], {"seed": "abc"}, ["seed", "'abc'"], id="seed"),
         pytest.param(["bench"], {"bench": {"runs": "x"}}, ["bench.runs", "'x'"], id="int"),
         pytest.param(["bench"], {"bench": {"workers": 0}}, ["bench.workers"], id="range"),
+        pytest.param(["bench"], {"bench": {"agents": 2}}, ["bench.agents"], id="range-min"),
         pytest.param(["bench"], {"bench": {"agents": None}}, ["bench.agents", "null"],
                      id="null"),
         pytest.param(BENCH_SMALL, {"bench": {"unknown_key": 1}},
@@ -366,12 +388,6 @@ class TestTrainCommand:
         assert Path("results/model.json").read_bytes() == model
         assert Path("results/train_report.json").read_bytes() == report
 
-    def test_one_hot_expands_input_layer(self, workdir):
-        assert run_cli(["train", "--mode", "bp", "--bp-epochs", "5",
-                        "--one-hot", "--seed", "1"]) == 0
-        model = json.loads(Path("results/model.json").read_text())
-        assert model["layer_sizes"][0] > 13
-
 
 def _flag_text(ordinary):
     """A number as typed on the command line. One draw in four is any float
@@ -391,27 +407,33 @@ class TestTrainNeverInternalError:
         learning_rate=_flag_text(st.floats(0.0, 10.0)),
         threshold=_flag_text(st.floats(0.0, 1.0)),
         hidden=st.lists(st.integers(-1, 8), max_size=2).map(lambda v: ",".join(map(str, v))),
+        missing=st.sampled_from(["--impute", "--drop-missing"]),
     )
     @example(mode="acgwo-bp", swarm=3, iters=1, bp_epochs=1, lo="0", hi="inf",
-             learning_rate="0.1", threshold="0.5", hidden="4")
+             learning_rate="0.1", threshold="0.5", hidden="4", missing="--drop-missing")
     @example(mode="acgwo-bp", swarm=3, iters=1, bp_epochs=1, lo="-5", hi="5",
-             learning_rate="nan", threshold="0.5", hidden="4")
+             learning_rate="nan", threshold="0.5", hidden="4", missing="--drop-missing")
     @example(mode="bp", swarm=3, iters=1, bp_epochs=1, lo="-5", hi="5",
-             learning_rate="inf", threshold="0.5", hidden="4")
+             learning_rate="inf", threshold="0.5", hidden="4", missing="--drop-missing")
+    @example(mode="bp", swarm=3, iters=1, bp_epochs=2, lo="-5", hi="5",
+             learning_rate="0.1", threshold="0.5", hidden="4", missing="--impute")
     def test_exit_code_never_three_and_model_evaluates(
             self, heart_csv, tmp_path_factory, mode, swarm, iters, bp_epochs, lo, hi,
-            learning_rate, threshold, hidden):
+            learning_rate, threshold, hidden, missing):
         out = tmp_path_factory.mktemp("train")
         code = run_cli([
             "train", "--data", str(heart_csv), "--out", str(out), f"--mode={mode}",
             f"--swarm={swarm}", f"--iters={iters}", f"--bp-epochs={bp_epochs}",
             f"--bounds={lo},{hi}", f"--learning-rate={learning_rate}",
-            f"--threshold={threshold}", f"--hidden={hidden}", "--seed=0",
+            f"--threshold={threshold}", f"--hidden={hidden}", missing, "--seed=0",
         ])
         assert code != 3
         if code == 0:
+            # model.json alone lets eval rebuild the inputs train scored.
             assert run_cli(["eval", "--model", str(out / "model.json"),
                             "--data", str(heart_csv), "--out", str(out)]) == 0
+            report = json.loads((out / "train_report.json").read_text())
+            assert json.loads((out / "eval.json").read_text()) == report["test_metrics"]
 
 
 def _curve_text():
@@ -597,10 +619,20 @@ class TestEvalCommand:
     def test_missing_model_exit_two(self, workdir):
         assert run_cli(["eval", "--model", "results/absent.json"]) == 2
 
-    def test_feature_width_mismatch_exit_two(self, workdir):
-        assert run_cli(["train", "--mode", "bp", "--bp-epochs", "2",
-                        "--one-hot", "--seed", "1"]) == 0
+    def test_feature_width_mismatch_exit_two(self, workdir, capsys):
+        # A consistent 12-16-1 model: the first 16 parameters are the weights
+        # out of input 0.
+        assert run_cli(TRAIN_SMALL) == 0
+        capsys.readouterr()
+        payload = json.loads(Path("results/model.json").read_text())
+        payload["layer_sizes"][0] = 12
+        payload["params"] = payload["params"][16:]
+        payload["scaler_mean"] = payload["scaler_mean"][:12]
+        payload["scaler_std"] = payload["scaler_std"][:12]
+        Path("results/model.json").write_text(json.dumps(payload))
         assert run_cli(["eval"]) == 2
+        assert "model expects 12 features but the data has 13" in capsys.readouterr().err
+        assert not Path("results/eval.json").exists()
 
 
     @pytest.mark.parametrize("field,value", [

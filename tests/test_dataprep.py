@@ -11,7 +11,6 @@ from lupus.dataprep import (
     clean,
     fit_standardizer,
     load_table,
-    one_hot_encode,
     pearson_corr_matrix,
     stratified_split,
 )
@@ -256,21 +255,3 @@ class TestPearson:
                      y=np.zeros(6, dtype=int), feature_names=("flat", "ramp"))
         with pytest.raises(ConfigError, match="flat"):
             pearson_corr_matrix(ds, include_target=False)
-
-
-class TestOneHot:
-    def test_expands_categoricals_only(self):
-        ds = clean(_table(_synthetic_rows(15)))
-        wide = one_hot_encode(ds)
-        for name in ("age", "trestbps", "chol", "thalach", "oldpeak"):
-            assert name in wide.feature_names
-        assert not any(n == "cp" for n in wide.feature_names)
-        assert any(n.startswith("cp=") for n in wide.feature_names)
-
-    def test_indicators_are_correct(self):
-        ds = clean(_table(_synthetic_rows(15)))
-        wide = one_hot_encode(ds)
-        j = ds.feature_names.index("thal")
-        for value in sorted(set(ds.X[:, j])):
-            k = wide.feature_names.index(f"thal={value:g}")
-            assert np.array_equal(wide.X[:, k], (ds.X[:, j] == value).astype(float))

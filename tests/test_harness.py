@@ -34,6 +34,12 @@ class TestPlanValidation:
         with pytest.raises(ConfigError):
             ExperimentPlan(algorithms=("gwo",), functions=("f1",), dims=(0,))
 
+    def test_agents_checked_for_every_algorithm(self):
+        # pso accepts 2 particles; gwo needs 3 wolves.
+        with pytest.raises(ConfigError, match="n_agents must be >= 3"):
+            ExperimentPlan(algorithms=("pso", "gwo"), functions=("f1",), dims=(5,),
+                           n_agents=2)
+
     def test_leader_curve_checked_before_any_cell(self):
         bad = curves.CurveParams(a=1.0, b=0.0, c=10.0, d=0.0)
         with pytest.raises(ConfigError, match="leader curve"):

@@ -408,7 +408,6 @@ class TestRun:
         assert np.all(np.diff(result.history) <= 0)
         assert result.best_score < result.history[0]
         assert result.best_score == result.history[-1]
-        assert result.evaluations == 10 * 50
 
     @pytest.mark.parametrize("variant", ["gwo", "acgwo"])
     def test_positions_stay_in_bounds(self, variant):
@@ -573,7 +572,6 @@ class TestPso:
         result = pso_run(sphere_objective, space, cfg)
         assert result.best_score < result.history[0]
         assert np.all(np.diff(result.history) <= 0)
-        assert result.evaluations == 40 * 200
 
     def test_deterministic(self):
         space = SearchSpace(3, -10.0, 10.0)
@@ -608,8 +606,7 @@ class TestBatchedObjective:
         per_row = run_with(lambda X, rng: np.concatenate([bf(x[None], rng) for x in X]))
         assert batched.best_position.tobytes() == per_row.best_position.tobytes()
         assert batched.history.tobytes() == per_row.history.tobytes()
-        assert (batched.best_score, batched.evaluations) == (
-            per_row.best_score, per_row.evaluations)
+        assert batched.best_score == per_row.best_score
 
     def test_mlp_loss_matches_per_row_path(self):
         # 208 rows at 13-16-1 give chunks of 9 agents, so 20 agents take two
