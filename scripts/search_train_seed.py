@@ -23,8 +23,9 @@ def evaluate_seed(ds, seed, swarm=100, iters=1000, bp_epochs=100, lr=0.1):
     arch = mlp.MlpArchitecture((13, 16, 1))
     cfg = optimizer.GwoConfig(variant="acgwo", n_agents=swarm, max_iter=iters,
                               seed=derive_seed(seed, "swarm"))
-    report = mlp.train_hybrid(arch, x_train, train.y, cfg, (-5.0, 5.0), bp_epochs, lr)
-    scores = mlp.forward_batch(arch, report.final_params, x_test)
+    params, _ = mlp.train(arch, x_train, train.y, cfg, (-5.0, 5.0), bp_epochs, lr,
+                          derive_seed(seed, "init"))
+    scores = mlp.forward_batch(arch, params, x_test)
     return metrics.evaluate(test.y, scores)
 
 

@@ -24,8 +24,8 @@ def main():
     hits = []
     for seed in range(n_seeds):
         cfg = GwoConfig(variant="acgwo", n_agents=60, max_iter=300, seed=seed)
-        report = mlp.train_acgwo(arch, X, Y, cfg, (-5.0, 5.0))
-        labels = mlp.forward_batch(arch, report.final_params, X) >= 0.5
+        params, _ = mlp.train(arch, X, Y, cfg, (-5.0, 5.0), 0, 0.1, 0)
+        labels = mlp.forward_batch(arch, params, X) >= 0.5
         accuracy = float((labels == Y).mean())
         print(f"seed {seed}: training accuracy {accuracy:.2f}")
         if accuracy == 1.0:

@@ -174,8 +174,9 @@ def cmd_bench(ctx, **_kwargs):
     _check_output("--out", out, "table.csv")
     _check_output("--out", out / "convergence")
     algorithms = _parse_id_list(p["algs"], "--algs")
+    inertia = _parse_curve(p["inertia"], "--inertia")
     leader = _parse_curve(p["leader"], "--leader")
-    optimizer.check_leader_curve(algorithms, leader, "--leader")
+    optimizer.check_curves(algorithms, inertia, leader, ("--inertia", "--leader"))
     plan = harness.ExperimentPlan(
         algorithms=algorithms,
         functions=_parse_id_list(p["functions"], "--functions"),
@@ -184,7 +185,7 @@ def cmd_bench(ctx, **_kwargs):
         base_seed=p["seed"],
         n_agents=p["agents"],
         max_iter=p["iters"],
-        inertia=_parse_curve(p["inertia"], "--inertia"),
+        inertia=inertia,
         leader=leader,
     )
     result = harness.run_plan(plan, workers=p["workers"])
@@ -235,7 +236,7 @@ def _print_report(label, report):
 @cli.command("train")
 @click.option("--data", default=DEFAULT_DATA, show_default=True,
               help="Input CSV table.")
-@click.option("--mode", type=click.Choice(["acgwo", "bp", "acgwo-bp"]),
+@click.option("--mode", type=click.Choice(list(mlp.MODES)),
               default="acgwo-bp", show_default=True,
               help="Training mode; acgwo-bp is the hybrid.")
 @click.option("--hidden", default="16", show_default=True,
@@ -265,7 +266,6 @@ def cmd_train(ctx, **_kwargs):
     """Clean, split, standardize, train, and persist the classifier."""
     p = _resolve(ctx, "train")
     seed = p["seed"]
-    mode = p["mode"]
     threshold = p["threshold"]
     metrics.check_unit_interval(threshold, "--threshold", ConfigError)
     try:
@@ -279,6 +279,13 @@ def cmd_train(ctx, **_kwargs):
     bounds = (lo, hi)
     learning_rate = p["learning_rate"]
     mlp.check_learning_rate(learning_rate, "--learning-rate")
+    hidden = ()
+    if p["hidden"].strip():
+        hidden = _parse_int_list(p["hidden"], "--hidden")
+    try:
+        arch = mlp.MlpArchitecture((len(dataprep.FEATURE_NAMES),) + hidden + (1,))
+    except ConfigError as exc:
+        raise ConfigError(f"--hidden {p['hidden']!r}: {exc}") from None
     train_fraction = p["train_fraction"]
     impute = p["impute"]
     out = Path(p["out"])
@@ -290,44 +297,35 @@ def cmd_train(ctx, **_kwargs):
     x_train = dataprep.apply_standardizer(stats, train.X)
     x_test = dataprep.apply_standardizer(stats, test.X)
 
-    hidden = ()
-    if p["hidden"].strip():
-        hidden = _parse_int_list(p["hidden"], "--hidden")
-    arch = mlp.MlpArchitecture((train.X.shape[1],) + hidden + (1,))
-
-    swarm_cfg = optimizer.GwoConfig(
-        variant="acgwo", n_agents=p["swarm"], max_iter=p["iters"],
-        seed=derive_seed(seed, "swarm"),
-    )
+    mode = mlp.MODES[p["mode"]]
+    swarm = None
+    if mode != "bp":
+        swarm = optimizer.GwoConfig(variant="acgwo", n_agents=p["swarm"],
+                                    max_iter=p["iters"], seed=derive_seed(seed, "swarm"))
     bp_epochs = p["bp_epochs"]
-    if mode == "acgwo":
-        report = mlp.train_acgwo(arch, x_train, train.y, swarm_cfg, bounds)
-    elif mode == "bp":
-        report = mlp.train_bp(arch, x_train, train.y, bp_epochs, learning_rate,
-                              seed=derive_seed(seed, "init"))
-    else:
-        report = mlp.train_hybrid(arch, x_train, train.y, swarm_cfg, bounds,
-                                  bp_epochs, learning_rate)
+    params, loss_history = mlp.train(
+        arch, x_train, train.y, swarm, bounds, 0 if mode == "acgwo" else bp_epochs,
+        learning_rate, derive_seed(seed, "init"))
 
     model = mlp.TrainedModel(
         layer_sizes=arch.layer_sizes,
-        params=report.final_params,
+        params=params,
         scaler_mean=stats.mean,
         scaler_std=stats.std,
         threshold=threshold,
         split_seed=split_seed,
         train_fraction=train_fraction,
         impute=impute,
-        mode=report.mode,
+        mode=mode,
     )
     write_text_atomic(out / "model.json", mlp.model_to_json(model))
 
     train_eval = metrics.evaluate(
-        train.y, mlp.forward_batch(arch, report.final_params, x_train), threshold)
+        train.y, mlp.forward_batch(arch, params, x_train), threshold)
     test_eval = metrics.evaluate(
-        test.y, mlp.forward_batch(arch, report.final_params, x_test), threshold)
+        test.y, mlp.forward_batch(arch, params, x_test), threshold)
     report_payload = {
-        "mode": report.mode,
+        "mode": mode,
         "seed": seed,
         "layer_sizes": list(arch.layer_sizes),
         "bounds": list(bounds),
@@ -339,8 +337,8 @@ def cmd_train(ctx, **_kwargs):
         "train_fraction": train_fraction,
         "impute": impute,
         "one_hot": False,  # pinned by the seed-0 witness digests of train_report.json
-        "loss_history": [float(v) for v in report.loss_history],
-        "final_train_loss": mlp.bce_loss(arch, report.final_params, x_train, train.y),
+        "loss_history": [float(v) for v in loss_history],
+        "final_train_loss": mlp.bce_loss(arch, params, x_train, train.y),
         "train_metrics": json.loads(train_eval.to_json()),
         "test_metrics": json.loads(test_eval.to_json()),
     }
@@ -419,7 +417,7 @@ def cmd_eda(ctx, **_kwargs):
         lines.append(",".join(fields))
     write_text_atomic(p["clean_out"], "\n".join(lines) + "\n")
 
-    matrix, names = dataprep.pearson_corr_matrix(ds, include_target=True)
+    matrix, names = dataprep.pearson_corr_matrix(ds)
     lines = ["," + ",".join(names)]
     for name, row in zip(names, matrix):
         lines.append(name + "," + ",".join(repr(float(v)) for v in row))

@@ -10,7 +10,7 @@ binarizes the target to presence/absence.
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -125,8 +125,7 @@ def _impute_rows(rows):
     return filled
 
 
-def fit_standardizer(X: np.ndarray,
-                     feature_names: Optional[Sequence[str]] = None) -> StandardizationStats:
+def fit_standardizer(X: np.ndarray, feature_names: Sequence[str]) -> StandardizationStats:
     """Column means and population standard deviations of the training rows."""
     X = np.asarray(X, dtype=float)
     if X.size == 0:
@@ -135,8 +134,7 @@ def fit_standardizer(X: np.ndarray,
     std = X.std(axis=0)
     flat = np.nonzero(std == 0)[0]
     if flat.size:
-        j = int(flat[0])
-        name = feature_names[j] if feature_names is not None else f"#{j}"
+        name = feature_names[int(flat[0])]
         raise ConfigError(f"column {name} has zero variance; cannot standardize")
     return StandardizationStats(mean=mean, std=std)
 
@@ -179,17 +177,14 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int):
     return make(train_idx), make(test_idx)
 
 
-def pearson_corr_matrix(ds: Dataset, include_target: bool = True):
-    """Pairwise correlation of the feature columns (plus the target).
+def pearson_corr_matrix(ds: Dataset):
+    """Pairwise correlation of the feature columns and the target, last.
 
     Returns ``(matrix, names)``; the matrix is exactly symmetric with a unit
     diagonal and entries in [-1, 1].
     """
-    columns = ds.X
-    names = list(ds.feature_names)
-    if include_target:
-        columns = np.column_stack([ds.X, ds.y.astype(float)])
-        names.append(COLUMN_NAMES[-1])
+    columns = np.column_stack([ds.X, ds.y.astype(float)])
+    names = (*ds.feature_names, COLUMN_NAMES[-1])
     centered = columns - columns.mean(axis=0)
     norms = np.sqrt(np.square(centered).sum(axis=0))
     flat = np.nonzero(norms == 0)[0]
@@ -201,4 +196,4 @@ def pearson_corr_matrix(ds: Dataset, include_target: bool = True):
     matrix = normalized.T @ normalized
     matrix = np.clip(matrix, -1.0, 1.0)
     np.fill_diagonal(matrix, 1.0)
-    return matrix, tuple(names)
+    return matrix, names

@@ -2,9 +2,9 @@
 
 The parameter vector is the flattened concatenation of each layer's weight
 matrix (fan_in x fan_out, row-major) followed by its bias vector, so the
-whole network doubles as a search point for the swarm optimizers. Training
-modes: pure swarm search over the flattened parameters, pure full-batch
-gradient descent, or swarm search followed by gradient refinement.
+whole network doubles as a search point for the swarm optimizers.
+:func:`train` runs an optional swarm search over the flattened parameters,
+then full-batch gradient descent from the best point found.
 
 :func:`unflatten`, :func:`forward_batch` and :func:`bce_loss` also take a
 stack of parameter vectors, shape ``(m, n_params)``: weights come out as
@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -66,14 +66,8 @@ class MlpArchitecture:
         )
 
 
-MODES = ("acgwo", "bp", "hybrid")  # the TrainReport.mode values, as model.json holds them
-
-
-@dataclass
-class TrainReport:
-    final_params: np.ndarray
-    loss_history: np.ndarray
-    mode: str
+# Each `lupus train --mode` choice and the mode that model.json records for it.
+MODES = {"acgwo": "acgwo", "bp": "bp", "acgwo-bp": "hybrid"}
 
 
 def _stable_sigmoid(z: np.ndarray, out=None) -> np.ndarray:
@@ -221,59 +215,38 @@ def init_params(arch: MlpArchitecture, seed: int) -> np.ndarray:
     return flatten(layers)
 
 
-def train_acgwo(arch: MlpArchitecture, X, y, cfg: GwoConfig,
-                bounds: Tuple[float, float] = (-5.0, 5.0)) -> TrainReport:
-    """Swarm-search the flattened parameters, minimizing the training loss."""
-    lo, hi = bounds
-    space = SearchSpace(arch.n_params, lo, hi)
-    result = optimizer.run(lambda P, rng: bce_loss(arch, P, X, y), space, cfg)
-    return TrainReport(
-        final_params=result.best_position,
-        loss_history=result.history,
-        mode="acgwo",
-    )
-
-
 def check_learning_rate(learning_rate: float, name: str = "learning_rate") -> None:
     """Reject a gradient step size that is not finite and positive."""
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ConfigError(f"{name} must be finite and > 0, got {learning_rate}")
 
 
-def train_bp(arch: MlpArchitecture, X, y, epochs: int, learning_rate: float,
-             seed: int = 0, start_params=None) -> TrainReport:
-    """Full-batch gradient descent from a Glorot init (or given start)."""
-    if epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {epochs}")
-    check_learning_rate(learning_rate)
-    params = (np.asarray(start_params, dtype=float).copy()
-              if start_params is not None else init_params(arch, seed))
-    losses = np.empty(epochs)
-    for epoch in range(epochs):
-        params = params - learning_rate * backward(arch, params, X, y)
-        losses[epoch] = bce_loss(arch, params, X, y)
-    return TrainReport(final_params=params, loss_history=losses, mode="bp")
+def train(arch: MlpArchitecture, X, y, swarm: Optional[GwoConfig],
+          bounds: Tuple[float, float], bp_epochs: int, learning_rate: float,
+          seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Swarm search (unless ``swarm`` is None), then full-batch gradient descent.
 
-
-def train_hybrid(arch: MlpArchitecture, X, y, cfg: GwoConfig,
-                 bounds: Tuple[float, float] = (-5.0, 5.0),
-                 bp_epochs: int = 200, learning_rate: float = 1e-3) -> TrainReport:
-    """Swarm search first, then gradient refinement from the best solution.
-
-    The loss history concatenates both phases; with ``bp_epochs = 0`` the
-    result carries exactly the swarm phase's parameters and history.
+    The swarm minimizes the training loss over the flattened parameters in
+    ``bounds``, and the descent starts from its best position; without a
+    swarm it starts from the Glorot init of ``seed``. Returns the final
+    parameters and the loss history: the swarm's alpha scores, then the loss
+    after each of the ``bp_epochs`` steps.
     """
     if bp_epochs < 0:
         raise ConfigError(f"bp_epochs must be >= 0, got {bp_epochs}")
     check_learning_rate(learning_rate)
-    swarm = train_acgwo(arch, X, y, cfg, bounds)
-    refined = train_bp(arch, X, y, bp_epochs, learning_rate,
-                       start_params=swarm.final_params)
-    return TrainReport(
-        final_params=refined.final_params,
-        loss_history=np.concatenate([swarm.loss_history, refined.loss_history]),
-        mode="hybrid",
-    )
+    history = []
+    if swarm is None:
+        params = init_params(arch, seed)
+    else:
+        space = SearchSpace(arch.n_params, *bounds)
+        result = optimizer.run(lambda P, rng: bce_loss(arch, P, X, y), space, swarm)
+        params, history = result.best_position, [result.history]
+    losses = np.empty(bp_epochs)
+    for epoch in range(bp_epochs):
+        params = params - learning_rate * backward(arch, params, X, y)
+        losses[epoch] = bce_loss(arch, params, X, y)
+    return params, np.concatenate(history + [losses])
 
 
 @dataclass
@@ -345,7 +318,7 @@ def model_from_json(text: str, source: str = "model") -> TrainedModel:
         metrics.check_unit_interval(fields[name], f"{source}: {name}", DataError)
     check("split_seed", lambda v: type(v) is int and v >= 0, "a non-negative integer")
     check("impute", lambda v: type(v) is bool, "true or false")
-    check("mode", lambda v: v in MODES, "one of " + ", ".join(MODES))
+    check("mode", lambda v: v in MODES.values(), "one of " + ", ".join(MODES.values()))
     model = TrainedModel(**dict(fields, layer_sizes=tuple(fields["layer_sizes"])))
     try:
         arch = model.architecture

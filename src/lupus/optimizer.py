@@ -88,23 +88,27 @@ class GwoConfig:
             raise ConfigError(f"n_agents must be >= 3, got {self.n_agents}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.variant in _CURVE_VARIANTS and \
-                curves.cauchy_inertia(0, self.max_iter, self.inertia) == 0:
-            raise ConfigError("inertia curve is 0 at iteration 0; cannot normalize")
-        check_leader_curve((self.variant,), self.leader)
+        check_curves((self.variant,), self.inertia, self.leader)
 
 
-def check_leader_curve(variants, leader: CurveParams, name: str = "leader") -> None:
-    """Reject a leader curve that lets an adaptive variant weigh a leader <= 0.
+def check_curves(variants, inertia: CurveParams, leader: CurveParams,
+                 names=("inertia", "leader")) -> None:
+    """Reject the curves that one of ``variants`` cannot run with.
 
-    Only ``agwo`` and ``acgwo`` read the curve, so other variants accept any.
+    The curve variants divide by the inertia curve's value at iteration 0,
+    which must not be 0; the adaptive variants need every leader weight > 0.
+    A variant that does not read a curve accepts any. ``names`` label the two
+    curves in the error.
     """
+    if any(v in _CURVE_VARIANTS for v in variants) and \
+            curves.cauchy_inertia(0, 1, inertia) == 0:
+        raise ConfigError(f"{names[0]} curve is 0 at iteration 0; cannot normalize")
     if not any(v in _ADAPTIVE_VARIANTS for v in variants):
         return
     floor = curves.leader_weight_floor(leader)
     if not floor > 0:
         raise ConfigError(
-            f"{name} curve a,b,c,d = {leader.a!r},{leader.b!r},{leader.c!r},{leader.d!r} "
+            f"{names[1]} curve a,b,c,d = {leader.a!r},{leader.b!r},{leader.c!r},{leader.d!r} "
             f"lets leader weights fall to {floor:.6g}, its lower bound d - c/(pi*a) "
             f"(d when c <= 0); the bound must be > 0"
         )

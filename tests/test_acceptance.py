@@ -223,7 +223,7 @@ class TestAcceptance:
             got = int((train.y == cls).sum())
             if abs(got - 0.70 * total) > 1.0:
                 prop_ok = False
-        matrix, names = dataprep.pearson_corr_matrix(ds, include_target=True)
+        matrix, names = dataprep.pearson_corr_matrix(ds)
         corr_ok = (
             matrix.shape == (14, 14)
             and np.allclose(matrix, matrix.T, atol=1e-12)

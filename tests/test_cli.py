@@ -204,7 +204,8 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("args,named", [
         (["--algs", "pso,gwo", "--agents", "2"], "--agents"),
-        (["--algs", "pso,cgwo", "--inertia", f"1,0,{math.pi!r},-1"], "inertia curve is 0"),
+        (["--algs", "pso,cgwo", "--inertia", f"1,0,{math.pi!r},-1"],
+         "--inertia curve is 0"),
     ], ids=["gwo-agents", "cgwo-inertia-zero-at-start"])
     def test_every_algorithm_checked_before_any_run(self, workdir, monkeypatch, capsys,
                                                     args, named):
@@ -364,10 +365,12 @@ class TestTrainCommand:
                                             ("--bounds", "-inf,inf"), ("--bounds", "5,-5"),
                                             ("--learning-rate", "nan"),
                                             ("--learning-rate", "inf"),
-                                            ("--learning-rate", "0")])
-    def test_bad_option_exit_one_before_loading(self, workdir, flag, value):
+                                            ("--learning-rate", "0"),
+                                            ("--hidden", "0"), ("--hidden", "16,0")])
+    def test_bad_option_exit_one_before_loading(self, workdir, capsys, flag, value):
         # A missing dataset exits 2, so exit 1 shows the option was checked first.
         assert run_cli(TRAIN_SMALL + [flag, value, "--data", "data/nope.csv"]) == 1
+        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("fraction", ["0.9999", "0.0001"])
     def test_fraction_leaving_a_part_empty_exit_one(self, workdir, capsys, fraction):

@@ -139,7 +139,7 @@ class TestClean:
 
 class TestStandardizer:
     def test_hand_values(self):
-        stats = fit_standardizer(np.array([[1.0], [2.0], [3.0]]))
+        stats = fit_standardizer(np.array([[1.0], [2.0], [3.0]]), ("u",))
         assert stats.mean[0] == pytest.approx(2.0)
         assert stats.std[0] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-9)
         z = apply_standardizer(stats, np.array([[1.0], [2.0], [3.0]]))
@@ -148,21 +148,22 @@ class TestStandardizer:
     def test_refit_of_standardized_is_identity(self):
         rng = np.random.default_rng(1)
         x = rng.normal(3.0, 2.5, size=(40, 4))
-        z = apply_standardizer(fit_standardizer(x), x)
-        z2 = apply_standardizer(fit_standardizer(z), z)
+        names = ("a", "b", "c", "d")
+        z = apply_standardizer(fit_standardizer(x, names), x)
+        z2 = apply_standardizer(fit_standardizer(z, names), z)
         assert np.allclose(z, z2, atol=1e-10)
 
     def test_train_stats_yield_unit_moments(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(-5, 20, size=(60, 5))
-        z = apply_standardizer(fit_standardizer(x), x)
+        z = apply_standardizer(fit_standardizer(x, ("a", "b", "c", "d", "e")), x)
         assert np.all(np.abs(z.mean(axis=0)) < 1e-10)
         assert np.all(np.abs(z.std(axis=0) - 1.0) < 1e-10)
 
     def test_constant_column_named(self):
         x = np.column_stack([np.ones(5), np.arange(5.0)])
         with pytest.raises(ConfigError, match="age"):
-            fit_standardizer(x, feature_names=("age", "sex"))
+            fit_standardizer(x, ("age", "sex"))
 
 
 class TestStratifiedSplit:
@@ -215,28 +216,27 @@ class TestStratifiedSplit:
 
 class TestPearson:
     def _two_column_ds(self, x, y):
+        # The target, the matrix's last column, needs both classes to vary.
         return Dataset(X=np.column_stack([x, y]).astype(float),
-                       y=np.zeros(len(x), dtype=int), feature_names=("u", "v"))
+                       y=np.arange(len(x)) % 2, feature_names=("u", "v"))
 
     def test_exact_linear(self):
-        m, names = pearson_corr_matrix(
-            self._two_column_ds([1, 2, 3], [2, 4, 6]), include_target=False)
-        assert names == ("u", "v")
+        m, names = pearson_corr_matrix(self._two_column_ds([1, 2, 3], [2, 4, 6]))
+        assert names == ("u", "v", "target")
         assert m[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_negative(self):
-        m, _ = pearson_corr_matrix(
-            self._two_column_ds([1, 2, 3], [6, 4, 2]), include_target=False)
+        m, _ = pearson_corr_matrix(self._two_column_ds([1, 2, 3], [6, 4, 2]))
         assert m[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_value(self):
-        m, _ = pearson_corr_matrix(
-            self._two_column_ds([1, 2, 3], [1, 2, 2]), include_target=False)
+        m, _ = pearson_corr_matrix(self._two_column_ds([1, 2, 3], [1, 2, 2]))
         assert m[0, 1] == pytest.approx(0.866025, abs=1e-6)
+        assert m[1, 2] == pytest.approx(0.5, abs=1e-12)
 
     def test_matrix_properties_on_bundled(self, heart_csv):
         ds = clean(load_table(heart_csv))
-        m, names = pearson_corr_matrix(ds, include_target=True)
+        m, names = pearson_corr_matrix(ds)
         assert m.shape == (14, 14)
         assert names[-1] == "target"
         assert np.array_equal(m, m.T)
@@ -246,12 +246,14 @@ class TestPearson:
     def test_matches_numpy_corrcoef(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(50, 13))
-        ds = Dataset(X=x, y=rng.integers(0, 2, 50))
-        m, _ = pearson_corr_matrix(ds, include_target=False)
-        assert np.allclose(m, np.corrcoef(x, rowvar=False), atol=1e-10)
+        y = rng.integers(0, 2, 50)
+        m, _ = pearson_corr_matrix(Dataset(X=x, y=y))
+        assert np.allclose(m[:-1, :-1], np.corrcoef(x, rowvar=False), atol=1e-10)
+        assert np.allclose(m, np.corrcoef(np.column_stack([x, y]), rowvar=False),
+                           atol=1e-10)
 
     def test_zero_variance_named(self):
         ds = Dataset(X=np.column_stack([np.ones(6), np.arange(6.0)]),
-                     y=np.zeros(6, dtype=int), feature_names=("flat", "ramp"))
+                     y=np.arange(6) % 2, feature_names=("flat", "ramp"))
         with pytest.raises(ConfigError, match="flat"):
-            pearson_corr_matrix(ds, include_target=False)
+            pearson_corr_matrix(ds)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lupus import metrics, mlp
+from lupus import metrics, mlp, optimizer
 from lupus.errors import ConfigError, DataError
 from lupus.mlp import (
     MlpArchitecture,
@@ -17,12 +17,10 @@ from lupus.mlp import (
     init_params,
     model_from_json,
     model_to_json,
-    train_acgwo,
-    train_bp,
-    train_hybrid,
+    train,
     unflatten,
 )
-from lupus.optimizer import GwoConfig
+from lupus.optimizer import GwoConfig, SearchSpace
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -450,12 +448,16 @@ class TestPredict:
             metrics.evaluate([1, 0], scores, threshold=0.0)
 
 
+BOUNDS = (-5.0, 5.0)
+
+
 class TestTrainAcgwo:
+    # The swarm alone: zero gradient steps after the search.
     def test_xor_at_recorded_seed(self):
         arch = MlpArchitecture((2, 4, 1))
         cfg = GwoConfig(variant="acgwo", n_agents=60, max_iter=300, seed=XOR_SEED)
-        report = train_acgwo(arch, XOR_X, XOR_Y, cfg, (-5.0, 5.0))
-        labels = predict(arch, report.final_params, XOR_X)
+        params, _ = train(arch, XOR_X, XOR_Y, cfg, BOUNDS, 0, 0.1, 0)
+        labels = predict(arch, params, XOR_X)
         assert np.array_equal(labels, XOR_Y)
 
     def test_xor_feasible_by_construction(self):
@@ -478,60 +480,63 @@ class TestTrainAcgwo:
     def test_loss_history_non_increasing(self):
         arch = MlpArchitecture((2, 3, 1))
         cfg = GwoConfig(variant="acgwo", n_agents=10, max_iter=40, seed=1)
-        report = train_acgwo(arch, XOR_X, XOR_Y, cfg)
-        assert np.all(np.diff(report.loss_history) <= 0)
-        assert report.mode == "acgwo"
+        _, history = train(arch, XOR_X, XOR_Y, cfg, BOUNDS, 0, 0.1, 0)
+        assert history.size == 40
+        assert np.all(np.diff(history) <= 0)
 
     def test_deterministic(self):
         arch = MlpArchitecture((2, 3, 1))
         cfg = GwoConfig(variant="acgwo", n_agents=8, max_iter=25, seed=3)
-        a = train_acgwo(arch, XOR_X, XOR_Y, cfg)
-        b = train_acgwo(arch, XOR_X, XOR_Y, cfg)
-        assert np.array_equal(a.final_params, b.final_params)
+        a, _ = train(arch, XOR_X, XOR_Y, cfg, BOUNDS, 0, 0.1, 0)
+        b, _ = train(arch, XOR_X, XOR_Y, cfg, BOUNDS, 0, 0.1, 0)
+        assert np.array_equal(a, b)
 
     def test_respects_bounds(self):
         arch = MlpArchitecture((2, 3, 1))
         cfg = GwoConfig(variant="acgwo", n_agents=8, max_iter=30, seed=2)
-        report = train_acgwo(arch, XOR_X, XOR_Y, cfg, (-1.5, 1.5))
-        assert np.all(report.final_params >= -1.5)
-        assert np.all(report.final_params <= 1.5)
+        params, _ = train(arch, XOR_X, XOR_Y, cfg, (-1.5, 1.5), 0, 0.1, 0)
+        assert np.all(params >= -1.5)
+        assert np.all(params <= 1.5)
 
 
 class TestTrainBp:
+    # Gradient descent alone: no swarm, a Glorot start from the seed.
     def test_loss_decreases_on_separable_toy(self):
         rng = np.random.default_rng(0)
         X = np.vstack([rng.normal(-2.0, 0.5, (25, 2)), rng.normal(2.0, 0.5, (25, 2))])
         y = np.array([0] * 25 + [1] * 25)
         arch = MlpArchitecture((2, 1))
-        report = train_bp(arch, X, y, epochs=200, learning_rate=0.5, seed=1)
-        assert report.loss_history[-1] < report.loss_history[0]
-        assert np.mean(predict(arch, report.final_params, X) == y) == 1.0
+        params, history = train(arch, X, y, None, BOUNDS, 200, 0.5, 1)
+        assert history.size == 200
+        assert history[-1] < history[0]
+        assert np.mean(predict(arch, params, X) == y) == 1.0
 
     @pytest.mark.parametrize("learning_rate", [math.nan, math.inf, -math.inf, 0.0, -0.1])
     def test_rejects_bad_learning_rate(self, learning_rate):
         arch = MlpArchitecture((2, 1))
         with pytest.raises(ConfigError, match="learning_rate"):
-            train_bp(arch, XOR_X, XOR_Y, epochs=1, learning_rate=learning_rate)
+            train(arch, XOR_X, XOR_Y, None, BOUNDS, 1, learning_rate, 0)
+
+    def test_rejects_negative_epochs(self):
+        with pytest.raises(ConfigError, match="bp_epochs"):
+            train(MlpArchitecture((2, 1)), XOR_X, XOR_Y, None, BOUNDS, -1, 0.1, 0)
 
     def test_zero_epochs_keeps_start(self):
-        arch = MlpArchitecture((2, 1))
-        start = np.array([0.3, -0.2, 0.1])
-        report = train_bp(arch, XOR_X, XOR_Y, epochs=0, learning_rate=0.1,
-                          start_params=start)
-        assert np.array_equal(report.final_params, start)
-        assert report.loss_history.size == 0
+        arch = MlpArchitecture((2, 3, 1))
+        params, history = train(arch, XOR_X, XOR_Y, None, BOUNDS, 0, 0.1, 5)
+        assert np.array_equal(params, init_params(arch, 5))
+        assert history.size == 0
 
 
 class TestTrainHybrid:
     def test_zero_bp_epochs_equals_pure_swarm(self):
         arch = MlpArchitecture((2, 3, 1))
         cfg = GwoConfig(variant="acgwo", n_agents=8, max_iter=20, seed=6)
-        hybrid = train_hybrid(arch, XOR_X, XOR_Y, cfg, (-5.0, 5.0),
-                              bp_epochs=0, learning_rate=0.1)
-        swarm = train_acgwo(arch, XOR_X, XOR_Y, cfg, (-5.0, 5.0))
-        assert np.array_equal(hybrid.final_params, swarm.final_params)
-        assert np.array_equal(hybrid.loss_history, swarm.loss_history)
-        assert hybrid.mode == "hybrid"
+        params, history = train(arch, XOR_X, XOR_Y, cfg, BOUNDS, 0, 0.1, 0)
+        swarm = optimizer.run(lambda P, rng: bce_loss(arch, P, XOR_X, XOR_Y),
+                              SearchSpace(arch.n_params, *BOUNDS), cfg)
+        assert np.array_equal(params, swarm.best_position)
+        assert np.array_equal(history, swarm.history)
 
     def test_small_lr_tail_never_hurts_phase_endpoints(self, heart_csv):
         from lupus import dataprep
@@ -540,38 +545,37 @@ class TestTrainHybrid:
         ds = dataprep.clean(dataprep.load_table(heart_csv))
         arch = MlpArchitecture((13, 8, 1))
         for seed in range(10):
-            train, _ = dataprep.stratified_split(ds, 0.7, derive_seed(seed, "split"))
-            stats = dataprep.fit_standardizer(train.X)
-            x = dataprep.apply_standardizer(stats, train.X)
+            train_part, _ = dataprep.stratified_split(ds, 0.7, derive_seed(seed, "split"))
+            stats = dataprep.fit_standardizer(train_part.X, train_part.feature_names)
+            x = dataprep.apply_standardizer(stats, train_part.X)
             cfg = GwoConfig(variant="acgwo", n_agents=15, max_iter=60, seed=seed)
-            report = train_hybrid(arch, x, train.y, cfg, (-5.0, 5.0),
-                                  bp_epochs=40, learning_rate=1e-3)
-            swarm_end = report.loss_history[59]
-            assert report.loss_history[-1] <= swarm_end + 1e-9
+            _, history = train(arch, x, train_part.y, cfg, BOUNDS, 40, 1e-3, 0)
+            swarm_end = history[59]
+            assert history[-1] <= swarm_end + 1e-9
 
     def test_learning_rate_checked_before_swarm_phase(self, monkeypatch):
         def swarm_phase(*_args):
             raise AssertionError("swarm phase ran")
 
-        monkeypatch.setattr(mlp, "train_acgwo", swarm_phase)
+        monkeypatch.setattr(mlp.optimizer, "run", swarm_phase)
         cfg = GwoConfig(variant="acgwo", n_agents=8, max_iter=15, seed=4)
         with pytest.raises(ConfigError, match="learning_rate"):
-            train_hybrid(MlpArchitecture((2, 3, 1)), XOR_X, XOR_Y, cfg,
-                         bp_epochs=10, learning_rate=math.nan)
+            train(MlpArchitecture((2, 3, 1)), XOR_X, XOR_Y, cfg, BOUNDS, 10, math.nan, 0)
 
     def test_history_concatenates_phases(self):
         arch = MlpArchitecture((2, 3, 1))
         cfg = GwoConfig(variant="acgwo", n_agents=8, max_iter=15, seed=4)
-        report = train_hybrid(arch, XOR_X, XOR_Y, cfg, (-5.0, 5.0),
-                              bp_epochs=10, learning_rate=0.05)
-        assert report.loss_history.size == 25
+        _, history = train(arch, XOR_X, XOR_Y, cfg, BOUNDS, 10, 0.05, 0)
+        _, swarm_history = train(arch, XOR_X, XOR_Y, cfg, BOUNDS, 0, 0.05, 0)
+        assert history.size == 25
+        assert np.array_equal(history[:15], swarm_history)
 
     def test_deterministic(self):
         arch = MlpArchitecture((2, 3, 1))
         cfg = GwoConfig(variant="acgwo", n_agents=8, max_iter=15, seed=4)
-        a = train_hybrid(arch, XOR_X, XOR_Y, cfg, (-5.0, 5.0), 10, 0.05)
-        b = train_hybrid(arch, XOR_X, XOR_Y, cfg, (-5.0, 5.0), 10, 0.05)
-        assert np.array_equal(a.final_params, b.final_params)
+        a, _ = train(arch, XOR_X, XOR_Y, cfg, BOUNDS, 10, 0.05, 0)
+        b, _ = train(arch, XOR_X, XOR_Y, cfg, BOUNDS, 10, 0.05, 0)
+        assert np.array_equal(a, b)
 
 
 class TestModelPersistence:

@@ -616,11 +616,11 @@ class TestBatchedObjective:
         X = rng.normal(size=(208, 13))
         y = rng.integers(0, 2, 208).astype(float)
         cfg = GwoConfig(variant="acgwo", n_agents=20, max_iter=12, seed=21)
-        report = mlp.train_acgwo(arch, X, y, cfg, (-5.0, 5.0))
+        params, history = mlp.train(arch, X, y, cfg, (-5.0, 5.0), 0, 0.1, 0)
         per_row = run(lambda P, rng: np.array([mlp.bce_loss(arch, v, X, y) for v in P]),
                       SearchSpace(arch.n_params, -5.0, 5.0), cfg)
-        assert report.final_params.tobytes() == per_row.best_position.tobytes()
-        assert report.loss_history.tobytes() == per_row.history.tobytes()
+        assert params.tobytes() == per_row.best_position.tobytes()
+        assert history.tobytes() == per_row.history.tobytes()
 
     def test_nan_ranks_as_inf(self):
         def objective(X, rng):
