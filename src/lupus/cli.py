@@ -11,6 +11,10 @@ holds one section per subcommand plus an optional top-level "seed":
 
     {"seed": 7, "bench": {"functions": "f1,f6", "dims": "30"}}
 
+Each option's click type parses and checks its value, from a flag or from the
+config file alike, so the command bodies read parsed values. A bad value
+exits 1 naming its flag, or the config file and ``<section>.<key>``.
+
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
 3 internal error. Setting LUPUS_DEBUG=1 prints the traceback of an internal
 error on stderr.
@@ -25,7 +29,7 @@ from pathlib import Path
 
 import click
 
-from . import curves, dataprep, harness, metrics, mlp, optimizer
+from . import benchfns, curves, dataprep, harness, metrics, mlp, optimizer
 from .errors import ConfigError, DataError
 from .fileio import write_text_atomic
 from .seeding import derive_seed
@@ -38,43 +42,91 @@ _INERTIA_DEFAULT = ",".join(map(repr, dataclasses.astuple(curves.INERTIA_DEFAULT
 _LEADER_DEFAULT = ",".join(map(repr, dataclasses.astuple(curves.LEADER_WEIGHT_DEFAULTS)))
 
 
-def _parse_curve(text, flag):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigError(f"{flag} expects four comma-separated numbers, got {text!r}")
+class _Parsed(click.ParamType):
+    """A flag value that ``parse`` reads from its text and checks; click names
+    a failure by the flag and :func:`_resolve` by the config file and key. A
+    default that is not text is left to :func:`_resolve`."""
+
+    def __init__(self, metavar, parse):
+        self.name, self.parse = metavar, parse
+
+    def convert(self, value, param, ctx):
+        try:
+            return self.parse(value) if isinstance(value, str) else value
+        except (ConfigError, ValueError) as exc:
+            self.fail(str(exc), param, ctx)
+
+
+def _ids(known):
+    def parse(text):
+        items = tuple(p.strip() for p in text.split(",") if p.strip())
+        if not items or any(item not in known for item in items):
+            raise ConfigError(f"{text!r}: expects comma-separated ids of {', '.join(known)}")
+        return items
+    return _Parsed("ID,ID,...", parse)
+
+
+def _sizes(text):
     try:
-        a, b, c, d = (float(p) for p in parts)
-        return curves.CurveParams(a=a, b=b, c=c, d=d)
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from exc
-
-
-def _parse_id_list(text, flag):
-    items = tuple(p.strip() for p in text.split(",") if p.strip())
-    if not items:
-        raise ConfigError(f"{flag} must name at least one item")
-    return items
-
-
-def _parse_int_list(text, flag):
-    try:
-        return tuple(int(p) for p in _parse_id_list(text, flag))
+        sizes = tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        sizes = ()
+    if not sizes or min(sizes) < 1:
+        raise ConfigError(f"expects comma-separated positive integers, got {text!r}")
+    return sizes
 
 
-def _check_output(flag, directory, *names):
+def _numbers(text, n):
+    parts = text.split(",")
+    if len(parts) != n:
+        raise ConfigError(f"expects {n} comma-separated numbers, got {text!r}")
+    return tuple(map(float, parts))
+
+
+def _bounds(text):
+    space = optimizer.SearchSpace(1, *_numbers(text, 2))
+    return space.lower, space.upper
+
+
+def _checked(check, *args):
+    def parse(text):
+        value = float(text)
+        check(value, *args)
+        return value
+    return _Parsed("FLOAT", parse)
+
+
+def _check_output(directory, *names):
     """Check, before any work starts, that the output directory is one or can
     be made (the nearest existing part of its path is a directory) and that
     none of the named files in it is a directory."""
     for part in (directory, *directory.parents):
         if part.exists():
             if not part.is_dir():
-                raise ConfigError(f"{flag} {str(part)!r}: not a directory")
+                raise ConfigError(f"{str(part)!r}: not a directory")
             break
     for name in names:
         if (directory / name).is_dir():
-            raise ConfigError(f"{flag} {str(directory / name)!r}: is a directory")
+            raise ConfigError(f"{str(directory / name)!r}: is a directory")
+
+
+def _output(*names, subdir=None):
+    """An output directory that will hold the files ``names`` and the
+    directory ``subdir``; with no names, an output file."""
+    def parse(text):
+        path = Path(text)
+        if names:
+            _check_output(path, *names)
+        else:
+            _check_output(path.parent, path.name)
+        if subdir:
+            _check_output(path / subdir)
+        return text
+    return _Parsed("DIRECTORY" if names else "FILE", parse)
+
+
+_CURVE = _Parsed("A,B,C,D", lambda text: curves.CurveParams(*_numbers(text, 4)))
+_UNIT = _checked(metrics.check_unit_interval, "value")
 
 
 def _load_config(path):
@@ -84,7 +136,7 @@ def _load_config(path):
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: top level must be an object")
@@ -122,47 +174,51 @@ def _resolve(ctx, command):
         # is: int() and float() would truncate 2.5 and read true as 1.
         text = value if isinstance(value, str) else json.dumps(value)
         try:
+            if "\0" in text:  # argv cannot hold a NUL, a file can; no path can
+                raise click.BadParameter(f"{text!r} holds a NUL character")
             resolved[name] = params[name].type_cast_value(ctx, text)
         except click.BadParameter as exc:
             raise ConfigError(f"config file {path}: {label}: {exc.message}") from None
+    for name, value in resolved.items():
+        if isinstance(value, Path):  # an output default, checked once no config value replaced it
+            resolved[name] = params[name].type_cast_value(ctx, str(value))
     return resolved
 
 
-_config_option = click.option(
-    "--config", type=click.Path(), default=None,
-    help="JSON config file; flags override its values.",
-)
-_seed_option = click.option(
-    "--seed", type=int, default=DEFAULT_SEED, show_default=True,
-    envvar="LUPUS_SEED", help="Base seed; every stream derives from it.",
-)
+_config_option = click.option("--config", type=click.Path(), default=None,
+                              help="JSON config file; flags override its values.")
+_seed_option = click.option("--seed", type=int, default=DEFAULT_SEED, envvar="LUPUS_SEED",
+                            help="Base seed; every stream derives from it.")
+_inertia_option = click.option("--inertia", type=_CURVE, default=_INERTIA_DEFAULT,
+                               help="Inertia curve a,b,c,d.")
+_leader_option = click.option("--leader", type=_CURVE, default=_LEADER_DEFAULT,
+                              help="Leader weight curve a,b,c,d.")
+_data_option = click.option("--data", default=DEFAULT_DATA, help="Input CSV table.")
+_impute_option = click.option("--impute/--drop-missing", default=False,
+                              help="Mode-impute missing cells instead of dropping rows.")
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 def cli():
     """Swarm optimization benchmarks and the swarm-trained heart classifier."""
 
 
 @cli.command("bench")
-@click.option("--functions", default="f1,f2,f3,f4,f5,f6", show_default=True,
+@click.option("--functions", type=_ids(benchfns.REGISTRY), default="f1,f2,f3,f4,f5,f6",
               help="Comma-separated benchmark ids.")
-@click.option("--dims", default="30", show_default=True,
+@click.option("--dims", type=_Parsed("N,N,...", _sizes), default="30",
               help="Comma-separated dimensions.")
-@click.option("--algs", default="gwo,cgwo,agwo,acgwo,pso", show_default=True,
+@click.option("--algs", type=_ids(harness.ALGORITHMS), default="gwo,cgwo,agwo,acgwo,pso",
               help="Comma-separated algorithm ids.")
-@click.option("--runs", type=click.IntRange(min=1), default=10, show_default=True,
-              help="Independent runs per cell.")
-@click.option("--agents", type=click.IntRange(min=3), default=40, show_default=True,
+@click.option("--runs", type=click.IntRange(min=1), default=10, help="Independent runs per cell.")
+@click.option("--agents", type=click.IntRange(min=3), default=40,
               help="Swarm size for benchmark sweeps.")
-@click.option("--iters", type=click.IntRange(min=1), default=500, show_default=True,
-              help="Iterations per run.")
-@click.option("--inertia", default=_INERTIA_DEFAULT, show_default=True,
-              help="Inertia curve a,b,c,d.")
-@click.option("--leader", default=_LEADER_DEFAULT, show_default=True,
-              help="Leader weight curve a,b,c,d.")
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+@click.option("--iters", type=click.IntRange(min=1), default=500, help="Iterations per run.")
+@_inertia_option
+@_leader_option
+@click.option("--workers", type=click.IntRange(min=1), default=1,
               help="Process pool size for cell runs.")
-@click.option("--out", default=DEFAULT_OUT, show_default=True,
+@click.option("--out", type=_output("table.csv", subdir="convergence"), default=Path(DEFAULT_OUT),
               help="Output directory.")
 @_seed_option
 @_config_option
@@ -171,22 +227,16 @@ def cmd_bench(ctx, **_kwargs):
     """Sweep algorithms over benchmark functions and export statistics."""
     p = _resolve(ctx, "bench")
     out = Path(p["out"])
-    _check_output("--out", out, "table.csv")
-    _check_output("--out", out / "convergence")
-    algorithms = _parse_id_list(p["algs"], "--algs")
-    inertia = _parse_curve(p["inertia"], "--inertia")
-    leader = _parse_curve(p["leader"], "--leader")
-    optimizer.check_curves(algorithms, inertia, leader, ("--inertia", "--leader"))
     plan = harness.ExperimentPlan(
-        algorithms=algorithms,
-        functions=_parse_id_list(p["functions"], "--functions"),
-        dims=_parse_int_list(p["dims"], "--dims"),
+        algorithms=p["algs"],
+        functions=p["functions"],
+        dims=p["dims"],
         n_runs=p["runs"],
         base_seed=p["seed"],
         n_agents=p["agents"],
         max_iter=p["iters"],
-        inertia=inertia,
-        leader=leader,
+        inertia=p["inertia"],
+        leader=p["leader"],
     )
     result = harness.run_plan(plan, workers=p["workers"])
     harness.export_table(result.rows, out / "table.csv")
@@ -196,13 +246,11 @@ def cmd_bench(ctx, **_kwargs):
 
 
 @cli.command("curves")
-@click.option("--iters", type=click.IntRange(min=1), default=1000, show_default=True,
+@click.option("--iters", type=click.IntRange(min=1), default=1000,
               help="Schedule horizon; rows cover 0..iters inclusive.")
-@click.option("--inertia", default=_INERTIA_DEFAULT, show_default=True,
-              help="Inertia curve a,b,c,d.")
-@click.option("--leader", default=_LEADER_DEFAULT, show_default=True,
-              help="Leader weight curve a,b,c,d.")
-@click.option("--out", default=f"{DEFAULT_OUT}/curves.csv", show_default=True,
+@_inertia_option
+@_leader_option
+@click.option("--out", type=_output(), default=Path(DEFAULT_OUT, "curves.csv"),
               help="Output CSV path.")
 @_config_option
 @click.pass_context
@@ -210,15 +258,11 @@ def cmd_curves(ctx, **_kwargs):
     """Dump the control, inertia and unit-ratio leader weight schedules."""
     p = _resolve(ctx, "curves")
     iters = p["iters"]
-    inertia = _parse_curve(p["inertia"], "--inertia")
-    leader = _parse_curve(p["leader"], "--leader")
-    out = Path(p["out"])
-    _check_output("--out", out.parent, out.name)
-    fi_unit = curves.leader_weight(1.0, 1.0, leader)
+    fi_unit = curves.leader_weight(1.0, 1.0, p["leader"])
     lines = ["iter,wa,ww,fi_unit"]
     for it in range(iters + 1):
         wa = optimizer.control_wa(it, iters)
-        ww = curves.cauchy_inertia(it, iters, inertia)
+        ww = curves.cauchy_inertia(it, iters, p["inertia"])
         lines.append(f"{it},{wa!r},{ww!r},{fi_unit!r}")
     write_text_atomic(p["out"], "\n".join(lines) + "\n")
     click.echo(f"wrote {p['out']} ({iters + 1} rows)")
@@ -234,30 +278,26 @@ def _print_report(label, report):
 
 
 @cli.command("train")
-@click.option("--data", default=DEFAULT_DATA, show_default=True,
-              help="Input CSV table.")
-@click.option("--mode", type=click.Choice(list(mlp.MODES)),
-              default="acgwo-bp", show_default=True,
+@_data_option
+@click.option("--mode", type=click.Choice(list(mlp.MODES)), default="acgwo-bp",
               help="Training mode; acgwo-bp is the hybrid.")
-@click.option("--hidden", default="16", show_default=True,
+@click.option("--hidden", default="16",
+              type=_Parsed("N,N,...", lambda text: _sizes(text) if text.strip() else ()),
               help="Comma-separated hidden layer sizes; empty for none.")
-@click.option("--bounds", default="-5.0,5.0", show_default=True,
+@click.option("--bounds", type=_Parsed("LO,HI", _bounds), default="-5.0,5.0",
               help="Search bounds lo,hi for the swarm phase.")
-@click.option("--swarm", type=click.IntRange(min=3), default=100, show_default=True,
+@click.option("--swarm", type=click.IntRange(min=3), default=100,
               help="Swarm size for the search phase.")
-@click.option("--iters", type=click.IntRange(min=1), default=1000, show_default=True,
-              help="Swarm iterations.")
-@click.option("--bp-epochs", type=click.IntRange(min=0), default=100, show_default=True,
+@click.option("--iters", type=click.IntRange(min=1), default=1000, help="Swarm iterations.")
+@click.option("--bp-epochs", type=click.IntRange(min=0), default=100,
               help="Full-batch gradient steps.")
-@click.option("--learning-rate", type=float, default=0.1, show_default=True,
+@click.option("--learning-rate", type=_checked(mlp.check_learning_rate), default="0.1",
               help="Gradient step size.")
-@click.option("--threshold", type=float, default=0.5, show_default=True,
+@click.option("--threshold", type=_UNIT, default="0.5",
               help="Decision threshold on the predicted probability.")
-@click.option("--train-fraction", type=float, default=0.70, show_default=True,
-              help="Stratified train share.")
-@click.option("--impute/--drop-missing", default=False, show_default=True,
-              help="Mode-impute missing cells instead of dropping rows.")
-@click.option("--out", default=DEFAULT_OUT, show_default=True,
+@click.option("--train-fraction", type=_UNIT, default="0.7", help="Stratified train share.")
+@_impute_option
+@click.option("--out", type=_output("model.json", "train_report.json"), default=Path(DEFAULT_OUT),
               help="Output directory for model.json and train_report.json.")
 @_seed_option
 @_config_option
@@ -267,32 +307,11 @@ def cmd_train(ctx, **_kwargs):
     p = _resolve(ctx, "train")
     seed = p["seed"]
     threshold = p["threshold"]
-    metrics.check_unit_interval(threshold, "--threshold", ConfigError)
-    try:
-        lo, hi = (float(v) for v in p["bounds"].split(","))
-    except ValueError:
-        raise ConfigError(f"--bounds expects two numbers lo,hi, got {p['bounds']!r}") from None
-    try:
-        optimizer.SearchSpace(1, lo, hi)
-    except ConfigError as exc:
-        raise ConfigError(f"--bounds {p['bounds']!r}: {exc}") from None
-    bounds = (lo, hi)
-    learning_rate = p["learning_rate"]
-    mlp.check_learning_rate(learning_rate, "--learning-rate")
-    hidden = ()
-    if p["hidden"].strip():
-        hidden = _parse_int_list(p["hidden"], "--hidden")
-    try:
-        arch = mlp.MlpArchitecture((len(dataprep.FEATURE_NAMES),) + hidden + (1,))
-    except ConfigError as exc:
-        raise ConfigError(f"--hidden {p['hidden']!r}: {exc}") from None
-    train_fraction = p["train_fraction"]
-    impute = p["impute"]
+    arch = mlp.MlpArchitecture((len(dataprep.FEATURE_NAMES),) + p["hidden"] + (1,))
     out = Path(p["out"])
-    _check_output("--out", out, "model.json", "train_report.json")
     split_seed = derive_seed(seed, "split")
-    ds = dataprep.clean(dataprep.load_table(p["data"]), impute=impute)
-    train, test = dataprep.stratified_split(ds, train_fraction, split_seed)
+    ds = dataprep.clean(dataprep.load_table(p["data"]), impute=p["impute"])
+    train, test = dataprep.stratified_split(ds, p["train_fraction"], split_seed)
     stats = dataprep.fit_standardizer(train.X, train.feature_names)
     x_train = dataprep.apply_standardizer(stats, train.X)
     x_test = dataprep.apply_standardizer(stats, test.X)
@@ -304,8 +323,8 @@ def cmd_train(ctx, **_kwargs):
                                     max_iter=p["iters"], seed=derive_seed(seed, "swarm"))
     bp_epochs = p["bp_epochs"]
     params, loss_history = mlp.train(
-        arch, x_train, train.y, swarm, bounds, 0 if mode == "acgwo" else bp_epochs,
-        learning_rate, derive_seed(seed, "init"))
+        arch, x_train, train.y, swarm, p["bounds"], 0 if mode == "acgwo" else bp_epochs,
+        p["learning_rate"], derive_seed(seed, "init"))
 
     model = mlp.TrainedModel(
         layer_sizes=arch.layer_sizes,
@@ -314,8 +333,8 @@ def cmd_train(ctx, **_kwargs):
         scaler_std=stats.std,
         threshold=threshold,
         split_seed=split_seed,
-        train_fraction=train_fraction,
-        impute=impute,
+        train_fraction=p["train_fraction"],
+        impute=p["impute"],
         mode=mode,
     )
     write_text_atomic(out / "model.json", mlp.model_to_json(model))
@@ -328,14 +347,14 @@ def cmd_train(ctx, **_kwargs):
         "mode": mode,
         "seed": seed,
         "layer_sizes": list(arch.layer_sizes),
-        "bounds": list(bounds),
+        "bounds": list(p["bounds"]),
         "swarm": p["swarm"],
         "iters": p["iters"],
         "bp_epochs": bp_epochs,
-        "learning_rate": learning_rate,
+        "learning_rate": p["learning_rate"],
         "threshold": threshold,
-        "train_fraction": train_fraction,
-        "impute": impute,
+        "train_fraction": p["train_fraction"],
+        "impute": p["impute"],
         "one_hot": False,  # pinned by the seed-0 witness digests of train_report.json
         "loss_history": [float(v) for v in loss_history],
         "final_train_loss": mlp.bce_loss(arch, params, x_train, train.y),
@@ -351,10 +370,9 @@ def cmd_train(ctx, **_kwargs):
 
 @cli.command("eval")
 @click.option("--model", "model_path", default=f"{DEFAULT_OUT}/model.json",
-              show_default=True, help="Trained model file.")
-@click.option("--data", default=DEFAULT_DATA, show_default=True,
-              help="Input CSV table.")
-@click.option("--out", default=DEFAULT_OUT, show_default=True,
+              help="Trained model file.")
+@_data_option
+@click.option("--out", type=_output("eval.json", "eval.csv"), default=Path(DEFAULT_OUT),
               help="Output directory for eval.json and eval.csv.")
 @_config_option
 @click.pass_context
@@ -362,7 +380,6 @@ def cmd_eval(ctx, **_kwargs):
     """Evaluate a saved model on its held-out split."""
     p = _resolve(ctx, "eval")
     out = Path(p["out"])
-    _check_output("--out", out, "eval.json", "eval.csv")
     try:
         text = Path(p["model_path"]).read_text()
     except OSError as exc:
@@ -392,22 +409,17 @@ def cmd_eval(ctx, **_kwargs):
 
 
 @cli.command("eda")
-@click.option("--data", default=DEFAULT_DATA, show_default=True,
-              help="Input CSV table.")
-@click.option("--impute/--drop-missing", default=False, show_default=True,
-              help="Mode-impute missing cells instead of dropping rows.")
-@click.option("--out", default=f"{DEFAULT_OUT}/corr.csv", show_default=True,
+@_data_option
+@_impute_option
+@click.option("--out", type=_output(), default=Path(DEFAULT_OUT, "corr.csv"),
               help="Correlation matrix output path.")
-@click.option("--clean-out", default="data/clean.csv", show_default=True,
+@click.option("--clean-out", type=_output(), default=Path("data", "clean.csv"),
               help="Cleaned dataset echo path.")
 @_config_option
 @click.pass_context
 def cmd_eda(ctx, **_kwargs):
     """Echo the cleaned table and export the labeled correlation matrix."""
     p = _resolve(ctx, "eda")
-    for flag, key in (("--out", "out"), ("--clean-out", "clean_out")):
-        path = Path(p[key])
-        _check_output(flag, path.parent, path.name)
     raw = dataprep.load_table(p["data"])
     ds = dataprep.clean(raw, impute=p["impute"])
 

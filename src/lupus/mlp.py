@@ -215,10 +215,10 @@ def init_params(arch: MlpArchitecture, seed: int) -> np.ndarray:
     return flatten(layers)
 
 
-def check_learning_rate(learning_rate: float, name: str = "learning_rate") -> None:
+def check_learning_rate(learning_rate: float) -> None:
     """Reject a gradient step size that is not finite and positive."""
     if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise ConfigError(f"{name} must be finite and > 0, got {learning_rate}")
+        raise ConfigError(f"learning_rate must be finite and > 0, got {learning_rate}")
 
 
 def train(arch: MlpArchitecture, X, y, swarm: Optional[GwoConfig],

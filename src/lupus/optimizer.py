@@ -19,7 +19,7 @@ leader at a time; its rounding is that of the whole-array formulas.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
@@ -88,30 +88,17 @@ class GwoConfig:
             raise ConfigError(f"n_agents must be >= 3, got {self.n_agents}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        check_curves((self.variant,), self.inertia, self.leader)
-
-
-def check_curves(variants, inertia: CurveParams, leader: CurveParams,
-                 names=("inertia", "leader")) -> None:
-    """Reject the curves that one of ``variants`` cannot run with.
-
-    The curve variants divide by the inertia curve's value at iteration 0,
-    which must not be 0; the adaptive variants need every leader weight > 0.
-    A variant that does not read a curve accepts any. ``names`` label the two
-    curves in the error.
-    """
-    if any(v in _CURVE_VARIANTS for v in variants) and \
-            curves.cauchy_inertia(0, 1, inertia) == 0:
-        raise ConfigError(f"{names[0]} curve is 0 at iteration 0; cannot normalize")
-    if not any(v in _ADAPTIVE_VARIANTS for v in variants):
-        return
-    floor = curves.leader_weight_floor(leader)
-    if not floor > 0:
-        raise ConfigError(
-            f"{names[1]} curve a,b,c,d = {leader.a!r},{leader.b!r},{leader.c!r},{leader.d!r} "
-            f"lets leader weights fall to {floor:.6g}, its lower bound d - c/(pi*a) "
-            f"(d when c <= 0); the bound must be > 0"
-        )
+        # The curve variants divide by the inertia curve's value at iteration 0;
+        # the adaptive variants need every leader weight > 0.
+        if self.variant in _CURVE_VARIANTS and curves.cauchy_inertia(0, 1, self.inertia) == 0:
+            raise ConfigError("inertia curve is 0 at iteration 0; cannot normalize")
+        if self.variant in _ADAPTIVE_VARIANTS and \
+                not (floor := curves.leader_weight_floor(self.leader)) > 0:
+            raise ConfigError(
+                f"leader curve a,b,c,d = {','.join(map(repr, astuple(self.leader)))} "
+                f"lets leader weights fall to {floor:.6g}, its lower bound d - c/(pi*a) "
+                f"(d when c <= 0); the bound must be > 0"
+            )
 
 
 @dataclass

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import shutil
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lupus import cli, dataprep, mlp
 from lupus.cli import main
+from lupus.errors import DataError
 
 BENCH_SMALL = ["bench", "--functions", "f1", "--dims", "4", "--algs", "gwo,acgwo",
                "--runs", "2", "--agents", "5", "--iters", "15", "--seed", "42"]
@@ -93,14 +96,14 @@ class TestOutputLocation:
         Path("adir/table.csv").mkdir(parents=True)
 
     @pytest.mark.parametrize("args,named", [
-        (["bench", "--out", "afile"], "--out 'afile'"),
-        (["bench", "--out", "adir"], "--out 'adir/table.csv'"),
-        (["train", "--out", "afile"], "--out 'afile'"),
-        (["curves", "--out", "adir"], "--out 'adir'"),
-        (["curves", "--out", "afile/x.csv"], "--out 'afile'"),
-        (["eval", "--out", "afile"], "--out 'afile'"),
-        (["eda", "--out", "afile/corr.csv"], "--out 'afile'"),
-        (["eda", "--clean-out", "adir/table.csv"], "--clean-out 'adir/table.csv'"),
+        (["bench", "--out", "afile"], "'--out': 'afile'"),
+        (["bench", "--out", "adir"], "'--out': 'adir/table.csv'"),
+        (["train", "--out", "afile"], "'--out': 'afile'"),
+        (["curves", "--out", "adir"], "'--out': 'adir'"),
+        (["curves", "--out", "afile/x.csv"], "'--out': 'afile'"),
+        (["eval", "--out", "afile"], "'--out': 'afile'"),
+        (["eda", "--out", "afile/corr.csv"], "'--out': 'afile'"),
+        (["eda", "--clean-out", "adir/table.csv"], "'--clean-out': 'adir/table.csv'"),
     ], ids=["bench-file", "bench-table-dir", "train-file", "curves-dir", "curves-under-file",
             "eval-file", "eda-under-file", "eda-clean-dir"])
     def test_exit_one_before_work(self, blocked, capsys, args, named):
@@ -176,7 +179,7 @@ class TestBenchCommand:
                         "--leader", leader]) == code
         if code:
             err = capsys.readouterr().err
-            assert "--leader" in err and "d - c/(pi*a)" in err
+            assert "leader curve a,b,c,d" in err and "d - c/(pi*a)" in err
             assert not Path("results").exists()
 
     def test_seed_changes_results(self, workdir):
@@ -205,7 +208,7 @@ class TestBenchCommand:
     @pytest.mark.parametrize("args,named", [
         (["--algs", "pso,gwo", "--agents", "2"], "--agents"),
         (["--algs", "pso,cgwo", "--inertia", f"1,0,{math.pi!r},-1"],
-         "--inertia curve is 0"),
+         "inertia curve is 0"),
     ], ids=["gwo-agents", "cgwo-inertia-zero-at-start"])
     def test_every_algorithm_checked_before_any_run(self, workdir, monkeypatch, capsys,
                                                     args, named):
@@ -251,15 +254,70 @@ class TestConfigFile:
         pytest.param([a for a in TRAIN_SMALL if a not in ("--learning-rate", "0.1")],
                      {"train": {"learning_rate": True}}, ["train.learning_rate", "true"],
                      id="float-bool"),
+        # Values that a check in the command body used to report under a flag
+        # that was never typed.
+        pytest.param([a for a in TRAIN_SMALL if a not in ("--learning-rate", "0.1")],
+                     {"train": {"learning_rate": 0}},
+                     ["config file cfg.json: train.learning_rate", "got 0.0"], id="learning-rate"),
+        pytest.param(TRAIN_SMALL, {"train": {"bounds": "5,-5"}},
+                     ["config file cfg.json: train.bounds", "[5.0, -5.0]"], id="bounds-order"),
+        pytest.param(TRAIN_SMALL, {"train": {"bounds": "a,b"}},
+                     ["config file cfg.json: train.bounds", "'a'"], id="bounds-text"),
+        pytest.param(TRAIN_SMALL, {"train": {"threshold": 1.5}},
+                     ["config file cfg.json: train.threshold", "1.5"], id="threshold"),
+        pytest.param(TRAIN_SMALL, {"train": {"hidden": "16,0"}},
+                     ["config file cfg.json: train.hidden", "'16,0'"], id="hidden"),
+        pytest.param(["bench"], {"bench": {"dims": "x"}},
+                     ["config file cfg.json: bench.dims", "'x'"], id="dims"),
+        pytest.param(["bench"], {"bench": {"algs": ""}},
+                     ["config file cfg.json: bench.algs", "''"], id="algs-empty"),
+        pytest.param(["bench"], {"bench": {"inertia": "1,nan,2,1.7"}},
+                     ["config file cfg.json: bench.inertia", "must be finite"], id="inertia"),
+        pytest.param(["bench"], {"bench": {"out": "afile"}},
+                     ["config file cfg.json: bench.out", "'afile': not a directory"],
+                     id="out-file"),
+        pytest.param(["eda"], {"eda": {"clean_out": "adir"}},
+                     ["config file cfg.json: eda.clean_out", "'adir': is a directory"],
+                     id="clean-out-dir"),
+        # No path can hold a NUL character; open() raised ValueError (exit 3).
+        pytest.param(["eda"], {"eda": {"out": "a\0b"}},
+                     ["config file cfg.json: eda.out", "NUL"], id="out-nul"),
+        pytest.param(TRAIN_SMALL, {"train": {"data": "a\0b"}},
+                     ["config file cfg.json: train.data", "NUL"], id="data-nul"),
     ])
     def test_bad_value_or_key_exit_one(self, workdir, capsys, args, config, named):
+        Path("afile").write_text("x")
+        Path("adir").mkdir()
         Path("cfg.json").write_text(json.dumps(config))
         assert run_cli(args + ["--config", "cfg.json"]) == 1
         err = capsys.readouterr().err
-        assert "cfg.json" in err
+        assert "cfg.json" in err and "--" not in err
         for text in named:
             assert text in err
         assert not Path("results").exists()
+
+    def test_curves_checked_against_algorithms_name_the_curve(self, workdir, capsys):
+        # Whether a leader curve is valid depends on --algs too, so the
+        # message names the curve rather than one flag or key.
+        Path("cfg.json").write_text(json.dumps({"bench": {"algs": "agwo",
+                                                          "leader": "1,0,10,0"}}))
+        assert run_cli(["bench", "--config", "cfg.json"]) == 1
+        err = capsys.readouterr().err
+        assert "leader curve a,b,c,d = 1.0,0.0,10.0,0.0" in err and "--" not in err
+        assert not Path("results").exists()
+
+    def test_number_beyond_int_limit_exit_one(self, workdir, capsys):
+        # json.loads raised a ValueError that is no JSONDecodeError (exit 3).
+        Path("cfg.json").write_text('{"seed": ' + "1" * 5000 + "}")
+        assert run_cli(["curves", "--config", "cfg.json"]) == 1
+        assert "cfg.json" in capsys.readouterr().err
+
+    def test_config_output_replaces_blocked_default(self, workdir):
+        # The default location is a file, but the config file moves the output.
+        Path("results").write_text("x")
+        Path("cfg.json").write_text(json.dumps({"curves": {"out": "elsewhere/c.csv"}}))
+        assert run_cli(["curves", "--iters", "3", "--config", "cfg.json"]) == 0
+        assert len(Path("elsewhere/c.csv").read_text().splitlines()) == 5
 
     def test_nesting_too_deep_exit_one(self, workdir, capsys):
         Path("cfg.json").write_text('{"seed": ' + "[" * 100000 + "]" * 100000 + "}")
@@ -601,6 +659,74 @@ class TestEvalNeverInternalError:
             # eval accepted the file, so it read every field as written.
             model = mlp.model_from_json(json.dumps(edited))
             assert json.loads(mlp.model_to_json(model)) == edited
+
+
+def _stub_work(*_args, **_kwargs):
+    raise DataError("work reached")
+
+
+_COMMAND_KEYS = {name: [p.name for p in command.params if p.name != "config"]
+                 for name, command in cli.cli.commands.items()}
+# Flags that keep bench's cross-parameter checks (a function's least dim, the
+# curves that an algorithm reads) passing for any one value of any other key.
+_BENCH_FLAGS = {"functions": "f1", "algs": "gwo"}
+_ANY_KEY = sorted({k for keys in _COMMAND_KEYS.values() for k in keys} | {"config", "unknown_key"})
+
+
+@st.composite
+def _config_files(draw):
+    """A subcommand and its config file: section keys of its own, of another
+    command or of none, any JSON values, and top-level keys."""
+    command = draw(st.sampled_from(sorted(_COMMAND_KEYS)))
+    keys = st.sampled_from(_COMMAND_KEYS[command]) | st.sampled_from(_ANY_KEY)
+    section = draw(st.dictionaries(keys, _json_values, max_size=2))
+    top = draw(st.dictionaries(st.sampled_from(["seed", "bench", "train", "bnech"]),
+                               _json_values, max_size=1))
+    return command, section, top
+
+
+class TestConfigNeverInternalError:
+    """Any config file exits 1 or 2, never 3; an exit 1 names the file and
+    the key at fault. Valid values reach stubs for the work, which exit 2."""
+
+    @given(config=_config_files())
+    # Values that a check in the command body reported under a flag.
+    @example(config=("train", {"learning_rate": 0}, {}))
+    @example(config=("train", {"bounds": "5,-5"}, {}))
+    @example(config=("train", {"threshold": 1.5}, {}))
+    @example(config=("train", {"hidden": "16,0"}, {}))
+    @example(config=("bench", {"dims": "x"}, {}))
+    @example(config=("bench", {"algs": ""}, {}))
+    @example(config=("bench", {"inertia": "1,nan,2,1.7"}, {}))
+    @example(config=("bench", {"out": "afile"}, {}))
+    @example(config=("eda", {"clean_out": "."}, {}))
+    # A NUL character, which no path can hold.
+    @example(config=("eda", {"out": "a\0b"}, {}))
+    @example(config=("eval", {"model_path": "a\0b"}, {}))
+    @example(config=("curves", {"iters": 3}, {"seed": math.nan}))
+    def test_exit_one_names_file_and_key(self, tmp_path_factory, config):
+        command, section, top = config
+        root = tmp_path_factory.mktemp("config")
+        (root / "afile").write_text("x")
+        (root / "cfg.json").write_text(json.dumps({**top, command: section}))
+        flags = _BENCH_FLAGS if command == "bench" else {}
+        args = [command, "--config", "cfg.json"]
+        for key, value in flags.items():
+            if key not in section:
+                args += [f"--{key}", value]
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+            mp.chdir(root)
+            for module, name in ((cli.harness, "run_plan"), (cli.dataprep, "load_table"),
+                                 (cli.optimizer, "control_wa")):
+                mp.setattr(module, name, _stub_work)
+            code = run_cli(args)
+        assert code in (1, 2)
+        if code == 1:
+            at_fault = ["seed: ", "unknown top-level key", "has unknown key"]
+            at_fault += [f"{command}.{key}: " for key in section]
+            assert err.getvalue().startswith("error: config file cfg.json: ")
+            assert any(label in err.getvalue() for label in at_fault)
 
 
 class TestEvalCommand:
