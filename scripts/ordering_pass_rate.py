@@ -15,13 +15,14 @@ import sys
 from lupus import harness
 
 
-def check_base(base_seed):
+def check_base(base_seed, n_runs=10, n_agents=40, max_iter=500):
     plan = harness.ExperimentPlan(
         algorithms=("gwo", "cgwo", "agwo", "acgwo", "pso"),
         functions=("f1", "f6"), dims=(30,),
-        n_runs=10, base_seed=base_seed, n_agents=40, max_iter=500,
+        n_runs=n_runs, base_seed=base_seed, n_agents=n_agents, max_iter=max_iter,
     )
-    means = {(r.algorithm, r.function): r.mean for r in harness.run_plan(plan).rows}
+    finals = harness.cell_finals(harness.run_plan(plan))
+    means = {(alg, fn): x.mean() for (alg, fn, _), x in finals.items()}
     return all(
         means[("acgwo", fn)] <= means[("cgwo", fn)]
         and means[("agwo", fn)] <= means[("gwo", fn)]

@@ -1,4 +1,4 @@
-"""Benchmark objectives: six box-bounded test functions plus one extra.
+"""Benchmark objectives: six box-bounded test functions.
 
 All are minimization problems with optimum value 0. Each has the optimizer's
 objective signature ``f(X, rng)``: it reduces over the last axis of an
@@ -9,7 +9,6 @@ row order, from the passed RNG stream so runs stay reproducible. The others
 ignore ``rng``.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,10 +66,6 @@ def schaffer(x, rng):
     )
 
 
-def rastrigin(x, rng):
-    return 10.0 * x.shape[-1] + (x ** 2 - 10.0 * np.cos(2.0 * math.pi * x)).sum(axis=-1)
-
-
 @dataclass(frozen=True)
 class BenchmarkFn:
     """A named objective searched over ``[lower, upper]`` in every coordinate.
@@ -99,8 +94,6 @@ REGISTRY = {
                     min_dim=ROSENBROCK_MIN_DIM),
         BenchmarkFn("f5", "Quadric Noise", quadric_noise, -1.28, 1.28),
         BenchmarkFn("f6", "Schaffer", schaffer, -100.0, 100.0),
-        # Side registration: dimension-scalable Rastrigin for experiments.
-        BenchmarkFn("f5r", "Rastrigin", rastrigin, -5.12, 5.12),
     )
 }
 

@@ -60,19 +60,22 @@ class _Parsed(click.ParamType):
 def _ids(known):
     def parse(text):
         items = tuple(p.strip() for p in text.split(",") if p.strip())
-        if not items or any(item not in known for item in items):
-            raise ConfigError(f"{text!r}: expects comma-separated ids of {', '.join(known)}")
+        if not items or len(set(items)) < len(items) or any(i not in known for i in items):
+            raise ConfigError(f"{text!r}: expects distinct comma-separated ids of "
+                              f"{', '.join(known)}")
         return items
     return _Parsed("ID,ID,...", parse)
 
 
-def _sizes(text):
+def _sizes(text, distinct=False):
     try:
         sizes = tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
         sizes = ()
     if not sizes or min(sizes) < 1:
         raise ConfigError(f"expects comma-separated positive integers, got {text!r}")
+    if distinct and len(set(sizes)) < len(sizes):
+        raise ConfigError(f"expects distinct values, got {text!r}")
     return sizes
 
 
@@ -206,7 +209,7 @@ def cli():
 @cli.command("bench")
 @click.option("--functions", type=_ids(benchfns.REGISTRY), default="f1,f2,f3,f4,f5,f6",
               help="Comma-separated benchmark ids.")
-@click.option("--dims", type=_Parsed("N,N,...", _sizes), default="30",
+@click.option("--dims", type=_Parsed("N,N,...", lambda text: _sizes(text, True)), default="30",
               help="Comma-separated dimensions.")
 @click.option("--algs", type=_ids(harness.ALGORITHMS), default="gwo,cgwo,agwo,acgwo,pso",
               help="Comma-separated algorithm ids.")
@@ -238,11 +241,11 @@ def cmd_bench(ctx, **_kwargs):
         inertia=p["inertia"],
         leader=p["leader"],
     )
-    result = harness.run_plan(plan, workers=p["workers"])
-    harness.export_table(result.rows, out / "table.csv")
-    harness.export_convergence(result.histories, out / "convergence")
-    click.echo(f"wrote {out / 'table.csv'} ({len(result.rows)} rows) and "
-               f"{len(result.histories)} convergence series")
+    histories = harness.run_plan(plan, workers=p["workers"])
+    harness.export_table(histories, out / "table.csv")
+    harness.export_convergence(histories, out / "convergence")
+    click.echo(f"wrote {out / 'table.csv'} ({len(harness.cell_finals(histories))} rows) and "
+               f"{len(histories)} convergence series")
 
 
 @cli.command("curves")

@@ -3,12 +3,18 @@
 Every cell-run gets its own seed derived from the plan's base seed and the
 cell labels, so cells are mutually independent: removing one never changes
 another's results, and any scheduling order yields identical output.
+
+:func:`run_plan` returns the per-iteration history of every cell-run;
+:func:`export_table` computes the result table from each cell's final scores,
+which :func:`cell_finals` gives in run order.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
+from itertools import product, repeat
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -22,6 +28,7 @@ GWO_ALGORITHMS = optimizer.VARIANTS
 ALGORITHMS = GWO_ALGORITHMS + ("pso",)
 
 CellKey = Tuple[str, str, int, int]  # (algorithm, function, dim, run)
+Cell = Tuple[str, str, int]  # (algorithm, function, dim)
 
 
 @dataclass(frozen=True)
@@ -47,6 +54,10 @@ class ExperimentPlan:
                 )
         if not self.algorithms or not self.functions or not self.dims:
             raise ConfigError("plan needs at least one algorithm, function and dim")
+        for name in ("algorithms", "functions", "dims"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat an entry, got {values}")
         if any(d < 1 for d in self.dims):
             raise ConfigError(f"dims must be positive, got {self.dims}")
         for fn_id in self.functions:
@@ -74,27 +85,6 @@ class ExperimentPlan:
         )
 
 
-@dataclass(frozen=True)
-class StatRow:
-    """Aggregate of one (algorithm, function, dim) cell.
-
-    ``std`` uses the population formula (divisor n_runs).
-    """
-
-    algorithm: str
-    function: str
-    dim: int
-    mean: float
-    std: float
-    n_runs: int
-
-
-@dataclass
-class PlanResult:
-    rows: List[StatRow]
-    histories: Dict[CellKey, np.ndarray] = field(default_factory=dict)
-
-
 def run_single(plan: ExperimentPlan, algorithm: str, fn_id: str, dim: int,
                run_index: int) -> np.ndarray:
     """One seeded cell-run; returns the per-iteration best-score history."""
@@ -106,60 +96,32 @@ def run_single(plan: ExperimentPlan, algorithm: str, fn_id: str, dim: int,
     return run(bf, space, cfg).history
 
 
-def _pool_task(args):
-    plan, key = args
-    return key, run_single(plan, *key)
+def run_plan(plan: ExperimentPlan, workers: int = 1) -> Dict[CellKey, np.ndarray]:
+    """Execute every cell-run, on ``workers`` processes when more than one;
+    returns each cell-run's history under its key, in plan order."""
+    keys = list(product(plan.algorithms, plan.functions, plan.dims, range(plan.n_runs)))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        mapper = pool.map if pool else map
+        return dict(zip(keys, mapper(run_single, repeat(plan), *zip(*keys))))
 
 
-def run_plan(plan: ExperimentPlan, workers: int = 1) -> PlanResult:
-    """Execute every cell-run and aggregate mean/std of the final scores."""
-    keys = [
-        (alg, fn_id, dim, r)
-        for alg in plan.algorithms
-        for fn_id in plan.functions
-        for dim in plan.dims
-        for r in range(plan.n_runs)
-    ]
-    histories: Dict[CellKey, np.ndarray] = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, history in pool.map(_pool_task, [(plan, k) for k in keys]):
-                histories[key] = history
-    else:
-        for key in keys:
-            histories[key] = run_single(plan, *key)
-
-    rows = []
-    for alg in plan.algorithms:
-        for fn_id in plan.functions:
-            for dim in plan.dims:
-                finals = np.array([
-                    histories[(alg, fn_id, dim, r)][-1] for r in range(plan.n_runs)
-                ])
-                rows.append(StatRow(
-                    algorithm=alg, function=fn_id, dim=dim,
-                    mean=float(finals.mean()), std=float(finals.std()),
-                    n_runs=plan.n_runs,
-                ))
-    return PlanResult(rows=rows, histories=histories)
+def cell_finals(histories: Dict[CellKey, np.ndarray]) -> Dict[Cell, np.ndarray]:
+    """Each (algorithm, function, dim) cell's final scores, in run order."""
+    finals: Dict[Cell, list] = {}
+    for key in sorted(histories, key=lambda k: k[3]):
+        finals.setdefault(key[:3], []).append(histories[key][-1])
+    return {cell: np.array(values) for cell, values in finals.items()}
 
 
-def format_scientific(value: float) -> str:
-    """Two-digit mantissa scientific notation, e.g. 749.3 -> '7.49E+02'."""
-    return f"{value:.2E}"
-
-
-def export_table(rows, path) -> None:
-    """Write the aggregate table as CSV with scientific-notation statistics."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no rows to export")
+def export_table(histories: Dict[CellKey, np.ndarray], path) -> None:
+    """Write each cell's mean, population std (divisor = runs) and run count of
+    the final scores as CSV, in the published table's notation (749.3 -> 7.49E+02)."""
+    finals = cell_finals(histories)
+    if not finals:
+        raise ValueError("no histories to export")
     lines = ["algorithm,function,dim,mean,std,n_runs"]
-    for row in rows:
-        lines.append(
-            f"{row.algorithm},{row.function},{row.dim},"
-            f"{format_scientific(row.mean)},{format_scientific(row.std)},{row.n_runs}"
-        )
+    lines.extend(f"{alg},{fn_id},{dim},{x.mean():.2E},{x.std():.2E},{x.size}"
+                 for (alg, fn_id, dim), x in finals.items())
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

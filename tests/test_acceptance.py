@@ -42,9 +42,9 @@ class TestAcceptance:
             algorithms=("acgwo",), functions=("f1", "f2", "f3"), dims=(30,),
             n_runs=10, base_seed=BASE_SEED, n_agents=40, max_iter=500,
         )
-        rows = harness.run_plan(plan).rows
+        finals = harness.cell_finals(harness.run_plan(plan))
         elapsed = time.monotonic() - start
-        means = {row.function: row.mean for row in rows}
+        means = {fn: x.mean() for (_, fn, _), x in finals.items()}
         ok = all(means[f] <= 1e-10 for f in ("f1", "f2", "f3")) and elapsed < 60.0
         detail = ("means " + " ".join(f"{f}={means[f]:.2e}" for f in ("f1", "f2", "f3"))
                   + f", {elapsed:.1f}s")
@@ -56,8 +56,8 @@ class TestAcceptance:
             functions=("f1", "f6"), dims=(30,),
             n_runs=10, base_seed=BASE_SEED, n_agents=40, max_iter=500,
         )
-        result = harness.run_plan(plan)
-        means = {(r.algorithm, r.function): r.mean for r in result.rows}
+        finals = harness.cell_finals(harness.run_plan(plan))
+        means = {(alg, fn): x.mean() for (alg, fn, _), x in finals.items()}
         checks = []
         for fn in ("f1", "f6"):
             checks.append(means[("acgwo", fn)] <= means[("cgwo", fn)])

@@ -8,7 +8,6 @@ from lupus import benchfns
 from lupus.benchfns import (
     get_function,
     quadric_noise,
-    rastrigin,
     rosenbrock,
     schaffer,
     schwefel_p221,
@@ -156,12 +155,6 @@ class TestRegistry:
         for fn_id, row in expected.items():
             bf = get_function(fn_id)
             assert (bf.name, bf.lower, bf.upper) == row
-
-    def test_rastrigin_side_registration(self):
-        bf = get_function("f5r")
-        assert bf.lower == -5.12 and bf.upper == 5.12
-        assert _one(rastrigin, np.zeros(30)) == 0.0
-        assert _one(rastrigin, [1.0]) == pytest.approx(1.0)
 
     def test_unknown_id_names_it(self):
         with pytest.raises(ConfigError, match="f99"):

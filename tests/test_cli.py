@@ -226,6 +226,32 @@ class TestBenchCommand:
         assert "--workers" in capsys.readouterr().err
         assert not Path("results").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--functions", "f1,f1"), ("--algs", "gwo,acgwo,gwo"),
+                                            ("--dims", "4,3,4")])
+    def test_repeated_entry_exit_one(self, workdir, capsys, flag, value):
+        # A repeat ran its cells twice and wrote its table rows twice (exit 0).
+        assert run_cli(BENCH_SMALL + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and repr(value) in err
+        assert not Path("results").exists()
+
+    def test_worker_pool_writes_serial_bytes(self, workdir, capsys):
+        # f5 draws from each cell-run's stream, so a stream handed to the
+        # wrong cell-run shows in its bytes.
+        sweep = ["bench", "--functions", "f1,f4,f5", "--dims", "2,5", "--algs", "acgwo,pso",
+                 "--runs", "2", "--agents", "5", "--iters", "10"]
+        written = {}
+        for workers in ("1", "2"):
+            assert run_cli(sweep + ["--workers", workers, "--out", f"w{workers}"]) == 0
+            out = capsys.readouterr().out.replace(f"w{workers}", "OUT")
+            files = {p.relative_to(f"w{workers}"): p.read_bytes()
+                     for p in Path(f"w{workers}").rglob("*.csv")}
+            written[workers] = (out, files)
+        assert written["1"] == written["2"]
+        out, files = written["1"]
+        assert out.startswith("wrote OUT/table.csv (12 rows) and 24 convergence series")
+        assert len(files) == 25
+
 
 class TestConfigFile:
     """Config-file values pass the checks their flags pass, before any work."""
@@ -271,6 +297,11 @@ class TestConfigFile:
                      ["config file cfg.json: bench.dims", "'x'"], id="dims"),
         pytest.param(["bench"], {"bench": {"algs": ""}},
                      ["config file cfg.json: bench.algs", "''"], id="algs-empty"),
+        pytest.param(["bench"], {"bench": {"functions": "f1,f1"}},
+                     ["config file cfg.json: bench.functions", "'f1,f1'"],
+                     id="functions-repeated"),
+        pytest.param(["bench"], {"bench": {"dims": "4,4"}},
+                     ["config file cfg.json: bench.dims", "'4,4'"], id="dims-repeated"),
         pytest.param(["bench"], {"bench": {"inertia": "1,nan,2,1.7"}},
                      ["config file cfg.json: bench.inertia", "must be finite"], id="inertia"),
         pytest.param(["bench"], {"bench": {"out": "afile"}},
@@ -435,6 +466,12 @@ class TestTrainCommand:
         assert run_cli(TRAIN_SMALL + ["--train-fraction", fraction]) == 1
         assert "train_fraction" in capsys.readouterr().err
         assert not Path("results").exists()
+
+    def test_repeated_hidden_size_accepted(self, workdir):
+        # Unlike bench's --dims, two hidden layers may have one size.
+        assert run_cli(TRAIN_SMALL + ["--hidden", "4,4"]) == 0
+        model = json.loads(Path("results/model.json").read_text())
+        assert model["layer_sizes"] == [13, 4, 4, 1]
 
     def test_bad_option_message_names_flag(self, workdir, capsys):
         for flag, value in (("--bounds", "0,inf"), ("--learning-rate", "nan")):

@@ -1,5 +1,5 @@
-"""Smoke runs of the seed-search scripts at tiny sizes, so that a change to
-the library calls they make shows up here."""
+"""Smoke runs of the scripts at tiny sizes, so that a change to the library
+calls they make shows up here."""
 
 import importlib.util
 from pathlib import Path
@@ -29,3 +29,8 @@ def test_search_train_seed_evaluates_a_seed(heart_csv):
     report = _load("search_train_seed").evaluate_seed(ds, 0, swarm=5, iters=3, bp_epochs=2)
     assert 0.0 <= report.accuracy <= 1.0
     assert report.counts.tp + report.counts.tn + report.counts.fp + report.counts.fn == 89
+
+
+def test_ordering_pass_rate_checks_a_base():
+    passed = _load("ordering_pass_rate").check_base(42, n_runs=2, n_agents=5, max_iter=10)
+    assert isinstance(passed, bool)
