@@ -15,7 +15,8 @@ full position matrix agent-major; each iteration first evaluates objectives
 in agent-index order (any noise draws happen there), then draws movement
 coefficients per agent, per leader, per coordinate, r1 before r2. The
 movement, :func:`_move`, takes them as one block and works in place one
-leader at a time; its rounding is that of the whole-array formulas.
+leader at a time, forming ww*L once per leader; its rounding is that of the
+whole-array formulas. :func:`clamp` then trims that fresh array in place.
 """
 
 import math
@@ -141,9 +142,10 @@ def _move(positions, leaders, weights, wa: float, ww: float,
     """Every wolf's weighted mean of its three leader candidates, unclamped.
 
     Per leader L: A = 2*wa*r1 - wa, C = 2*r2, D = |C*L - X| and the candidate
-    is ww*L - A*D, computed in place on ``(n, dim)`` scratch arrays. The
-    weighted candidates are summed from zero in leader order, as
-    ``sum(axis=-2)`` does, then divided once by the weight sum.
+    is ww*L - A*D, in place on ``(n, dim)`` scratch arrays. ww*L is formed once
+    on the ``(dim,)`` leader; C*L is not refolded as r2*(2*L), which overflows
+    for |L| >= 2**1023. The weighted candidates are summed from zero in
+    leader order, as ``sum(axis=-2)`` does, then divided once by the weight sum.
     """
     total = weights.sum()
     if total <= 0:
@@ -159,17 +161,17 @@ def _move(positions, leaders, weights, wa: float, ww: float,
         d -= positions
         np.abs(d, out=d)
         a *= d
-        np.multiply(leader, ww, out=d)
-        d -= a
-        d *= weights[k]
+        np.subtract(ww * leader, a, out=d)
+        if weights[k] != 1.0:  # d * 1.0 is d, bit for bit
+            d *= weights[k]
         acc += d
     acc /= total
     return acc
 
 
 def clamp(pos, space: SearchSpace) -> np.ndarray:
-    """Trim positions to the box."""
-    return np.clip(pos, space.lower, space.upper)
+    """Trim positions to the box in place and return ``pos``, overwritten."""
+    return pos.clip(space.lower, space.upper, out=pos)
 
 
 def _evaluate(objective: Objective, positions: np.ndarray, rng) -> np.ndarray:
@@ -219,22 +221,20 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
     use_weights = cfg.variant in _ADAPTIVE_VARIANTS
     if use_curve:
         ww_scale = curves.cauchy_inertia(0, cfg.max_iter, cfg.inertia)
+    weights = np.ones(3)
 
     history = np.empty(cfg.max_iter)
     for it in range(cfg.max_iter):
         fitness = _evaluate(objective, positions, rng)
         _update_leaders(fitness, positions, scores, leaders)
 
-        # Population average before any position update.
-        f_avg = float(fitness.mean())
         wa = control_wa(it, cfg.max_iter)
         ww = 1.0
         if use_curve:
             ww = curves.cauchy_inertia(it, cfg.max_iter, cfg.inertia) / ww_scale
         if use_weights:
+            f_avg = float(fitness.sum()) / n  # as fitness.mean() rounds it
             weights = np.array([curves.leader_weight(s, f_avg, cfg.leader) for s in scores])
-        else:
-            weights = np.ones(3)
 
         positions = clamp(_move(positions, leaders, weights, wa, ww, rng), space)
         history[it] = scores[0]
@@ -270,8 +270,8 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
         fitness = _evaluate(objective, positions, rng)
 
         improved = fitness < pbest_f
-        pbest[improved] = positions[improved]
-        pbest_f[improved] = fitness[improved]
+        np.copyto(pbest, positions, where=improved[:, None])
+        np.copyto(pbest_f, fitness, where=improved)
         best = int(np.argmin(pbest_f))
         if pbest_f[best] < gbest_f:
             gbest_f = float(pbest_f[best])
@@ -286,7 +286,7 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
             np.subtract(best, positions, out=gap)
             pull *= gap
             velocities += pull
-        np.clip(velocities, -v_max, v_max, out=velocities)
+        velocities.clip(-v_max, v_max, out=velocities)
         positions = clamp(positions + velocities, space)
 
     return RunResult(

@@ -234,6 +234,24 @@ class TestMove:
                                        np.random.default_rng(5))
             assert np.array_equal(_bits(moved), _bits(expected))
 
+    def test_bit_identical_to_reference_above_2_pow_1023(self):
+        # 2*L overflows for these leaders, so a move that formed C*L as
+        # r2*(2*L) would turn finite candidates into inf; (2*r2)*L does not.
+        setup = np.random.default_rng(7)
+        positions = setup.uniform(0.0, 1.7e308, (40, 30))
+        leaders = [setup.uniform(2.0 ** 1023, 1.7e308, 30) for _ in range(3)]
+        finite = 0
+        for wa, ww, weights in ((1.7, 1.0, [1.0, 1.0, 1.0]), (0.3, 0.81, [0.3, 0.2, 0.3])):
+            weights = np.array(weights)
+            with np.errstate(over="ignore", invalid="ignore"):
+                moved = optimizer._move(positions, leaders, weights, wa, ww,
+                                        np.random.default_rng(5))
+                expected = _reference_move(positions, leaders, weights, wa, ww,
+                                           np.random.default_rng(5))
+            assert np.array_equal(_bits(moved), _bits(expected))
+            finite += np.isfinite(expected).sum()
+        assert finite > 0
+
     def test_sum_starts_from_zero(self):
         # Where all three candidates are -0.0, a sum that starts from +0.0, as
         # numpy's does, gives +0.0; one that starts from the first candidate
@@ -275,6 +293,16 @@ class TestClamp:
     def test_examples(self, value, expected):
         space = SearchSpace(1, -100.0, 100.0)
         assert clamp(np.array([value]), space)[0] == expected
+
+    @pytest.mark.parametrize("lower,upper", [(-3.0, 5.0), (0.0, 1.0), (-1.0, -0.0),
+                                             (-8e307, 8e307)])
+    def test_overwrites_its_argument_bit_for_bit_as_np_clip(self, lower, upper):
+        values = np.array([math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324,
+                           -5e-324, 0.5, -0.5, lower, upper, 4.0, -2.5, 1e300, -1e300])
+        expected = np.clip(values, lower, upper)
+        pos = values.copy()
+        assert clamp(pos, SearchSpace(len(values), lower, upper)) is pos
+        assert np.array_equal(_bits(pos), _bits(expected))
 
     @given(st.lists(st.floats(allow_nan=False, min_value=-1e6, max_value=1e6),
                     min_size=1, max_size=8))
