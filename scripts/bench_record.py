@@ -16,10 +16,6 @@ next to the code it measured. Run from the repository root, on a quiet
 machine:
 
     python3 scripts/bench_record.py --number 7
-
-In a copy that is not a git checkout (a `git archive` export), run.py records
-no commit; `--commit REV` names it. It fills the record's commit only where
-run.py found none, and is an error where run.py names another commit.
 """
 
 import argparse
@@ -33,9 +29,6 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_PY = ROOT / "perfbench" / "run.py"
 SEEDS = (1, 2, 3, 4, 5)
 TRACE_SEED = 1
-# run.py's git_commit when it finds no commit: outside a git checkout, and
-# when git cannot run.
-NO_COMMIT = ("none (not a git checkout)", "unknown")
 
 
 def parse_run_output(stdout):
@@ -78,26 +71,10 @@ def aggregate(untraced, traced):
     }
 
 
-def with_commit(machine, commit):
-    """``machine`` with its git_commit filled from ``commit`` where run.py
-    found none. ``commit`` may be a prefix of the recorded hash; any other
-    recorded commit is an error."""
-    recorded = machine["git_commit"]
-    if commit is None:
-        return machine
-    if commit and recorded in NO_COMMIT:
-        return {**machine, "git_commit": commit}
-    if commit and recorded.startswith(commit):
-        return machine
-    raise SystemExit(f"error: --commit {commit!r} but run.py recorded git_commit {recorded!r}")
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--number", type=int, required=True,
                         help="n in BENCH_<n>.json: the number of the change measured")
-    parser.add_argument("--commit", metavar="REV",
-                        help="the commit measured, for a copy that is not a git checkout")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
@@ -108,11 +85,11 @@ def main(argv=None):
         for seed in SEEDS:
             result, machine = run_perfbench(wl, seed, seconds, 0)
             untraced.append(result)
-            machines.append(with_commit(machine, args.commit))
+            machines.append(machine)
             print(f"{wl} seed {seed}: wall_s {result['metrics']['wall_s']['value']!r} "
                   f"correct {result['correct']}", file=sys.stderr)
         traced, machine = run_perfbench(wl, TRACE_SEED, seconds, 1)
-        machines.append(with_commit(machine, args.commit))
+        machines.append(machine)
         workloads[wl] = {"seeds": list(SEEDS), "trace_seed": TRACE_SEED,
                          **aggregate(untraced, traced)}
     if any(m != machines[0] for m in machines):

@@ -15,8 +15,8 @@ full position matrix agent-major; each iteration first evaluates objectives
 in agent-index order (any noise draws happen there), then draws movement
 coefficients per agent, per leader, per coordinate, r1 before r2. The
 movement, :func:`_move`, takes them as one block and works in place one
-leader at a time, forming ww*L once per leader; its rounding is that of the
-whole-array formulas. :func:`clamp` then trims that fresh array in place.
+leader at a time; its rounding is that of the whole-array formulas.
+:func:`clamp` then trims that fresh array in place.
 """
 
 import math
@@ -142,10 +142,9 @@ def _move(positions, leaders, weights, wa: float, ww: float,
     """Every wolf's weighted mean of its three leader candidates, unclamped.
 
     Per leader L: A = 2*wa*r1 - wa, C = 2*r2, D = |C*L - X| and the candidate
-    is ww*L - A*D, in place on ``(n, dim)`` scratch arrays. ww*L is formed once
-    on the ``(dim,)`` leader; C*L is not refolded as r2*(2*L), which overflows
-    for |L| >= 2**1023. The weighted candidates are summed from zero in
-    leader order, as ``sum(axis=-2)`` does, then divided once by the weight sum.
+    is ww*L - A*D, in place on ``(n, dim)`` scratch arrays (C*L is not r2*(2*L),
+    which overflows for |L| >= 2**1023). The weighted candidates are summed
+    from zero in leader order, as ``sum(axis=-2)`` does, and divided by the weight sum.
     """
     total = weights.sum()
     if total <= 0:
@@ -161,7 +160,8 @@ def _move(positions, leaders, weights, wa: float, ww: float,
         d -= positions
         np.abs(d, out=d)
         a *= d
-        np.subtract(ww * leader, a, out=d)
+        np.multiply(leader, ww, out=d)
+        d -= a
         if weights[k] != 1.0:  # d * 1.0 is d, bit for bit
             d *= weights[k]
         acc += d

@@ -1,4 +1,4 @@
-"""scripts/bench_record.py's aggregation and commit filling, on canned run.py output."""
+"""scripts/bench_record.py's aggregation, on canned run.py output lines."""
 
 import importlib.util
 import json
@@ -58,68 +58,3 @@ class TestAggregate:
         assert (summary["correct"], summary["failed"]) == (False, 1)
         summary = bench_record.aggregate(runs, json.loads(_line(correct=False)))
         assert summary["correct"] is False
-
-
-def _machine(commit):
-    """A machine record as run.py writes it, with git_commit ``commit``."""
-    return {"nproc": 2, "cpu_model": "Intel(R) Xeon(R)", "python": "3.11.7",
-            "numpy": "2.4.6", "blas": "scipy-openblas 0.3.29",
-            "threads": {"OMP_NUM_THREADS": "1"}, "git_commit": commit,
-            "src_sha256": "ab" * 32}
-
-
-FULL = "16a2a93e66051ab436fdd24eceba8038b6a87f20"
-
-
-class TestWithCommit:
-    @pytest.mark.parametrize("recorded", bench_record.NO_COMMIT)
-    def test_fills_a_record_without_commit(self, recorded):
-        machine = _machine(recorded)
-        filled = bench_record.with_commit(machine, FULL)
-        assert filled == _machine(FULL)
-        assert machine["git_commit"] == recorded
-
-    @pytest.mark.parametrize("commit", [FULL, FULL[:7]])
-    def test_keeps_the_recorded_commit_it_names(self, commit):
-        assert bench_record.with_commit(_machine(FULL), commit) == _machine(FULL)
-
-    @pytest.mark.parametrize("recorded", [FULL, *bench_record.NO_COMMIT])
-    def test_without_flag_the_record_is_unchanged(self, recorded):
-        assert bench_record.with_commit(_machine(recorded), None) == _machine(recorded)
-
-    @pytest.mark.parametrize("recorded,commit", [
-        (FULL, "57c3dba"), (FULL, FULL[1:]), (FULL, ""), ("unknown", ""),
-    ])
-    def test_rejects_another_commit(self, recorded, commit):
-        with pytest.raises(SystemExit, match="run.py recorded git_commit"):
-            bench_record.with_commit(_machine(recorded), commit)
-
-
-class TestMain:
-    @pytest.fixture
-    def calls(self, tmp_path, monkeypatch):
-        """Every run_perfbench call main makes; each returns the next canned
-        verdict and a machine record without commit."""
-        (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-            {"run_seconds": 1, "workloads": [{"name": "bench-sweep"}]}))
-        monkeypatch.setattr(bench_record, "ROOT", tmp_path)
-        verdicts, calls = iter(UNTRACED + [TRACED]), []
-
-        def run_perfbench(*args):
-            calls.append(args)
-            return json.loads(next(verdicts)), _machine("none (not a git checkout)")
-
-        monkeypatch.setattr(bench_record, "run_perfbench", run_perfbench)
-        return calls
-
-    def test_writes_the_given_commit(self, calls, tmp_path):
-        assert bench_record.main(["--number", "18", "--commit", FULL]) == 0
-        assert len(calls) == 6
-        record = json.loads((tmp_path / "BENCH_18.json").read_text())
-        assert record["machine"] == _machine(FULL)
-        assert record["workloads"]["bench-sweep"]["end_to_end"]["wall_s"]["median"] == 0.3
-
-    def test_without_commit_keeps_none(self, calls, tmp_path):
-        assert bench_record.main(["--number", "18"]) == 0
-        record = json.loads((tmp_path / "BENCH_18.json").read_text())
-        assert record["machine"]["git_commit"] == "none (not a git checkout)"
