@@ -3,8 +3,8 @@
 The expected file is comma-separated with 14 columns (13 features plus the
 0-4 graded target), an optional header line that names them as
 ``COLUMN_NAMES`` does, and "?" marking missing values.
-Cleaning drops rows carrying "?" (or mode-imputes them behind a flag) and
-binarizes the target to presence/absence.
+Cleaning parses every cell once, drops rows carrying "?" (or mode-imputes
+them behind a flag) and binarizes the target to presence/absence.
 """
 
 import csv
@@ -71,6 +71,9 @@ def load_table(path) -> list:
 
 
 def _parse_value(field: str, row_index: int, col: str) -> float:
+    """A cell as a float, NaN for the missing marker."""
+    if field == MISSING:
+        return math.nan
     try:
         value = float(field)
     except ValueError:
@@ -84,45 +87,29 @@ def _parse_value(field: str, row_index: int, col: str) -> float:
 
 
 def clean(rows: list, impute: bool = False) -> Dataset:
-    """Resolve missing values, parse numbers, binarize the target.
+    """Parse every cell, resolve missing values, binarize the target.
 
     Rows containing "?" are dropped unless ``impute`` is set, in which case
     each missing cell takes its column's most frequent value (smallest value
-    on ties). Target values above 0 become 1.
+    on ties), counted by value. Target values above 0 become 1.
     """
     # Errors name a row by its place among the rows read, dropped ones included.
-    numbered = enumerate(_impute_rows(rows) if impute else rows, start=1)
-    numbered = [(i, row) for i, row in numbered if MISSING not in row]
-    if not numbered:
-        raise DataError("no rows left after dropping missing values")
-
-    n = len(numbered)
-    x = np.empty((n, len(FEATURE_NAMES)))
-    y = np.empty(n, dtype=int)
-    for k, (i, row) in enumerate(numbered):
-        for j, col in enumerate(FEATURE_NAMES):
-            x[k, j] = _parse_value(row[j], i, col)
-        target = _parse_value(row[-1], i, COLUMN_NAMES[-1])
-        y[k] = 1 if target > 0 else 0
-    return Dataset(X=x, y=y)
-
-
-def _impute_rows(rows):
-    filled = [list(row) for row in rows]
-    for j, col in enumerate(COLUMN_NAMES):
-        counts = {}
-        for i, row in enumerate(rows, start=1):
-            if row[j] != MISSING:
-                _parse_value(row[j], i, col)  # the mode's tie-break compares numbers
-                counts[row[j]] = counts.get(row[j], 0) + 1
-        if not counts:
-            raise DataError(f"column {col!r} is entirely missing")
-        top = max(counts.values())
-        mode = min((v for v, k in counts.items() if k == top), key=float)
-        for row in filled:
-            if row[j] == MISSING:
-                row[j] = mode
-    return filled
+    table = np.array([[_parse_value(field, i, col) for field, col in zip(row, COLUMN_NAMES)]
+                      for i, row in enumerate(rows, start=1)]).reshape(-1, len(COLUMN_NAMES))
+    missing = np.isnan(table)
+    if impute:
+        # An empty table counts as entirely missing in every column.
+        for j in np.flatnonzero(missing.any(axis=0) | missing.all(axis=0)):
+            present = table[~missing[:, j], j]
+            if not present.size:
+                raise DataError(f"column {COLUMN_NAMES[j]!r} is entirely missing")
+            values, counts = np.unique(present, return_counts=True)
+            table[missing[:, j], j] = values[np.argmax(counts)]
+    else:
+        table = table[~missing.any(axis=1)]
+        if not len(table):
+            raise DataError("no rows left after dropping missing values")
+    return Dataset(X=np.ascontiguousarray(table[:, :-1]), y=(table[:, -1] > 0).astype(int))
 
 
 def fit_standardizer(X: np.ndarray, feature_names: Sequence[str]) -> StandardizationStats:
@@ -172,8 +159,7 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int):
         test_idx.append(perm[k:])
     train_idx = np.concatenate(train_idx)
     test_idx = np.concatenate(test_idx)
-    make = lambda idx: Dataset(X=ds.X[idx].copy(), y=ds.y[idx].copy(),
-                               feature_names=ds.feature_names)
+    make = lambda idx: Dataset(X=ds.X[idx], y=ds.y[idx], feature_names=ds.feature_names)
     return make(train_idx), make(test_idx)
 
 

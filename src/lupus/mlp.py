@@ -144,13 +144,16 @@ def forward_batch(arch: MlpArchitecture, params, X) -> np.ndarray:
 
 
 def _labeled_data(X, y):
-    """Features and labels as float arrays, checked non-empty and aligned."""
+    """Features and labels as float arrays, checked non-empty and aligned,
+    the labels 0 or 1."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.shape[0] == 0:
         raise ValueError("empty dataset")
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"{X.shape[0]} rows but {y.shape[0]} labels")
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("labels must be 0 or 1")
     return X, y
 
 
@@ -175,7 +178,10 @@ def bce_loss(arch: MlpArchitecture, params, X, y):
     # The loss band lies inside forward_batch's (0, 1) clip, so one clip of
     # the raw output gives the same probabilities.
     np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP, out=p)
-    losses = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
+    # With 0/1 labels the BCE is -log of the true label's probability.
+    q = 1.0 - p
+    np.copyto(q, p, where=y == 1)
+    losses = -np.log(q).mean(axis=-1)
     return losses if params.ndim == 2 else float(losses[0])
 
 

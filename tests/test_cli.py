@@ -409,6 +409,22 @@ class TestNonFiniteData:
         assert not Path("results").exists() and not Path("data/clean.csv").exists()
 
 
+    @pytest.mark.parametrize("command", [["eda"], TRAIN_SMALL], ids=["eda", "train"])
+    def test_cell_in_dropped_row_exit_two(self, workdir, capsys, command):
+        # Line 23 holds a "?" in 'ca'; its 'chol' was never parsed, so the
+        # row was dropped with exit 0.
+        path = Path("data/heart.csv")
+        lines = path.read_text().splitlines()
+        fields = lines[22].split(",")
+        assert "?" in fields
+        fields[4] = "abc"
+        lines[22] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli(command) == 2
+        assert "row 23: column 'chol'" in capsys.readouterr().err
+        assert not Path("results").exists() and not Path("data/clean.csv").exists()
+
+
 class TestFirstLine:
     @pytest.mark.parametrize("age", ["x", ""], ids=["text", "blank"])
     def test_only_the_column_names_make_a_header(self, workdir, capsys, age):

@@ -90,17 +90,27 @@ class TestClean:
         assert ds.n == 5
         assert ds.X[4, 0] == 1.0  # column mode
 
+    def test_impute_mode_counts_values_not_texts(self):
+        # 1 four times ("1" twice, "1.0" twice) against "2.0" three times.
+        column = ["1", "1", "1.0", "1.0", "2.0", "2.0", "2.0", "?"]
+        rows = [_row([v] + [3.0] * 12 + [k % 2]) for k, v in enumerate(column)]
+        ds = clean(rows, impute=True)
+        assert ds.X[-1, 0] == 1.0
+
     def test_impute_tie_takes_smallest(self):
         rows = [_row([1.0] * 13 + [0]), _row([2.0] * 13 + [0]), _row([3.0] * 13 + [1])]
         rows[2][5] = "?"
         ds = clean(rows, impute=True)
         assert ds.X[2, 5] == 1.0
 
-    def test_non_numeric_field_errors(self):
-        rows = _synthetic_rows(3)
+    # Row 2 also holding "?" puts "abc" in a row that drop mode removes.
+    @pytest.mark.parametrize("missing", [(), (1,)], ids=["complete", "dropped"])
+    @pytest.mark.parametrize("impute", [False, True], ids=["drop", "impute"])
+    def test_non_numeric_field_errors(self, impute, missing):
+        rows = _synthetic_rows(3, missing=missing)
         rows[1][4] = "abc"
-        with pytest.raises(DataError, match="chol"):
-            clean(_table(rows))
+        with pytest.raises(DataError, match="row 2: column 'chol': cannot parse 'abc'"):
+            clean(_table(rows), impute=impute)
 
     # float() reads all of these; none is a measurement.
     @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity", "1e999"])
@@ -116,13 +126,6 @@ class TestClean:
         rows[2][4] = "nan"
         with pytest.raises(DataError, match="row 3: column 'chol'"):
             clean(_table(rows))
-
-    def test_impute_non_numeric_field_errors(self):
-        # Every value of the column is its mode, so the tie-break compares them.
-        rows = _synthetic_rows(3)
-        rows[1][4] = "abc"
-        with pytest.raises(DataError, match="row 2: column 'chol'"):
-            clean(_table(rows), impute=True)
 
     def test_never_invents_values(self, heart_csv):
         raw = load_table(heart_csv)

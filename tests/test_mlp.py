@@ -258,6 +258,16 @@ class TestBceLoss:
         with pytest.raises(ValueError):
             bce_loss(arch, np.zeros(2), np.empty((0, 1)), np.empty(0))
 
+    # The loss reads a label as "is it 1": any other value would count as 0.
+    @pytest.mark.parametrize("label", [0.5, 2.0, -1.0, math.nan])
+    def test_labels_other_than_zero_or_one_rejected(self, label):
+        arch = MlpArchitecture((1, 1))
+        X, y = np.array([[1.0], [2.0]]), np.array([1.0, label])
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            bce_loss(arch, np.zeros(2), X, y)
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            backward(arch, np.zeros(2), X, y)
+
     @pytest.mark.parametrize("scale", [1.0, 11.0])
     def test_bit_identical_to_double_clipped_formula(self, scale):
         # scale 11 pushes most outputs to exactly 0 or 1, into the clips
