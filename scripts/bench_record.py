@@ -8,6 +8,9 @@ process at a time, and records:
   variables, git commit, source digest);
 - each end-to-end metric's median and quartiles over the untraced seeds,
   with the per-seed values;
+- each untraced seed's raw mean wall time of the timed workload calls (the
+  warm-up call left out) and its mean calibration pass, unscaled, so a drift
+  of the calibration can be told apart from a change of the code;
 - the per-layer metrics of the traced run;
 - whether every run's outputs were correct, and how many units failed.
 
@@ -37,14 +40,21 @@ def parse_run_output(stdout):
 
 
 def run_perfbench(workload, seed, seconds, trace):
-    """One run.py process; returns its verdict and its machine record."""
+    """One run.py process; returns its verdict and the result file it wrote."""
     proc = subprocess.run(
         [sys.executable, str(RUN_PY), "--workload", workload, "--seed", str(seed),
          "--seconds", repr(seconds), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, check=True,
     )
     record = ROOT / ".perfbench" / workload / f"result-seed{seed}-trace{trace}.json"
-    return parse_run_output(proc.stdout), json.loads(record.read_text())["machine"]
+    return parse_run_output(proc.stdout), json.loads(record.read_text())
+
+
+def raw_speed(record):
+    """From a run.py result file: the raw mean wall time of the timed calls
+    (its first wall is the warm-up call) and the mean calibration pass."""
+    return (statistics.fmean(record["run_walls_s"][1:]),
+            statistics.fmean(record["calibration_passes_s"]))
 
 
 def spread(values):
@@ -81,17 +91,20 @@ def main(argv=None):
 
     machines, workloads = [], {}
     for wl in (w["name"] for w in benchmark["workloads"]):
-        untraced = []
+        untraced, raw = [], []
         for seed in SEEDS:
-            result, machine = run_perfbench(wl, seed, seconds, 0)
+            result, rec = run_perfbench(wl, seed, seconds, 0)
             untraced.append(result)
-            machines.append(machine)
+            machines.append(rec["machine"])
+            raw.append(raw_speed(rec))
             print(f"{wl} seed {seed}: wall_s {result['metrics']['wall_s']['value']!r} "
                   f"correct {result['correct']}", file=sys.stderr)
-        traced, machine = run_perfbench(wl, TRACE_SEED, seconds, 1)
-        machines.append(machine)
+        traced, rec = run_perfbench(wl, TRACE_SEED, seconds, 1)
+        machines.append(rec["machine"])
+        raw_wall, calibration = map(list, zip(*raw))
         workloads[wl] = {"seeds": list(SEEDS), "trace_seed": TRACE_SEED,
-                         **aggregate(untraced, traced)}
+                         **aggregate(untraced, traced),
+                         "raw_wall_s": raw_wall, "calibration_pass_s": calibration}
     if any(m != machines[0] for m in machines):
         raise SystemExit("error: the machine record or source changed between runs")
 

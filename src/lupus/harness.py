@@ -9,8 +9,6 @@ another's results, and any scheduling order yields identical output.
 which :func:`cell_finals` gives in run order.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product, repeat
 from pathlib import Path
@@ -24,8 +22,7 @@ from .errors import ConfigError
 from .fileio import write_text_atomic
 from .seeding import derive_seed
 
-GWO_ALGORITHMS = optimizer.VARIANTS
-ALGORITHMS = GWO_ALGORITHMS + ("pso",)
+ALGORITHMS = optimizer.VARIANTS + ("pso",)
 
 CellKey = Tuple[str, str, int, int]  # (algorithm, function, dim, run)
 Cell = Tuple[str, str, int]  # (algorithm, function, dim)
@@ -76,9 +73,7 @@ class ExperimentPlan:
     def run_config(self, algorithm: str, seed: int):
         """The optimizer settings of one of this plan's cell-runs."""
         if algorithm == "pso":
-            return optimizer.PsoConfig(
-                n_particles=self.n_agents, max_iter=self.max_iter, seed=seed,
-            )
+            return optimizer.PsoConfig(n_agents=self.n_agents, max_iter=self.max_iter, seed=seed)
         return optimizer.GwoConfig(
             variant=algorithm, n_agents=self.n_agents, max_iter=self.max_iter,
             inertia=self.inertia, leader=self.leader, seed=seed,
@@ -100,9 +95,13 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> Dict[CellKey, np.ndarray
     """Execute every cell-run, on ``workers`` processes when more than one;
     returns each cell-run's history under its key, in plan order."""
     keys = list(product(plan.algorithms, plan.functions, plan.dims, range(plan.n_runs)))
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        mapper = pool.map if pool else map
-        return dict(zip(keys, mapper(run_single, repeat(plan), *zip(*keys))))
+    args = (run_single, repeat(plan), *zip(*keys))
+    if workers > 1:
+        # Imported here: the pool's modules add about 1 MB to every command.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers) as pool:
+            return dict(zip(keys, pool.map(*args)))
+    return dict(zip(keys, map(*args)))
 
 
 def cell_finals(histories: Dict[CellKey, np.ndarray]) -> Dict[Cell, np.ndarray]:
@@ -126,10 +125,12 @@ def export_table(histories: Dict[CellKey, np.ndarray], path) -> None:
 
 
 def export_convergence(histories: Dict[CellKey, np.ndarray], out_dir) -> None:
-    """Write one iter/score series per cell-run, suitable for plotting."""
+    """Write one iter/score series per cell-run, suitable for plotting, and
+    delete the other ``.csv`` files in ``out_dir``: those of an earlier sweep."""
     if not histories:
         raise ValueError("no histories to export")
     out_dir = Path(out_dir)
+    written = set()
     for key in sorted(histories):
         alg, fn_id, dim, run_index = key
         lines = ["iter,alpha_score"]
@@ -138,3 +139,7 @@ def export_convergence(histories: Dict[CellKey, np.ndarray], out_dir) -> None:
         )
         path = out_dir / f"{alg}_{fn_id}_{dim}_{run_index}.csv"
         write_text_atomic(path, "\n".join(lines) + "\n")
+        written.add(path)
+    for path in out_dir.glob("*.csv"):
+        if path not in written:
+            path.unlink()

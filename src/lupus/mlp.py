@@ -178,10 +178,10 @@ def bce_loss(arch: MlpArchitecture, params, X, y):
     # The loss band lies inside forward_batch's (0, 1) clip, so one clip of
     # the raw output gives the same probabilities.
     np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP, out=p)
-    # With 0/1 labels the BCE is -log of the true label's probability.
-    q = 1.0 - p
-    np.copyto(q, p, where=y == 1)
-    losses = -np.log(q).mean(axis=-1)
+    # With 0/1 labels the BCE is -log of the true label's probability,
+    # |p - (1 - y)|: p - 1 is exactly -(1 - p) and p - 0 is p.
+    np.subtract(p, 1.0 - y, out=p)
+    losses = -np.log(np.abs(p, out=p)).mean(axis=-1)
     return losses if params.ndim == 2 else float(losses[0])
 
 

@@ -111,23 +111,23 @@ class PsoConfig:
     box width and start at zero.
     """
 
-    n_particles: int = 40
+    n_agents: int = 40
     max_iter: int = 500
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ConfigError(f"n_particles must be >= 1, got {self.n_particles}")
+        if self.n_agents < 1:
+            raise ConfigError(f"n_agents must be >= 1, got {self.n_agents}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one optimizer run; immutable and safe to share."""
+    """Outcome of one optimizer run; immutable and safe to share. The best
+    score is the last entry of the per-iteration ``history``."""
 
     best_position: np.ndarray
-    best_score: float
     history: np.ndarray
 
 
@@ -239,11 +239,7 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
         positions = clamp(_move(positions, leaders, weights, wa, ww, rng), space)
         history[it] = scores[0]
 
-    return RunResult(
-        best_position=leaders[0].copy(),
-        best_score=float(scores[0]),
-        history=history,
-    )
+    return RunResult(best_position=leaders[0].copy(), history=history)
 
 
 def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResult:
@@ -253,7 +249,7 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
     score after each iteration's evaluations. Movement draws one uniform pair
     per particle per coordinate, r1 before r2.
     """
-    n, dim = cfg.n_particles, space.dim
+    n, dim = cfg.n_agents, space.dim
     rng = np.random.default_rng(cfg.seed)
     positions = rng.uniform(space.lower, space.upper, size=(n, dim))
     velocities = np.zeros((n, dim))
@@ -289,8 +285,4 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
         velocities.clip(-v_max, v_max, out=velocities)
         positions = clamp(positions + velocities, space)
 
-    return RunResult(
-        best_position=gbest.copy(),
-        best_score=gbest_f,
-        history=history,
-    )
+    return RunResult(best_position=gbest.copy(), history=history)

@@ -151,6 +151,16 @@ class TestBenchCommand:
         for p in Path("results/convergence").glob("*.csv"):
             assert p.read_bytes() == series[p.name]
 
+    def test_smaller_sweep_removes_earlier_series(self, workdir):
+        # gwo_f1_5_1.csv would otherwise read as run 1 of a one-run cell.
+        sweep = ["bench", "--algs", "gwo", "--dims", "5", "--agents", "5", "--iters", "10",
+                 "--out", "OUT"]
+        assert run_cli(sweep + ["--functions", "f1,f2", "--runs", "2"]) == 0
+        assert len(list(Path("OUT/convergence").iterdir())) == 4
+        assert run_cli(sweep + ["--functions", "f1", "--runs", "1"]) == 0
+        assert len(Path("OUT/table.csv").read_text().splitlines()) == 2
+        assert sorted(p.name for p in Path("OUT/convergence").iterdir()) == ["gwo_f1_5_0.csv"]
+
     def test_unknown_function_names_id(self, workdir, capsys):
         assert run_cli(["bench", "--functions", "f77"]) == 1
         assert "f77" in capsys.readouterr().err

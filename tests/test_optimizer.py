@@ -81,8 +81,8 @@ class TestConfigs:
             assert GwoConfig(variant=variant, inertia=zero_at_start).inertia == zero_at_start
 
     def test_pso_validation(self):
-        with pytest.raises(ConfigError, match="n_particles"):
-            PsoConfig(n_particles=0)
+        with pytest.raises(ConfigError, match="n_agents"):
+            PsoConfig(n_agents=0)
         with pytest.raises(ConfigError, match="max_iter"):
             PsoConfig(max_iter=0)
 
@@ -113,7 +113,6 @@ class TestInitialize:
         space = SearchSpace(2, -1.0, 1.0)
         result = run(lambda X, rng: np.full(len(X), math.inf), space,
                      GwoConfig(variant="gwo", n_agents=3, max_iter=2, seed=0))
-        assert result.best_score == math.inf
         assert np.all(result.history == math.inf)
         assert np.array_equal(result.best_position, np.zeros(2))
 
@@ -427,15 +426,13 @@ class TestRun:
         b = run(sphere_objective, space, cfg)
         assert np.array_equal(a.best_position, b.best_position)
         assert np.array_equal(a.history, b.history)
-        assert a.best_score == b.best_score
 
     def test_history_non_increasing_and_improves(self):
         space = SearchSpace(2, -100.0, 100.0)
         cfg = GwoConfig(variant="acgwo", n_agents=10, max_iter=50, seed=7)
         result = run(sphere_objective, space, cfg)
         assert np.all(np.diff(result.history) <= 0)
-        assert result.best_score < result.history[0]
-        assert result.best_score == result.history[-1]
+        assert result.history[-1] < result.history[0]
 
     @pytest.mark.parametrize("variant", ["gwo", "acgwo"])
     def test_positions_stay_in_bounds(self, variant):
@@ -470,7 +467,7 @@ class TestRun:
 
         space = SearchSpace(2, -1.0, 1.0)
         result = run(sometimes_nan, space, GwoConfig(variant="gwo", n_agents=6, max_iter=10, seed=5))
-        assert math.isfinite(result.best_score)
+        assert math.isfinite(result.history[-1])
 
     def test_stochastic_objective_draws_in_agent_order(self):
         f5 = get_function("f5")
@@ -547,7 +544,7 @@ def _reference_pso_run(objective, space, cfg):
     The coefficients are the published ones: pulls of 2, inertia falling
     linearly from 0.9 to 0.4, velocities clamped to 0.2 of the range.
     """
-    n, dim = cfg.n_particles, space.dim
+    n, dim = cfg.n_agents, space.dim
     rng = np.random.default_rng(cfg.seed)
     positions = rng.uniform(space.lower, space.upper, size=(n, dim))
     velocities = np.zeros((n, dim))
@@ -585,7 +582,7 @@ class TestPso:
             return sphere(X - 0.95, rng)
 
         space = SearchSpace(dim, -1.0, 1.0)
-        cfg = PsoConfig(n_particles=n, max_iter=8, seed=dim + n)
+        cfg = PsoConfig(n_agents=n, max_iter=8, seed=dim + n)
         seen, ref_seen = [], []
         result = pso_run(recording(seen, objective), space, cfg)
         ref_pos, ref_history = _reference_pso_run(recording(ref_seen, objective), space, cfg)
@@ -596,14 +593,14 @@ class TestPso:
 
     def test_improves_from_random_init(self):
         space = SearchSpace(2, -100.0, 100.0)
-        cfg = PsoConfig(n_particles=40, max_iter=200, seed=0)
+        cfg = PsoConfig(n_agents=40, max_iter=200, seed=0)
         result = pso_run(sphere_objective, space, cfg)
-        assert result.best_score < result.history[0]
+        assert result.history[-1] < result.history[0]
         assert np.all(np.diff(result.history) <= 0)
 
     def test_deterministic(self):
         space = SearchSpace(3, -10.0, 10.0)
-        cfg = PsoConfig(n_particles=12, max_iter=40, seed=17)
+        cfg = PsoConfig(n_agents=12, max_iter=40, seed=17)
         a = pso_run(sphere_objective, space, cfg)
         b = pso_run(sphere_objective, space, cfg)
         assert np.array_equal(a.best_position, b.best_position)
@@ -612,7 +609,7 @@ class TestPso:
     def test_positions_stay_in_bounds(self):
         seen = []
         space = SearchSpace(2, -1.0, 3.0)
-        pso_run(recording(seen), space, PsoConfig(n_particles=8, max_iter=25, seed=4))
+        pso_run(recording(seen), space, PsoConfig(n_agents=8, max_iter=25, seed=4))
         stacked = np.stack(seen)
         assert np.all(stacked >= -1.0) and np.all(stacked <= 3.0)
 
@@ -626,7 +623,7 @@ class TestBatchedObjective:
 
         def run_with(objective):
             if algorithm == "pso":
-                return pso_run(objective, space, PsoConfig(n_particles=8, max_iter=20, seed=13))
+                return pso_run(objective, space, PsoConfig(n_agents=8, max_iter=20, seed=13))
             cfg = GwoConfig(variant=algorithm, n_agents=8, max_iter=20, seed=13)
             return run(objective, space, cfg)
 
@@ -634,7 +631,6 @@ class TestBatchedObjective:
         per_row = run_with(lambda X, rng: np.concatenate([bf(x[None], rng) for x in X]))
         assert batched.best_position.tobytes() == per_row.best_position.tobytes()
         assert batched.history.tobytes() == per_row.history.tobytes()
-        assert batched.best_score == per_row.best_score
 
     def test_mlp_loss_matches_per_row_path(self):
         # 208 rows at 13-16-1 give chunks of 9 agents, so 20 agents take two
@@ -659,7 +655,7 @@ class TestBatchedObjective:
         assert fitness.tolist() == [math.inf, -1.0, math.inf]
         space = SearchSpace(2, -1.0, 1.0)
         result = run(objective, space, GwoConfig(variant="gwo", n_agents=6, max_iter=10, seed=5))
-        assert math.isfinite(result.best_score)
+        assert math.isfinite(result.history[-1])
 
     @pytest.mark.parametrize("wrong", [lambda X: X, lambda X: X.sum(), lambda X: X[1:, 0]])
     def test_wrong_shape_raises(self, wrong):
