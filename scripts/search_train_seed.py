@@ -1,6 +1,6 @@
 """Search for classifier seeds meeting the accuracy targets.
 
-Runs the hybrid training workflow (identical derivations to `lupus train`)
+Runs `lupus train`'s pipeline (`lupus.mlp.fit_classifier`) at its defaults
 across a range of base seeds and reports held-out accuracy, flagging seeds
 that reach the 0.80 band and the 0.868 witness level. Seed 0 is the
 recorded witness frozen into tests/test_acceptance.py (WITNESS_SEED) and
@@ -11,27 +11,19 @@ Run: python3 scripts/search_train_seed.py [n_seeds] [data_path]
 
 import sys
 
-from lupus import dataprep, metrics, mlp, optimizer
-from lupus.seeding import derive_seed
+from lupus import dataprep, mlp
+from lupus.cli import DEFAULT_DATA
 
 
-def evaluate_seed(ds, seed, swarm=100, iters=1000, bp_epochs=100, lr=0.1):
-    train, test = dataprep.stratified_split(ds, 0.70, derive_seed(seed, "split"))
-    stats = dataprep.fit_standardizer(train.X, train.feature_names)
-    x_train = dataprep.apply_standardizer(stats, train.X)
-    x_test = dataprep.apply_standardizer(stats, test.X)
-    arch = mlp.MlpArchitecture((13, 16, 1))
-    cfg = optimizer.GwoConfig(variant="acgwo", n_agents=swarm, max_iter=iters,
-                              seed=derive_seed(seed, "swarm"))
-    params, _ = mlp.train(arch, x_train, train.y, cfg, (-5.0, 5.0), bp_epochs, lr,
-                          derive_seed(seed, "init"))
-    scores = mlp.forward_batch(arch, params, x_test)
-    return metrics.evaluate(test.y, scores)
+def evaluate_seed(ds, seed, **settings):
+    """Held-out report of the pipeline at base seed ``seed``; ``settings``
+    replace its defaults by name (a smaller swarm, fewer epochs)."""
+    return mlp.fit_classifier(ds, seed, **settings)[-1]
 
 
 def main():
     n_seeds = int(sys.argv[1]) if len(sys.argv) > 1 else 10
-    data_path = sys.argv[2] if len(sys.argv) > 2 else "data/heart.csv"
+    data_path = sys.argv[2] if len(sys.argv) > 2 else DEFAULT_DATA
     ds = dataprep.clean(dataprep.load_table(data_path))
     band, witness = [], []
     for seed in range(n_seeds):

@@ -15,12 +15,13 @@ Each option's click type parses and checks its value, from a flag or from the
 config file alike, so the command bodies read parsed values. A bad value
 exits 1 naming its flag, or the config file and ``<section>.<key>``.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 data error,
-3 internal error. Setting LUPUS_DEBUG=1 prints the traceback of an internal
-error on stderr.
+Exit codes: 0 success, 1 usage/configuration error (an output that cannot be
+written and memory running out included), 2 data error, 3 internal error.
+Setting LUPUS_DEBUG=1 prints the traceback of an internal error on stderr.
 """
 
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -32,7 +33,6 @@ import click
 from . import benchfns, curves, dataprep, harness, metrics, mlp, optimizer
 from .errors import ConfigError, DataError
 from .fileio import write_text_atomic
-from .seeding import derive_seed
 
 DEFAULT_SEED = 42
 DEFAULT_DATA = "data/heart.csv"
@@ -40,6 +40,7 @@ DEFAULT_OUT = "results"
 
 _INERTIA_DEFAULT = ",".join(map(repr, dataclasses.astuple(curves.INERTIA_DEFAULTS)))
 _LEADER_DEFAULT = ",".join(map(repr, dataclasses.astuple(curves.LEADER_WEIGHT_DEFAULTS)))
+_TRAIN = {k: v.default for k, v in inspect.signature(mlp.fit_classifier).parameters.items()}
 
 
 class _Parsed(click.ParamType):
@@ -284,21 +285,23 @@ def _print_report(label, report):
 @_data_option
 @click.option("--mode", type=click.Choice(list(mlp.MODES)), default="acgwo-bp",
               help="Training mode; acgwo-bp is the hybrid.")
-@click.option("--hidden", default="16",
+@click.option("--hidden", default=_TRAIN["hidden"],
               type=_Parsed("N,N,...", lambda text: _sizes(text) if text.strip() else ()),
               help="Comma-separated hidden layer sizes; empty for none.")
-@click.option("--bounds", type=_Parsed("LO,HI", _bounds), default="-5.0,5.0",
+@click.option("--bounds", type=_Parsed("LO,HI", _bounds), default=_TRAIN["bounds"],
               help="Search bounds lo,hi for the swarm phase.")
-@click.option("--swarm", type=click.IntRange(min=3), default=100,
+@click.option("--swarm", type=click.IntRange(min=3), default=_TRAIN["swarm"].n_agents,
               help="Swarm size for the search phase.")
-@click.option("--iters", type=click.IntRange(min=1), default=1000, help="Swarm iterations.")
-@click.option("--bp-epochs", type=click.IntRange(min=0), default=100,
+@click.option("--iters", type=click.IntRange(min=1), default=_TRAIN["swarm"].max_iter,
+              help="Swarm iterations.")
+@click.option("--bp-epochs", type=click.IntRange(min=0), default=_TRAIN["bp_epochs"],
               help="Full-batch gradient steps.")
-@click.option("--learning-rate", type=_checked(mlp.check_learning_rate), default="0.1",
-              help="Gradient step size.")
-@click.option("--threshold", type=_UNIT, default="0.5",
+@click.option("--learning-rate", type=_checked(mlp.check_learning_rate),
+              default=_TRAIN["learning_rate"], help="Gradient step size.")
+@click.option("--threshold", type=_UNIT, default=_TRAIN["threshold"],
               help="Decision threshold on the predicted probability.")
-@click.option("--train-fraction", type=_UNIT, default="0.7", help="Stratified train share.")
+@click.option("--train-fraction", type=_UNIT, default=_TRAIN["train_fraction"],
+              help="Stratified train share.")
 @_impute_option
 @click.option("--out", type=_output("model.json", "train_report.json"), default=Path(DEFAULT_OUT),
               help="Output directory for model.json and train_report.json.")
@@ -308,64 +311,24 @@ def _print_report(label, report):
 def cmd_train(ctx, **_kwargs):
     """Clean, split, standardize, train, and persist the classifier."""
     p = _resolve(ctx, "train")
-    seed = p["seed"]
-    threshold = p["threshold"]
-    arch = mlp.MlpArchitecture((len(dataprep.FEATURE_NAMES),) + p["hidden"] + (1,))
     out = Path(p["out"])
-    split_seed = derive_seed(seed, "split")
+    swarm = None if p["mode"] == "bp" else optimizer.GwoConfig(
+        variant="acgwo", n_agents=p["swarm"], max_iter=p["iters"])
     ds = dataprep.clean(dataprep.load_table(p["data"]), impute=p["impute"])
-    train, test = dataprep.stratified_split(ds, p["train_fraction"], split_seed)
-    stats = dataprep.fit_standardizer(train.X, train.feature_names)
-    x_train = dataprep.apply_standardizer(stats, train.X)
-    x_test = dataprep.apply_standardizer(stats, test.X)
-
-    mode = mlp.MODES[p["mode"]]
-    swarm = None
-    if mode != "bp":
-        swarm = optimizer.GwoConfig(variant="acgwo", n_agents=p["swarm"],
-                                    max_iter=p["iters"], seed=derive_seed(seed, "swarm"))
-    bp_epochs = p["bp_epochs"]
-    params, loss_history = mlp.train(
-        arch, x_train, train.y, swarm, p["bounds"], 0 if mode == "acgwo" else bp_epochs,
-        p["learning_rate"], derive_seed(seed, "init"))
-
-    model = mlp.TrainedModel(
-        layer_sizes=arch.layer_sizes,
-        params=params,
-        scaler_mean=stats.mean,
-        scaler_std=stats.std,
-        threshold=threshold,
-        split_seed=split_seed,
-        train_fraction=p["train_fraction"],
-        impute=p["impute"],
-        mode=mode,
-    )
+    model, loss_history, train_loss, train_eval, test_eval = mlp.fit_classifier(
+        ds, p["seed"], p["hidden"], swarm, p["bounds"],
+        0 if p["mode"] == "acgwo" else p["bp_epochs"], p["learning_rate"], p["threshold"],
+        p["train_fraction"], p["impute"])
     write_text_atomic(out / "model.json", mlp.model_to_json(model))
-
-    train_eval = metrics.evaluate(
-        train.y, mlp.forward_batch(arch, params, x_train), threshold)
-    test_eval = metrics.evaluate(
-        test.y, mlp.forward_batch(arch, params, x_test), threshold)
-    report_payload = {
-        "mode": mode,
-        "seed": seed,
-        "layer_sizes": list(arch.layer_sizes),
-        "bounds": list(p["bounds"]),
-        "swarm": p["swarm"],
-        "iters": p["iters"],
-        "bp_epochs": bp_epochs,
-        "learning_rate": p["learning_rate"],
-        "threshold": threshold,
-        "train_fraction": p["train_fraction"],
-        "impute": p["impute"],
-        "one_hot": False,  # pinned by the seed-0 witness digests of train_report.json
-        "loss_history": [float(v) for v in loss_history],
-        "final_train_loss": mlp.bce_loss(arch, params, x_train, train.y),
-        "train_metrics": json.loads(train_eval.to_json()),
-        "test_metrics": json.loads(test_eval.to_json()),
-    }
+    report = {key: p[key] for key in ("seed", "bounds", "swarm", "iters", "bp_epochs",
+                                      "learning_rate", "threshold", "train_fraction", "impute")}
+    report.update(mode=model.mode, layer_sizes=model.layer_sizes,
+                  loss_history=loss_history.tolist(), final_train_loss=train_loss,
+                  train_metrics=json.loads(train_eval.to_json()),
+                  test_metrics=json.loads(test_eval.to_json()),
+                  one_hot=False)  # pinned by the seed-0 witness digests of train_report.json
     write_text_atomic(out / "train_report.json",
-                      json.dumps(report_payload, indent=2, sort_keys=True) + "\n")
+                      json.dumps(report, indent=2, sort_keys=True) + "\n")
     _print_report("train", train_eval)
     _print_report("test", test_eval)
     click.echo(f"wrote {out / 'model.json'} and {out / 'train_report.json'}")
@@ -388,22 +351,13 @@ def cmd_eval(ctx, **_kwargs):
     except OSError as exc:
         raise DataError(f"cannot read model file: {exc}") from exc
     model = mlp.model_from_json(text, source=p["model_path"])
-
-    raw = dataprep.load_table(p["data"])
-    ds = dataprep.clean(raw, impute=model.impute)
-    if ds.X.shape[1] != model.layer_sizes[0]:
-        raise DataError(
-            f"model expects {model.layer_sizes[0]} features but the data "
-            f"has {ds.X.shape[1]}"
-        )
+    ds = dataprep.clean(dataprep.load_table(p["data"]), impute=model.impute)
     try:
-        _, test = dataprep.stratified_split(ds, model.train_fraction, model.split_seed)
+        _, (x_test, y_test) = mlp.split_inputs(model, ds)
     except ConfigError as exc:
         raise DataError(f"{p['model_path']}: {exc}") from None
-    stats = dataprep.StandardizationStats(mean=model.scaler_mean, std=model.scaler_std)
-    x_test = dataprep.apply_standardizer(stats, test.X)
     scores = mlp.forward_batch(model.architecture, model.params, x_test)
-    report = metrics.evaluate(test.y, scores, model.threshold)
+    report = metrics.evaluate(y_test, scores, model.threshold)
 
     write_text_atomic(out / "eval.json", report.to_json())
     write_text_atomic(out / "eval.csv", report.to_csv())
@@ -456,6 +410,9 @@ def main(argv=None):
     except (ConfigError, DataError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2 if isinstance(exc, DataError) else 1
+    except MemoryError as exc:
+        click.echo(f"error: out of memory. {exc}".rstrip(), err=True)
+        return 1
     except Exception as exc:
         if os.environ.get("LUPUS_DEBUG") == "1":
             traceback.print_exc()

@@ -6,6 +6,7 @@ over tiny test splits never aborts a sweep; :func:`evaluate` records which
 metrics degenerated in the report.
 """
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -107,17 +108,7 @@ class EvalReport:
     degenerate: Tuple[str, ...] = ()
 
     def to_json(self) -> str:
-        payload = {
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "counts": {"tp": self.counts.tp, "tn": self.counts.tn,
-                       "fp": self.counts.fp, "fn": self.counts.fn},
-            "degenerate": list(self.degenerate),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
         row = ",".join(repr(v) for v in

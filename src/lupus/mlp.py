@@ -4,7 +4,8 @@ The parameter vector is the flattened concatenation of each layer's weight
 matrix (fan_in x fan_out, row-major) followed by its bias vector, so the
 whole network doubles as a search point for the swarm optimizers.
 :func:`train` runs an optional swarm search over the flattened parameters,
-then full-batch gradient descent from the best point found.
+then full-batch gradient descent from the best point found;
+:func:`fit_classifier` runs it inside the whole ``lupus train`` pipeline.
 
 :func:`unflatten`, :func:`forward_batch` and :func:`bce_loss` also take a
 stack of parameter vectors, shape ``(m, n_params)``: weights come out as
@@ -27,9 +28,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import metrics, optimizer
+from . import dataprep, metrics, optimizer
 from .errors import ConfigError, DataError
 from .optimizer import GwoConfig, SearchSpace
+from .seeding import derive_seed
 
 # Predicted probabilities are clipped to [BCE_CLIP, 1 - BCE_CLIP] inside the
 # loss; samples pushed outside that band carry zero gradient.
@@ -66,7 +68,8 @@ class MlpArchitecture:
         )
 
 
-# Each `lupus train --mode` choice and the mode that model.json records for it.
+# Each `lupus train --mode` choice and the mode that model.json records for it
+# (acgwo-bp with no BP epoch trains, and records, an acgwo model).
 MODES = {"acgwo": "acgwo", "bp": "bp", "acgwo-bp": "hybrid"}
 
 
@@ -276,18 +279,60 @@ class TrainedModel:
         return MlpArchitecture(self.layer_sizes)
 
 
+def split_inputs(model: TrainedModel, ds: dataprep.Dataset) -> list:
+    """The training and held-out parts of ``ds`` that ``model`` was fit on, as
+    ``(X, y)`` pairs standardized by its scaler. A model whose scaler is still
+    ``None`` (one being fit) takes the scaler of its training rows."""
+    if ds.X.shape[1] != model.layer_sizes[0]:
+        raise DataError(f"model expects {model.layer_sizes[0]} features but the data "
+                        f"has {ds.X.shape[1]}")
+    parts = dataprep.stratified_split(ds, model.train_fraction, model.split_seed)
+    if model.scaler_mean is None:
+        stats = dataprep.fit_standardizer(parts[0].X, ds.feature_names)
+        model.scaler_mean, model.scaler_std = stats.mean, stats.std
+    stats = dataprep.StandardizationStats(mean=model.scaler_mean, std=model.scaler_std)
+    return [(dataprep.apply_standardizer(stats, part.X), part.y) for part in parts]
+
+
+def fit_classifier(ds: dataprep.Dataset, seed: int, hidden: Tuple[int, ...] = (16,),
+                   swarm: Optional[GwoConfig] = GwoConfig(),
+                   bounds: Tuple[float, float] = (-5.0, 5.0), bp_epochs: int = 100,
+                   learning_rate: float = 0.1, threshold: float = 0.5,
+                   train_fraction: float = 0.7, impute: bool = False) -> tuple:
+    """The ``lupus train`` pipeline on a cleaned dataset, whose flags take
+    their defaults from this signature: a stratified split, a scaler fit on
+    the training part, a network with ``hidden`` layers trained by
+    :func:`train`, then both parts scored.
+
+    The split, the swarm (its own seed replaced) and the init draw from seeds
+    derived from ``seed``. The model records mode ``bp`` without a swarm,
+    ``acgwo`` with no BP epoch, ``hybrid`` otherwise; ``impute`` says how
+    ``ds`` was cleaned. Returns the model, the loss history, the final
+    training loss and the training and held-out :class:`metrics.EvalReport`.
+    """
+    arch = MlpArchitecture((ds.X.shape[1], *hidden, 1))
+    model = TrainedModel(
+        layer_sizes=arch.layer_sizes, params=None, scaler_mean=None, scaler_std=None,
+        threshold=threshold, split_seed=derive_seed(seed, "split"),
+        train_fraction=train_fraction, impute=impute,
+        mode="bp" if swarm is None else "hybrid" if bp_epochs else "acgwo")
+    (x_train, y_train), test = split_inputs(model, ds)
+    if swarm is not None:
+        swarm = dataclasses.replace(swarm, seed=derive_seed(seed, "swarm"))
+    model.params, history = train(arch, x_train, y_train, swarm, bounds, bp_epochs,
+                                  learning_rate, derive_seed(seed, "init"))
+    return (model, history, bce_loss(arch, model.params, x_train, y_train),
+            *(metrics.evaluate(y, forward_batch(arch, model.params, x), threshold)
+              for x, y in ((x_train, y_train), test)))
+
+
+_ARRAY_FIELDS = ("params", "scaler_mean", "scaler_std")
+
+
 def model_to_json(model: TrainedModel) -> str:
-    payload = {
-        "layer_sizes": list(model.layer_sizes),
-        "params": [float(v) for v in model.params],
-        "scaler_mean": [float(v) for v in model.scaler_mean],
-        "scaler_std": [float(v) for v in model.scaler_std],
-        "threshold": model.threshold,
-        "split_seed": model.split_seed,
-        "train_fraction": model.train_fraction,
-        "impute": model.impute,
-        "mode": model.mode,
-    }
+    payload = {f.name: getattr(model, f.name) for f in dataclasses.fields(TrainedModel)}
+    payload.update((name, np.asarray(payload[name], dtype=float).tolist())
+                   for name in _ARRAY_FIELDS)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -315,7 +360,7 @@ def model_from_json(text: str, source: str = "model") -> TrainedModel:
     check("layer_sizes", lambda v: type(v) is list
           and all(type(s) is int and 0 < s <= sys.maxsize for s in v),
           f"a list of integers in [1, {sys.maxsize}]")
-    for name in ("params", "scaler_mean", "scaler_std"):
+    for name in _ARRAY_FIELDS:
         check(name, lambda v: type(v) is list and all(map(number, v)),
               "a flat list of finite numbers")
         fields[name] = np.array(fields[name], dtype=float)

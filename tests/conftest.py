@@ -1,7 +1,11 @@
+import inspect
+import pickle
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+from lupus import mlp
 
 settings.register_profile(
     "suite",
@@ -19,3 +23,29 @@ def heart_csv() -> Path:
     if not HEART_CSV.exists():
         pytest.skip("bundled heart.csv not present")
     return HEART_CSV
+
+
+@pytest.fixture(scope="session")
+def _fit_results():
+    return {}
+
+
+@pytest.fixture()
+def shared_fit(monkeypatch, _fit_results):
+    """``mlp.fit_classifier`` returns what an earlier call with equal arguments,
+    in a test that used this fixture, returned. The seed-0 witness run at the
+    ``lupus train`` defaults takes seconds; the CLI and the seed script both
+    make it. Equal arguments pickle to equal bytes, so no call gets another's
+    result."""
+    fit = mlp.fit_classifier
+    signature = inspect.signature(fit)
+
+    def shared(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = pickle.dumps(bound.arguments)
+        if key not in _fit_results:
+            _fit_results[key] = fit(*args, **kwargs)
+        return _fit_results[key]
+
+    monkeypatch.setattr(mlp, "fit_classifier", shared)

@@ -129,7 +129,7 @@ class TestAcceptance:
         _report(5, "gradient matches finite differences",
                 ok, f"worst err/tolerance {worst:.2f}, {elapsed:.1f}s")
 
-    def test_06_classifier_reproduction(self, heart_csv, tmp_path, monkeypatch):
+    def test_06_classifier_reproduction(self, heart_csv, tmp_path, monkeypatch, shared_fit):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "data").mkdir()
         shutil.copy(heart_csv, tmp_path / "data" / "heart.csv")

@@ -1,9 +1,12 @@
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -876,3 +879,43 @@ class TestInternalError:
         err = capsys.readouterr().err
         assert "internal error: boom" in err
         assert ("Traceback (most recent call last)" in err) == (debug == "1")
+
+
+class TestFailedWriteExitOne:
+    """An output write that fails once the work is done exits 1, naming the
+    file it was writing; it exited 3 and named the temp file. The write is
+    made to fail by a patch: permissions do not stop root."""
+
+    @pytest.mark.parametrize("module,name", [(tempfile, "mkstemp"), (os, "replace")],
+                             ids=["mkstemp", "replace"])
+    @pytest.mark.parametrize("args,target", [
+        (["curves", "--iters", "3"], "results/curves.csv"),
+        (BENCH_SMALL, "results/table.csv"),
+        (TRAIN_SMALL, "results/model.json"),
+        (["eval"], "results/eval.json"),
+        (["eda"], "data/clean.csv"),
+    ], ids=["curves", "bench", "train", "eval", "eda"])
+    def test_exit_one_naming_target(self, workdir, monkeypatch, capsys, module, name, args,
+                                    target):
+        def fail(*_args, **_kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", "results/.x.tmp")
+
+        if args == ["eval"]:
+            assert run_cli(TRAIN_SMALL) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(module, name, fail)
+        assert run_cli(args) == 1
+        assert capsys.readouterr().err == f"error: cannot write {target}: Permission denied\n"
+        assert not list(workdir.rglob("*.tmp"))
+
+
+def test_failed_allocation_exit_one(workdir, monkeypatch, capsys):
+    # numpy's MemoryError for `--hidden 100000000000` exited 3; whether that
+    # allocation fails at once depends on the host's overcommit setting.
+    def allocate(*_args):
+        raise MemoryError("Unable to allocate 9.46 TiB for an array")
+
+    monkeypatch.setattr(mlp, "init_params", allocate)
+    assert run_cli(["train", "--mode", "bp", "--bp-epochs", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory. Unable to allocate 9.46 TiB for an array\n")

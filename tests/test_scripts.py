@@ -2,9 +2,12 @@
 calls they make shows up here."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from lupus import dataprep
+from lupus.cli import main as cli_main
+from lupus.optimizer import GwoConfig
 
 _SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -24,11 +27,22 @@ def test_search_xor_seed_one_seed(monkeypatch, capsys):
     assert "perfect seeds: [0]" in out
 
 
-def test_search_train_seed_evaluates_a_seed(heart_csv):
+def test_search_train_seed_witness_accuracy(heart_csv, shared_fit):
+    # The recorded seed-0 witness at the `lupus train` defaults; when
+    # test_acceptance's criterion 6 ran first, its CLI run is shared here.
     ds = dataprep.clean(dataprep.load_table(heart_csv))
-    report = _load("search_train_seed").evaluate_seed(ds, 0, swarm=5, iters=3, bp_epochs=2)
-    assert 0.0 <= report.accuracy <= 1.0
-    assert report.counts.tp + report.counts.tn + report.counts.fp + report.counts.fn == 89
+    report = _load("search_train_seed").evaluate_seed(ds, 0)
+    assert round(report.accuracy, 4) == 0.8876
+
+
+def test_search_train_seed_matches_cli(heart_csv, tmp_path):
+    assert cli_main(["train", "--data", str(heart_csv), "--out", str(tmp_path), "--seed", "0",
+                     "--swarm", "5", "--iters", "3", "--bp-epochs", "2"]) == 0
+    trained = json.loads((tmp_path / "train_report.json").read_text())
+    ds = dataprep.clean(dataprep.load_table(heart_csv))
+    report = _load("search_train_seed").evaluate_seed(
+        ds, 0, swarm=GwoConfig(n_agents=5, max_iter=3), bp_epochs=2)
+    assert json.loads(report.to_json()) == trained["test_metrics"]
 
 
 def test_ordering_pass_rate_checks_a_base():
