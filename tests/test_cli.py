@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lupus import cli, dataprep, mlp
+from lupus import cli, curves, dataprep, metrics, mlp, optimizer
 from lupus.cli import main
 from lupus.errors import DataError
 
@@ -919,3 +919,65 @@ def test_failed_allocation_exit_one(workdir, monkeypatch, capsys):
     assert run_cli(["train", "--mode", "bp", "--bp-epochs", "1"]) == 1
     assert capsys.readouterr().err == (
         "error: out of memory. Unable to allocate 9.46 TiB for an array\n")
+
+
+def _csv_text(header, rows):
+    """CSV text as the outputs hold it, each float as its ``repr``."""
+    fields = lambda row: ",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                                  for v in row)
+    return "\n".join([",".join(header)] + [fields(row) for row in rows]) + "\n"
+
+
+class TestOutputText:
+    """The exact text of the outputs that perfbench/witness.json does not pin,
+    rebuilt from the library's values at small sizes."""
+
+    def test_curves_csv(self, workdir):
+        assert run_cli(["curves", "--iters", "40", "--inertia", "1,0.5,2,1.7",
+                        "--leader", "1,0,2.5,2.1"]) == 0
+        inertia = curves.CurveParams(1.0, 0.5, 2.0, 1.7)
+        fi_unit = float(curves.leader_weight(1.0, 1.0, curves.CurveParams(1.0, 0.0, 2.5, 2.1)))
+        rows = [(it, float(optimizer.control_wa(it, 40)),
+                 float(curves.cauchy_inertia(it, 40, inertia)), fi_unit) for it in range(41)]
+        assert Path("results/curves.csv").read_text() == _csv_text(
+            ("iter", "wa", "ww", "fi_unit"), rows)
+
+    @pytest.mark.parametrize("impute", [False, True], ids=["drop", "impute"])
+    def test_clean_csv(self, workdir, impute):
+        assert run_cli(["eda", "--impute" if impute else "--drop-missing"]) == 0
+        ds = dataprep.clean(dataprep.load_table("data/heart.csv"), impute=impute)
+        rows = [[float(v) for v in x] + [int(t)] for x, t in zip(ds.X, ds.y)]
+        assert Path("data/clean.csv").read_text() == _csv_text(
+            ds.feature_names + ("target",), rows)
+
+    @pytest.mark.parametrize("impute", [False, True], ids=["drop", "impute"])
+    def test_corr_csv(self, workdir, impute):
+        assert run_cli(["eda", "--impute" if impute else "--drop-missing"]) == 0
+        ds = dataprep.clean(dataprep.load_table("data/heart.csv"), impute=impute)
+        matrix, names = dataprep.pearson_corr_matrix(ds)
+        rows = [[name] + [float(v) for v in row] for name, row in zip(names, matrix)]
+        assert Path("results/corr.csv").read_text() == _csv_text(("", *names), rows)
+
+    @pytest.fixture()
+    def evaluated(self, workdir):
+        """The held-out report of a small trained model, and the eval outputs."""
+        assert run_cli(TRAIN_SMALL) == 0
+        assert run_cli(["eval"]) == 0
+        model = mlp.model_from_json(Path("results/model.json").read_text())
+        ds = dataprep.clean(dataprep.load_table("data/heart.csv"), impute=model.impute)
+        _, (x_test, y_test) = mlp.split_inputs(model, ds)
+        scores = mlp.forward_batch(model.architecture, model.params, x_test)
+        return metrics.evaluate(y_test, scores, model.threshold), Path("results")
+
+    def test_eval_json(self, evaluated):
+        report, out = evaluated
+        assert (out / "eval.json").read_text() == json.dumps(
+            dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
+
+    def test_eval_csv(self, evaluated):
+        # The published table's column order: ACC, AUC, PRE, Recall, F1.
+        report, out = evaluated
+        row = (report.accuracy, report.auc, report.precision, report.recall, report.f1)
+        assert all(type(v) is float for v in row)
+        assert (out / "eval.csv").read_text() == _csv_text(
+            ("ACC", "AUC", "PRE", "Recall", "F1"), [row])
