@@ -15,12 +15,11 @@ import sys
 from lupus import harness
 
 
-def check_base(base_seed, n_runs=10, n_agents=40, max_iter=500):
-    plan = harness.ExperimentPlan(
-        algorithms=("gwo", "cgwo", "agwo", "acgwo", "pso"),
-        functions=("f1", "f6"), dims=(30,),
-        n_runs=n_runs, base_seed=base_seed, n_agents=n_agents, max_iter=max_iter,
-    )
+def check_base(base_seed, **sizes):
+    """Whether the orderings hold at ``base_seed``; ``sizes`` shrinks the plan's
+    ``n_runs``, ``n_agents`` or ``max_iter`` from its defaults."""
+    plan = harness.ExperimentPlan(algorithms=harness.ALGORITHMS, functions=("f1", "f6"),
+                                  dims=(30,), base_seed=base_seed, **sizes)
     finals = harness.cell_finals(harness.run_plan(plan))
     means = {(alg, fn): x.mean() for (alg, fn, _), x in finals.items()}
     return all(

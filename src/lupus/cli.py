@@ -32,7 +32,7 @@ import click
 
 from . import benchfns, curves, dataprep, harness, metrics, mlp, optimizer
 from .errors import ConfigError, DataError
-from .fileio import write_text_atomic
+from .fileio import json_text, write_csv, write_text_atomic
 
 DEFAULT_SEED = 42
 DEFAULT_DATA = "data/heart.csv"
@@ -41,6 +41,7 @@ DEFAULT_OUT = "results"
 _INERTIA_DEFAULT = ",".join(map(repr, dataclasses.astuple(curves.INERTIA_DEFAULTS)))
 _LEADER_DEFAULT = ",".join(map(repr, dataclasses.astuple(curves.LEADER_WEIGHT_DEFAULTS)))
 _TRAIN = {k: v.default for k, v in inspect.signature(mlp.fit_classifier).parameters.items()}
+_BENCH = {f.name: f.default for f in dataclasses.fields(harness.ExperimentPlan)}
 
 
 class _Parsed(click.ParamType):
@@ -208,16 +209,18 @@ def cli():
 
 
 @cli.command("bench")
-@click.option("--functions", type=_ids(benchfns.REGISTRY), default="f1,f2,f3,f4,f5,f6",
+@click.option("--functions", type=_ids(benchfns.REGISTRY), default=",".join(benchfns.REGISTRY),
               help="Comma-separated benchmark ids.")
 @click.option("--dims", type=_Parsed("N,N,...", lambda text: _sizes(text, True)), default="30",
               help="Comma-separated dimensions.")
-@click.option("--algs", type=_ids(harness.ALGORITHMS), default="gwo,cgwo,agwo,acgwo,pso",
+@click.option("--algs", type=_ids(harness.ALGORITHMS), default=",".join(harness.ALGORITHMS),
               help="Comma-separated algorithm ids.")
-@click.option("--runs", type=click.IntRange(min=1), default=10, help="Independent runs per cell.")
-@click.option("--agents", type=click.IntRange(min=3), default=40,
+@click.option("--runs", type=click.IntRange(min=1), default=_BENCH["n_runs"],
+              help="Independent runs per cell.")
+@click.option("--agents", type=click.IntRange(min=3), default=_BENCH["n_agents"],
               help="Swarm size for benchmark sweeps.")
-@click.option("--iters", type=click.IntRange(min=1), default=500, help="Iterations per run.")
+@click.option("--iters", type=click.IntRange(min=1), default=_BENCH["max_iter"],
+              help="Iterations per run.")
 @_inertia_option
 @_leader_option
 @click.option("--workers", type=click.IntRange(min=1), default=1,
@@ -245,7 +248,7 @@ def cmd_bench(ctx, **_kwargs):
     histories = harness.run_plan(plan, workers=p["workers"])
     harness.export_table(histories, out / "table.csv")
     harness.export_convergence(histories, out / "convergence")
-    click.echo(f"wrote {out / 'table.csv'} ({len(harness.cell_finals(histories))} rows) and "
+    click.echo(f"wrote {out / 'table.csv'} ({len(histories) // plan.n_runs} rows) and "
                f"{len(histories)} convergence series")
 
 
@@ -263,12 +266,9 @@ def cmd_curves(ctx, **_kwargs):
     p = _resolve(ctx, "curves")
     iters = p["iters"]
     fi_unit = curves.leader_weight(1.0, 1.0, p["leader"])
-    lines = ["iter,wa,ww,fi_unit"]
-    for it in range(iters + 1):
-        wa = optimizer.control_wa(it, iters)
-        ww = curves.cauchy_inertia(it, iters, p["inertia"])
-        lines.append(f"{it},{wa!r},{ww!r},{fi_unit!r}")
-    write_text_atomic(p["out"], "\n".join(lines) + "\n")
+    write_csv(p["out"], ("iter", "wa", "ww", "fi_unit"),
+              ((it, optimizer.control_wa(it, iters), curves.cauchy_inertia(it, iters, p["inertia"]),
+                fi_unit) for it in range(iters + 1)))
     click.echo(f"wrote {p['out']} ({iters + 1} rows)")
 
 
@@ -324,11 +324,10 @@ def cmd_train(ctx, **_kwargs):
                                       "learning_rate", "threshold", "train_fraction", "impute")}
     report.update(mode=model.mode, layer_sizes=model.layer_sizes,
                   loss_history=loss_history.tolist(), final_train_loss=train_loss,
-                  train_metrics=json.loads(train_eval.to_json()),
-                  test_metrics=json.loads(test_eval.to_json()),
+                  train_metrics=dataclasses.asdict(train_eval),
+                  test_metrics=dataclasses.asdict(test_eval),
                   one_hot=False)  # pinned by the seed-0 witness digests of train_report.json
-    write_text_atomic(out / "train_report.json",
-                      json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(out / "train_report.json", json_text(report))
     _print_report("train", train_eval)
     _print_report("test", test_eval)
     click.echo(f"wrote {out / 'model.json'} and {out / 'train_report.json'}")
@@ -358,9 +357,9 @@ def cmd_eval(ctx, **_kwargs):
         raise DataError(f"{p['model_path']}: {exc}") from None
     scores = mlp.forward_batch(model.architecture, model.params, x_test)
     report = metrics.evaluate(y_test, scores, model.threshold)
-
-    write_text_atomic(out / "eval.json", report.to_json())
-    write_text_atomic(out / "eval.csv", report.to_csv())
+    write_text_atomic(out / "eval.json", json_text(dataclasses.asdict(report)))
+    write_csv(out / "eval.csv", ("ACC", "AUC", "PRE", "Recall", "F1"),
+              [(report.accuracy, report.auc, report.precision, report.recall, report.f1)])
     _print_report("test", report)
     click.echo(f"wrote {out / 'eval.json'} and {out / 'eval.csv'}")
 
@@ -377,20 +376,11 @@ def cmd_eval(ctx, **_kwargs):
 def cmd_eda(ctx, **_kwargs):
     """Echo the cleaned table and export the labeled correlation matrix."""
     p = _resolve(ctx, "eda")
-    raw = dataprep.load_table(p["data"])
-    ds = dataprep.clean(raw, impute=p["impute"])
-
-    lines = [",".join(ds.feature_names + ("target",))]
-    for i in range(ds.n):
-        fields = [repr(float(v)) for v in ds.X[i]] + [str(int(ds.y[i]))]
-        lines.append(",".join(fields))
-    write_text_atomic(p["clean_out"], "\n".join(lines) + "\n")
-
+    ds = dataprep.clean(dataprep.load_table(p["data"]), impute=p["impute"])
+    write_csv(p["clean_out"], ds.feature_names + ("target",),
+              (x + [t] for x, t in zip(ds.X.tolist(), ds.y.tolist())))
     matrix, names = dataprep.pearson_corr_matrix(ds)
-    lines = ["," + ",".join(names)]
-    for name, row in zip(names, matrix):
-        lines.append(name + "," + ",".join(repr(float(v)) for v in row))
-    write_text_atomic(p["out"], "\n".join(lines) + "\n")
+    write_csv(p["out"], ("", *names), ((name, *row) for name, row in zip(names, matrix.tolist())))
     click.echo(f"wrote {p['clean_out']} ({ds.n} rows) and {p['out']} "
                f"({len(names)}x{len(names)})")
 

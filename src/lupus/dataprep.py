@@ -135,10 +135,14 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int):
 
     Each class contributes round(train_fraction * class_size) rows to the
     training part; rows keep their per-class shuffled order. A fraction that
-    leaves a class out of either part is a :class:`ConfigError`.
+    leaves a class out of either part is a :class:`ConfigError`; labels of
+    one class are a :class:`DataError`, as no classifier can be fit or scored.
     """
     metrics.check_unit_interval(train_fraction, "train_fraction", ConfigError)
     classes = np.unique(ds.y)
+    if classes.size < 2:
+        raise DataError(f"the target holds only class {', '.join(map(str, classes))}; "
+                        "a stratified split needs both classes")
     rng = np.random.default_rng(seed)
     train_idx = []
     test_idx = []

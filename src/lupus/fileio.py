@@ -1,6 +1,7 @@
-"""Atomic text-file output: no workflow ever leaves a partial file behind."""
+"""Output files as CSV or JSON text, each written atomically: none is left partial."""
 
 import contextlib
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -26,3 +27,15 @@ def write_text_atomic(path, content: str) -> None:
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header``, then one comma-joined line per row: text as is, any
+    other value as its ``repr``, so a row of ``.tolist()`` floats round-trips."""
+    lines = [header, *([v if isinstance(v, str) else repr(v) for v in row] for row in rows)]
+    write_text_atomic(path, "".join(",".join(line) + "\n" for line in lines))
+
+
+def json_text(value) -> str:
+    """``value`` as output-file JSON: keys sorted, two-space indent, final newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"

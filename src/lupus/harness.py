@@ -19,7 +19,7 @@ import numpy as np
 from . import benchfns, curves, optimizer
 from .curves import CurveParams
 from .errors import ConfigError
-from .fileio import write_text_atomic
+from .fileio import write_csv
 from .seeding import derive_seed
 
 ALGORITHMS = optimizer.VARIANTS + ("pso",)
@@ -118,10 +118,8 @@ def export_table(histories: Dict[CellKey, np.ndarray], path) -> None:
     finals = cell_finals(histories)
     if not finals:
         raise ValueError("no histories to export")
-    lines = ["algorithm,function,dim,mean,std,n_runs"]
-    lines.extend(f"{alg},{fn_id},{dim},{x.mean():.2E},{x.std():.2E},{x.size}"
-                 for (alg, fn_id, dim), x in finals.items())
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, ("algorithm", "function", "dim", "mean", "std", "n_runs"),
+              ((*cell, f"{x.mean():.2E}", f"{x.std():.2E}", x.size) for cell, x in finals.items()))
 
 
 def export_convergence(histories: Dict[CellKey, np.ndarray], out_dir) -> None:
@@ -132,13 +130,8 @@ def export_convergence(histories: Dict[CellKey, np.ndarray], out_dir) -> None:
     out_dir = Path(out_dir)
     written = set()
     for key in sorted(histories):
-        alg, fn_id, dim, run_index = key
-        lines = ["iter,alpha_score"]
-        lines.extend(
-            f"{i},{float(v)!r}" for i, v in enumerate(histories[key])
-        )
-        path = out_dir / f"{alg}_{fn_id}_{dim}_{run_index}.csv"
-        write_text_atomic(path, "\n".join(lines) + "\n")
+        path = out_dir / ("_".join(map(str, key)) + ".csv")
+        write_csv(path, ("iter", "alpha_score"), enumerate(histories[key].tolist()))
         written.add(path)
     for path in out_dir.glob("*.csv"):
         if path not in written:

@@ -6,8 +6,6 @@ over tiny test splits never aborts a sweep; :func:`evaluate` records which
 metrics degenerated in the report.
 """
 
-import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -92,9 +90,6 @@ def roc_auc(y_true, scores) -> float:
     return float(((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0).sum())
 
 
-_CSV_HEADER = "ACC,AUC,PRE,Recall,F1"
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """One evaluation row: the five headline metrics plus raw counts."""
@@ -106,14 +101,6 @@ class EvalReport:
     f1: float
     counts: ConfusionCounts
     degenerate: Tuple[str, ...] = ()
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
-
-    def to_csv(self) -> str:
-        row = ",".join(repr(v) for v in
-                       (self.accuracy, self.auc, self.precision, self.recall, self.f1))
-        return f"{_CSV_HEADER}\n{row}\n"
 
 
 def check_unit_interval(value, name: str = "threshold", error=ValueError) -> None:

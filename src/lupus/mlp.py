@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import dataprep, metrics, optimizer
+from . import dataprep, fileio, metrics, optimizer
 from .errors import ConfigError, DataError
 from .optimizer import GwoConfig, SearchSpace
 from .seeding import derive_seed
@@ -330,10 +330,10 @@ _ARRAY_FIELDS = ("params", "scaler_mean", "scaler_std")
 
 
 def model_to_json(model: TrainedModel) -> str:
-    payload = {f.name: getattr(model, f.name) for f in dataclasses.fields(TrainedModel)}
+    payload = dataclasses.asdict(model)
     payload.update((name, np.asarray(payload[name], dtype=float).tolist())
                    for name in _ARRAY_FIELDS)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return fileio.json_text(payload)
 
 
 def model_from_json(text: str, source: str = "model") -> TrainedModel:

@@ -36,6 +36,14 @@ def run_cli(args):
     return main(list(args))
 
 
+def _one_class_data():
+    """data/heart.csv with every target set to 0, as data/one_class.csv."""
+    lines = Path("data/heart.csv").read_text().splitlines()
+    Path("data/one_class.csv").write_text("".join(line.rsplit(",", 1)[0] + ",0\n"
+                                                  for line in lines))
+    return "data/one_class.csv"
+
+
 class TestCurvesCommand:
     def test_schedule_dump(self, workdir):
         assert run_cli(["curves"]) == 0
@@ -478,6 +486,12 @@ class TestTrainCommand:
     def test_missing_dataset_exit_two(self, workdir):
         assert run_cli(TRAIN_SMALL + ["--data", "data/nope.csv"]) == 2
 
+    def test_one_class_data_exit_two(self, workdir, capsys):
+        # It trained in full, then exited 3 from roc_auc.
+        assert run_cli(TRAIN_SMALL + ["--data", _one_class_data()]) == 2
+        assert "the target holds only class 0" in capsys.readouterr().err
+        assert not Path("results").exists()
+
     @pytest.mark.parametrize("flag,value", [("--threshold", "1.5"), ("--threshold", "0"),
                                             ("--bounds", "a,b"), ("--bounds", "0,inf"),
                                             ("--bounds", "-inf,inf"), ("--bounds", "5,-5"),
@@ -813,6 +827,13 @@ class TestEvalCommand:
 
     def test_missing_model_exit_two(self, workdir):
         assert run_cli(["eval", "--model", "results/absent.json"]) == 2
+
+    def test_one_class_data_exit_two(self, workdir, capsys):
+        assert run_cli(TRAIN_SMALL) == 0
+        capsys.readouterr()
+        assert run_cli(["eval", "--data", _one_class_data()]) == 2
+        assert "the target holds only class 0" in capsys.readouterr().err
+        assert not Path("results/eval.json").exists()
 
     def test_feature_width_mismatch_exit_two(self, workdir, capsys):
         # A consistent 12-16-1 model: the first 16 parameters are the weights

@@ -1,12 +1,14 @@
 """Smoke runs of the scripts at tiny sizes, so that a change to the library
 calls they make shows up here."""
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
 
 from lupus import dataprep
 from lupus.cli import main as cli_main
+from lupus.fileio import json_text
 from lupus.optimizer import GwoConfig
 
 _SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -42,7 +44,7 @@ def test_search_train_seed_matches_cli(heart_csv, tmp_path):
     ds = dataprep.clean(dataprep.load_table(heart_csv))
     report = _load("search_train_seed").evaluate_seed(
         ds, 0, swarm=GwoConfig(n_agents=5, max_iter=3), bp_epochs=2)
-    assert json.loads(report.to_json()) == trained["test_metrics"]
+    assert json.loads(json_text(dataclasses.asdict(report))) == trained["test_metrics"]
 
 
 def test_ordering_pass_rate_checks_a_base():
