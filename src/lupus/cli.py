@@ -376,7 +376,8 @@ def cmd_eval(ctx, **_kwargs):
 def cmd_eda(ctx, **_kwargs):
     """Echo the cleaned table and export the labeled correlation matrix."""
     p = _resolve(ctx, "eda")
-    ds = dataprep.clean(dataprep.load_table(p["data"]), impute=p["impute"])
+    raw = dataprep.load_table(p["data"])
+    ds = dataprep.clean(raw, impute=p["impute"])
     write_csv(p["clean_out"], ds.feature_names + ("target",),
               (x + [t] for x, t in zip(ds.X.tolist(), ds.y.tolist())))
     matrix, names = dataprep.pearson_corr_matrix(ds)
