@@ -24,7 +24,6 @@ import dataclasses
 import inspect
 import json
 import os
-import sys
 import traceback
 from pathlib import Path
 
@@ -318,7 +317,7 @@ def cmd_train(ctx, **_kwargs):
     model, loss_history, train_loss, train_eval, test_eval = mlp.fit_classifier(
         ds, p["seed"], p["hidden"], swarm, p["bounds"],
         0 if p["mode"] == "acgwo" else p["bp_epochs"], p["learning_rate"], p["threshold"],
-        p["train_fraction"], p["impute"])
+        p["train_fraction"])
     write_text_atomic(out / "model.json", mlp.model_to_json(model))
     report = {key: p[key] for key in ("seed", "bounds", "swarm", "iters", "bp_epochs",
                                       "learning_rate", "threshold", "train_fraction", "impute")}
@@ -378,9 +377,8 @@ def cmd_eda(ctx, **_kwargs):
     p = _resolve(ctx, "eda")
     raw = dataprep.load_table(p["data"])
     ds = dataprep.clean(raw, impute=p["impute"])
-    write_csv(p["clean_out"], ds.feature_names + ("target",),
-              (x + [t] for x, t in zip(ds.X.tolist(), ds.y.tolist())))
     matrix, names = dataprep.pearson_corr_matrix(ds)
+    write_csv(p["clean_out"], names, (x + [t] for x, t in zip(ds.X.tolist(), ds.y.tolist())))
     write_csv(p["out"], ("", *names), ((name, *row) for name, row in zip(names, matrix.tolist())))
     click.echo(f"wrote {p['clean_out']} ({ds.n} rows) and {p['out']} "
                f"({len(names)}x{len(names)})")
@@ -410,7 +408,3 @@ def main(argv=None):
         click.echo(f"internal error: {exc}", err=True)
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -4,12 +4,13 @@ The expected file is comma-separated with 14 columns (13 features plus the
 0-4 graded target), an optional header line that names them as
 ``COLUMN_NAMES`` does, and "?" marking missing values.
 Cleaning parses every cell once, drops rows carrying "?" (or mode-imputes
-them behind a flag) and binarizes the target to presence/absence.
+them behind a flag) and binarizes the target to presence/absence. A column
+of zero variance, or a class of one member, is a :class:`DataError`.
 """
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -27,11 +28,13 @@ MISSING = "?"
 
 @dataclass(frozen=True)
 class Dataset:
-    """Fully numeric feature matrix with binary labels."""
+    """Fully numeric feature matrix with binary labels; ``impute`` records
+    whether missing cells were imputed or their rows dropped."""
 
     X: np.ndarray
     y: np.ndarray
     feature_names: Tuple[str, ...] = FEATURE_NAMES
+    impute: bool = False
 
     @property
     def n(self) -> int:
@@ -109,7 +112,15 @@ def clean(rows: list, impute: bool = False) -> Dataset:
         table = table[~missing.any(axis=1)]
         if not len(table):
             raise DataError("no rows left after dropping missing values")
-    return Dataset(X=np.ascontiguousarray(table[:, :-1]), y=(table[:, -1] > 0).astype(int))
+    return Dataset(X=np.ascontiguousarray(table[:, :-1]), y=(table[:, -1] > 0).astype(int),
+                   impute=impute)
+
+
+def _check_variance(spread: np.ndarray, names: Sequence[str], consequence: str) -> None:
+    """Raise a :class:`DataError` naming the first column whose ``spread`` is 0."""
+    flat = np.flatnonzero(spread == 0)
+    if flat.size:
+        raise DataError(f"column {names[int(flat[0])]} has zero variance; {consequence}")
 
 
 def fit_standardizer(X: np.ndarray, feature_names: Sequence[str]) -> StandardizationStats:
@@ -119,10 +130,7 @@ def fit_standardizer(X: np.ndarray, feature_names: Sequence[str]) -> Standardiza
         raise DataError("cannot standardize an empty matrix")
     mean = X.mean(axis=0)
     std = X.std(axis=0)
-    flat = np.nonzero(std == 0)[0]
-    if flat.size:
-        name = feature_names[int(flat[0])]
-        raise ConfigError(f"column {name} has zero variance; cannot standardize")
+    _check_variance(std, feature_names, "cannot standardize")
     return StandardizationStats(mean=mean, std=std)
 
 
@@ -136,7 +144,8 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int):
     Each class contributes round(train_fraction * class_size) rows to the
     training part; rows keep their per-class shuffled order. A fraction that
     leaves a class out of either part is a :class:`ConfigError`; labels of
-    one class are a :class:`DataError`, as no classifier can be fit or scored.
+    one class, or a class of one member, are a :class:`DataError`, as no
+    fraction splits them.
     """
     metrics.check_unit_interval(train_fraction, "train_fraction", ConfigError)
     classes = np.unique(ds.y)
@@ -149,9 +158,7 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int):
     for cls in classes:
         members = np.nonzero(ds.y == cls)[0]
         if members.size < 2:
-            raise ConfigError(
-                f"class {cls} has only {members.size} member(s); cannot split"
-            )
+            raise DataError(f"class {cls} has only {members.size} member(s); cannot split")
         perm = rng.permutation(members)
         k = int(round(train_fraction * members.size))
         if k in (0, members.size):
@@ -161,10 +168,8 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int):
             )
         train_idx.append(perm[:k])
         test_idx.append(perm[k:])
-    train_idx = np.concatenate(train_idx)
-    test_idx = np.concatenate(test_idx)
-    make = lambda idx: Dataset(X=ds.X[idx], y=ds.y[idx], feature_names=ds.feature_names)
-    return make(train_idx), make(test_idx)
+    return tuple(replace(ds, X=ds.X[idx], y=ds.y[idx])
+                 for idx in (np.concatenate(train_idx), np.concatenate(test_idx)))
 
 
 def pearson_corr_matrix(ds: Dataset):
@@ -177,11 +182,7 @@ def pearson_corr_matrix(ds: Dataset):
     names = (*ds.feature_names, COLUMN_NAMES[-1])
     centered = columns - columns.mean(axis=0)
     norms = np.sqrt(np.square(centered).sum(axis=0))
-    flat = np.nonzero(norms == 0)[0]
-    if flat.size:
-        raise ConfigError(
-            f"column {names[int(flat[0])]} has zero variance; correlation undefined"
-        )
+    _check_variance(norms, names, "correlation undefined")
     normalized = centered / norms
     matrix = normalized.T @ normalized
     matrix = np.clip(matrix, -1.0, 1.0)

@@ -298,7 +298,7 @@ def fit_classifier(ds: dataprep.Dataset, seed: int, hidden: Tuple[int, ...] = (1
                    swarm: Optional[GwoConfig] = GwoConfig(),
                    bounds: Tuple[float, float] = (-5.0, 5.0), bp_epochs: int = 100,
                    learning_rate: float = 0.1, threshold: float = 0.5,
-                   train_fraction: float = 0.7, impute: bool = False) -> tuple:
+                   train_fraction: float = 0.7) -> tuple:
     """The ``lupus train`` pipeline on a cleaned dataset, whose flags take
     their defaults from this signature: a stratified split, a scaler fit on
     the training part, a network with ``hidden`` layers trained by
@@ -306,7 +306,7 @@ def fit_classifier(ds: dataprep.Dataset, seed: int, hidden: Tuple[int, ...] = (1
 
     The split, the swarm (its own seed replaced) and the init draw from seeds
     derived from ``seed``. The model records mode ``bp`` without a swarm,
-    ``acgwo`` with no BP epoch, ``hybrid`` otherwise; ``impute`` says how
+    ``acgwo`` with no BP epoch, ``hybrid`` otherwise, and ``ds.impute``, how
     ``ds`` was cleaned. Returns the model, the loss history, the final
     training loss and the training and held-out :class:`metrics.EvalReport`.
     """
@@ -314,7 +314,7 @@ def fit_classifier(ds: dataprep.Dataset, seed: int, hidden: Tuple[int, ...] = (1
     model = TrainedModel(
         layer_sizes=arch.layer_sizes, params=None, scaler_mean=None, scaler_std=None,
         threshold=threshold, split_seed=derive_seed(seed, "split"),
-        train_fraction=train_fraction, impute=impute,
+        train_fraction=train_fraction, impute=ds.impute,
         mode="bp" if swarm is None else "hybrid" if bp_epochs else "acgwo")
     (x_train, y_train), test = split_inputs(model, ds)
     if swarm is not None:

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,9 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import lupus
 from lupus import cli, curves, dataprep, metrics, mlp, optimizer
 from lupus.cli import main
 from lupus.errors import DataError
+from lupus.fileio import json_text
 
 BENCH_SMALL = ["bench", "--functions", "f1", "--dims", "4", "--algs", "gwo,acgwo",
                "--runs", "2", "--agents", "5", "--iters", "15", "--seed", "42"]
@@ -36,12 +40,19 @@ def run_cli(args):
     return main(list(args))
 
 
+def _set_column(column, value):
+    """data/heart.csv with column ``column`` of its line i set to
+    ``value(i)``, as data/edited.csv."""
+    rows = [line.split(",") for line in Path("data/heart.csv").read_text().splitlines()]
+    for i, fields in enumerate(rows):
+        fields[column] = value(i)
+    Path("data/edited.csv").write_text("".join(",".join(fields) + "\n" for fields in rows))
+    return "data/edited.csv"
+
+
 def _one_class_data():
-    """data/heart.csv with every target set to 0, as data/one_class.csv."""
-    lines = Path("data/heart.csv").read_text().splitlines()
-    Path("data/one_class.csv").write_text("".join(line.rsplit(",", 1)[0] + ",0\n"
-                                                  for line in lines))
-    return "data/one_class.csv"
+    """data/heart.csv with every target set to 0."""
+    return _set_column(13, lambda i: "0")
 
 
 class TestCurvesCommand:
@@ -336,6 +347,11 @@ class TestConfigFile:
                      ["config file cfg.json: eda.out", "NUL"], id="out-nul"),
         pytest.param(TRAIN_SMALL, {"train": {"data": "a\0b"}},
                      ["config file cfg.json: train.data", "NUL"], id="data-nul"),
+        pytest.param(["curves", "--iters", "3"], [1],
+                     ["config file cfg.json: top level must be an object"], id="top-level-array"),
+        pytest.param(["curves", "--iters", "3"], {"curves": 5},
+                     ["config file cfg.json: section 'curves' must be an object"],
+                     id="section-number"),
     ])
     def test_bad_value_or_key_exit_one(self, workdir, capsys, args, config, named):
         Path("afile").write_text("x")
@@ -346,6 +362,12 @@ class TestConfigFile:
         assert "cfg.json" in err and "--" not in err
         for text in named:
             assert text in err
+        assert not Path("results").exists()
+
+    def test_directory_exit_one(self, workdir, capsys):
+        Path("cfg.json").mkdir()
+        assert run_cli(["curves", "--iters", "3", "--config", "cfg.json"]) == 1
+        assert "cannot read config file" in capsys.readouterr().err
         assert not Path("results").exists()
 
     def test_curves_checked_against_algorithms_name_the_curve(self, workdir, capsys):
@@ -409,6 +431,34 @@ class TestEdaCommand:
         first = Path("results/corr.csv").read_bytes()
         assert run_cli(["eda"]) == 0
         assert Path("results/corr.csv").read_bytes() == first
+
+    @pytest.mark.parametrize("column,value,named", [
+        (13, "0", "column target has zero variance; correlation undefined"),
+        (0, "5.0", "column age has zero variance; correlation undefined"),
+    ], ids=["one-class", "constant-age"])
+    def test_zero_variance_exit_two_writing_neither(self, workdir, capsys, column, value,
+                                                    named):
+        # Both exited 1, and eda had written clean.csv before the matrix failed.
+        assert run_cli(["eda", "--data", _set_column(column, lambda i: value)]) == 2
+        assert named in capsys.readouterr().err
+        assert not Path("results").exists() and not Path("data/clean.csv").exists()
+
+    @pytest.mark.parametrize("mode,named", [
+        ("--drop-missing", "no rows left after dropping missing values"),
+        ("--impute", "column 'ca' is entirely missing"),
+    ], ids=["drop", "impute"])
+    def test_every_ca_missing_exit_two(self, workdir, capsys, mode, named):
+        assert run_cli(["eda", mode, "--data", _set_column(11, lambda i: "?")]) == 2
+        assert named in capsys.readouterr().err
+        assert not Path("data/clean.csv").exists()
+
+    def test_blank_lines_skipped(self, workdir):
+        assert run_cli(["eda"]) == 0
+        clean = Path("data/clean.csv").read_bytes()
+        lines = Path("data/heart.csv").read_text().splitlines()
+        Path("data/blank.csv").write_text("\n" + "\n\n".join(lines) + "\n  \n")
+        assert run_cli(["eda", "--data", "data/blank.csv"]) == 0
+        assert Path("data/clean.csv").read_bytes() == clean
 
 
 class TestNonFiniteData:
@@ -490,6 +540,16 @@ class TestTrainCommand:
         # It trained in full, then exited 3 from roc_auc.
         assert run_cli(TRAIN_SMALL + ["--data", _one_class_data()]) == 2
         assert "the target holds only class 0" in capsys.readouterr().err
+        assert not Path("results").exists()
+
+    # Faults of the data that no flag can mend; both exited 1.
+    @pytest.mark.parametrize("column,value,named", [
+        (0, lambda i: "5.0", "column age has zero variance; cannot standardize"),
+        (13, lambda i: "1" if i == 1 else "0", "class 1 has only 1 member(s); cannot split"),
+    ], ids=["constant-age", "one-positive-row"])
+    def test_data_fault_exit_two(self, workdir, capsys, column, value, named):
+        assert run_cli(TRAIN_SMALL + ["--data", _set_column(column, value)]) == 2
+        assert named in capsys.readouterr().err
         assert not Path("results").exists()
 
     @pytest.mark.parametrize("flag,value", [("--threshold", "1.5"), ("--threshold", "0"),
@@ -671,6 +731,8 @@ class TestEdaNeverInternalError:
     # A blank cell that --impute's mode tie-break passed to float() (exit 3).
     @example(keep=1, cells=[(0, 1, "")], constant=None, impute=True,
              out="fresh", clean_out="fresh")
+    # One class: clean.csv was written before the correlation failed.
+    @example(keep=None, cells=[], constant=13, impute=False, out="fresh", clean_out="fresh")
     def test_exit_code_never_three(self, heart_csv, tmp_path_factory, keep, cells,
                                    constant, impute, out, clean_out):
         # keep=None keeps every bundled row; 0-3 rows leave too few to correlate.
@@ -689,6 +751,8 @@ class TestEdaNeverInternalError:
                         "--impute" if impute else "--drop-missing", "--out", str(corr),
                         "--clean-out", str(_output_path(root, clean_out, "clean.csv"))])
         assert code in (0, 1, 2)
+        if code != 0:  # fresh output paths all lie under root/new
+            assert not (root / "new").exists()
         if code == 0:
             values = [v for line in corr.read_text().splitlines()[1:]
                       for v in line.split(",")[1:]]
@@ -820,6 +884,19 @@ class TestEvalCommand:
         assert csv_lines[0] == "ACC,AUC,PRE,Recall,F1"
         assert float(csv_lines[1].split(",")[0]) == evaluated["accuracy"]
 
+    def test_reproduces_library_fit_of_imputed_data(self, workdir):
+        # fit_classifier took the cleaning mode as a second argument, default
+        # false, so this model said impute: false and eval scored 89 rows
+        # where the fit had held out 91.
+        ds = dataprep.clean(dataprep.load_table("data/heart.csv"), impute=True)
+        model, *_, test_eval = mlp.fit_classifier(
+            ds, 0, swarm=optimizer.GwoConfig(n_agents=5, max_iter=3), bp_epochs=2)
+        assert model.impute is True
+        Path("results").mkdir()
+        Path("results/model.json").write_text(mlp.model_to_json(model))
+        assert run_cli(["eval"]) == 0
+        assert Path("results/eval.json").read_text() == json_text(dataclasses.asdict(test_eval))
+
     def test_corrupted_model_exit_two(self, workdir):
         Path("results").mkdir(exist_ok=True)
         Path("results/model.json").write_text("{broken")
@@ -856,6 +933,8 @@ class TestEvalCommand:
         ("threshold", lambda v: 1.5),
         ("params", lambda v: [math.nan] + v[1:]),
         ("train_fraction", lambda v: 0.9999999),
+        ("layer_sizes", lambda v: [13, 2]),
+        ("layer_sizes", lambda v: [13]),
     ])
     def test_invalid_model_field_exit_two(self, workdir, capsys, field, value):
         assert run_cli(TRAIN_SMALL) == 0
@@ -883,6 +962,22 @@ class TestHelp:
 
     def test_unknown_subcommand_exit_one(self):
         assert run_cli(["frobnicate"]) == 1
+
+
+class TestModuleEntryPoint:
+    """``python -m lupus`` exits with main's code."""
+
+    @pytest.mark.parametrize("args,code,stream,text", [
+        (["--help"], 0, "stdout", "Usage:"),
+        (["eval", "--model", "absent.json"], 2, "stderr", "cannot read model file"),
+    ], ids=["help", "missing-model"])
+    def test_exit_code(self, tmp_path, args, code, stream, text):
+        path = [str(Path(lupus.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        result = subprocess.run([sys.executable, "-m", "lupus", *args], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == code
+        assert text in getattr(result, stream)
 
 
 class TestInternalError:

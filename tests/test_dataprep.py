@@ -139,6 +139,10 @@ class TestClean:
         assert ds.n == 303
         assert np.array_equal(np.bincount(ds.y), [164, 139])
 
+    @pytest.mark.parametrize("impute", [False, True])
+    def test_records_cleaning_mode(self, heart_csv, impute):
+        assert clean(load_table(heart_csv), impute=impute).impute is impute
+
 
 class TestStandardizer:
     def test_hand_values(self):
@@ -165,7 +169,7 @@ class TestStandardizer:
 
     def test_constant_column_named(self):
         x = np.column_stack([np.ones(5), np.arange(5.0)])
-        with pytest.raises(ConfigError, match="age"):
+        with pytest.raises(DataError, match="age"):
             fit_standardizer(x, ("age", "sex"))
 
 
@@ -202,10 +206,17 @@ class TestStratifiedSplit:
         assert np.array_equal(a1.X, a2.X)
         assert not np.array_equal(a1.X, b.X)
 
+    @pytest.mark.parametrize("impute", [False, True])
+    def test_parts_keep_every_other_field(self, impute):
+        ds = Dataset(X=np.arange(20.0).reshape(10, 2), y=np.arange(10) % 2,
+                     feature_names=("a", "b"), impute=impute)
+        for part in stratified_split(ds, 0.6, seed=0):
+            assert (part.feature_names, part.impute) == (("a", "b"), impute)
+
     def test_tiny_class_rejected(self):
         ds = Dataset(X=np.arange(8.0).reshape(4, 2), y=np.array([0, 0, 0, 1]),
                      feature_names=("a", "b"))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             stratified_split(ds, 0.5, seed=0)
 
     # 10 rows split into classes of 2 and 8: 0.9 and 0.1 leave the small
@@ -258,5 +269,5 @@ class TestPearson:
     def test_zero_variance_named(self):
         ds = Dataset(X=np.column_stack([np.ones(6), np.arange(6.0)]),
                      y=np.arange(6) % 2, feature_names=("flat", "ramp"))
-        with pytest.raises(ConfigError, match="flat"):
+        with pytest.raises(DataError, match="flat"):
             pearson_corr_matrix(ds)
