@@ -2,7 +2,10 @@
 
 Four variants share one loop and are selected by flags: the plain scheme
 (``gwo``), the curve-scheduled inertia weight (``cgwo``), the adaptive
-per-leader fitness weights (``agwo``), and both together (``acgwo``).
+per-leader fitness weights (``agwo``), and both together (``acgwo``). Both
+swarms keep their best so far by one rule, :func:`_update_leaders`: the k best
+(three leaders, one PSO global best), ties to the old leader, then to the lower
+agent index.
 
 Objectives are callables ``objective(X, rng) -> (n,)`` minimized over a
 box-bounded space, called once per iteration with the whole ``(n, dim)``
@@ -187,19 +190,18 @@ def _evaluate(objective: Objective, positions: np.ndarray, rng) -> np.ndarray:
     return fitness
 
 
-def _update_leaders(fitness, positions, scores: list, leaders: list) -> None:
-    """Insert each agent, in index order, into the three best so far.
+def _update_leaders(fitness, positions, scores, leaders):
+    """The ``k = scores.size`` best so far, best first, as new arrays.
 
-    ``scores`` and ``leaders`` are the alpha, beta and delta scores and
-    positions, best first. An agent takes the first rank it strictly beats;
-    the ranks below it shift down and the last one drops out.
+    The k best of the old leaders (``scores``, ``(k, dim)`` rows ``leaders``)
+    then the agents (``fitness``, ``positions``) in stable order: ties go to
+    the old leader, then to the lower agent index. Only leading rows are copied.
     """
-    for i, f in enumerate(fitness.tolist()):
-        if f < scores[2]:
-            rank = 0 if f < scores[0] else 1 if f < scores[1] else 2
-            scores.insert(rank, f)
-            leaders.insert(rank, positions[i].copy())
-            del scores[3], leaders[3]
+    k = scores.size
+    merged = np.concatenate((scores, fitness))
+    order = merged.argsort(kind="stable")[:k]
+    return merged[order], np.array([leaders[j] if j < k else positions[j - k]
+                                    for j in order.tolist()])
 
 
 def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
@@ -214,8 +216,7 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
     n, dim = cfg.n_agents, space.dim
     rng = np.random.default_rng(cfg.seed)
     positions = rng.uniform(space.lower, space.upper, size=(n, dim))
-    scores = [math.inf] * 3
-    leaders = [np.zeros(dim)] * 3
+    scores, leaders = np.full(3, math.inf), np.zeros((3, dim))
 
     use_curve = cfg.variant in _CURVE_VARIANTS
     use_weights = cfg.variant in _ADAPTIVE_VARIANTS
@@ -226,20 +227,19 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
     history = np.empty(cfg.max_iter)
     for it in range(cfg.max_iter):
         fitness = _evaluate(objective, positions, rng)
-        _update_leaders(fitness, positions, scores, leaders)
+        scores, leaders = _update_leaders(fitness, positions, scores, leaders)
 
         wa = control_wa(it, cfg.max_iter)
-        ww = 1.0
-        if use_curve:
-            ww = curves.cauchy_inertia(it, cfg.max_iter, cfg.inertia) / ww_scale
+        ww = curves.cauchy_inertia(it, cfg.max_iter, cfg.inertia) / ww_scale if use_curve else 1.0
         if use_weights:
             f_avg = float(fitness.sum()) / n  # as fitness.mean() rounds it
-            weights = np.array([curves.leader_weight(s, f_avg, cfg.leader) for s in scores])
+            weights = np.array([curves.leader_weight(s, f_avg, cfg.leader)
+                                for s in scores.tolist()])
 
         positions = clamp(_move(positions, leaders, weights, wa, ww, rng), space)
         history[it] = scores[0]
 
-    return RunResult(best_position=leaders[0].copy(), history=history)
+    return RunResult(best_position=leaders[0], history=history)
 
 
 def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResult:
@@ -256,10 +256,8 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
     v_max = VELOCITY_CLAMP * (space.upper - space.lower)
     pull, gap = np.empty((n, dim)), np.empty((n, dim))
 
-    pbest = positions.copy()
-    pbest_f = np.full(n, math.inf)
-    gbest = np.zeros(dim)
-    gbest_f = math.inf
+    pbest, pbest_f = positions.copy(), np.full(n, math.inf)
+    gbest_f, gbest = np.full(1, math.inf), np.zeros((1, dim))
 
     history = np.empty(cfg.max_iter)
     for it in range(cfg.max_iter):
@@ -268,11 +266,8 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
         improved = fitness < pbest_f
         np.copyto(pbest, positions, where=improved[:, None])
         np.copyto(pbest_f, fitness, where=improved)
-        best = int(np.argmin(pbest_f))
-        if pbest_f[best] < gbest_f:
-            gbest_f = float(pbest_f[best])
-            gbest = pbest[best].copy()
-        history[it] = gbest_f
+        gbest_f, gbest = _update_leaders(pbest_f, pbest, gbest_f, gbest)
+        history[it] = gbest_f[0]
 
         w = W_MAX - (W_MAX - W_MIN) * it / cfg.max_iter
         draws = rng.random((n, dim, 2))
@@ -285,4 +280,4 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
         velocities.clip(-v_max, v_max, out=velocities)
         positions = clamp(positions + velocities, space)
 
-    return RunResult(best_position=gbest.copy(), history=history)
+    return RunResult(best_position=gbest[0], history=history)

@@ -253,10 +253,11 @@ class TestAcceptance:
         history_ok = bool(np.all(np.diff(result.history) <= 0))
 
         positions = np.random.default_rng(2).uniform(space.lower, space.upper, (6, 3))
-        scores, leaders = [math.inf] * 3, [np.zeros(3)] * 3
+        scores, leaders = np.full(3, math.inf), np.zeros((3, 3))
         ordering_ok = True
         for _ in range(20):
-            optimizer._update_leaders(rng.uniform(0, 10, 6), positions, scores, leaders)
+            scores, leaders = optimizer._update_leaders(rng.uniform(0, 10, 6), positions,
+                                                        scores, leaders)
             if not scores[0] <= scores[1] <= scores[2]:
                 ordering_ok = False
             positions = rng.uniform(-2, 2, (6, 3))

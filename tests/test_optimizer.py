@@ -448,18 +448,17 @@ class TestRun:
         cfg = GwoConfig(variant="gwo", n_agents=5, max_iter=15, seed=2)
         rng = np.random.default_rng(cfg.seed)
         positions = rng.uniform(space.lower, space.upper, size=(cfg.n_agents, space.dim))
-        scores, leaders = [math.inf] * 3, [np.zeros(space.dim)] * 3
+        scores, leaders = np.full(3, math.inf), np.zeros((3, space.dim))
         for _ in range(cfg.max_iter):
             fitness = optimizer._evaluate(sphere_objective, positions, rng)
-            optimizer._update_leaders(fitness, positions, scores, leaders)
+            scores, leaders = optimizer._update_leaders(fitness, positions, scores, leaders)
             assert scores[0] <= scores[1] <= scores[2]
             wa = 1.0
             draws = rng.random((cfg.n_agents, 3, space.dim, 2))
             a = 2 * wa * draws[..., 0] - wa
             c = 2 * draws[..., 1]
-            stacked = np.stack(leaders)
-            disp = np.abs(c * stacked[None] - positions[:, None, :])
-            positions = clamp((stacked[None] - a * disp).mean(axis=1), space)
+            disp = np.abs(c * leaders[None] - positions[:, None, :])
+            positions = clamp((leaders[None] - a * disp).mean(axis=1), space)
 
     def test_nan_fitness_never_leads(self):
         def sometimes_nan(X, rng):
@@ -507,21 +506,73 @@ _TIED_FITNESS = [[3.0, 1.0, 1.0, 2.0, math.inf, 1.0],
                  [5.0, 5.0, 5.0, 5.0, 5.0, -1.0]]
 
 
+def _cascade_leaders(fitness, positions, scores, leaders):
+    """Reference three-leader rule on lists: each agent, in index order, takes
+    the first rank it strictly beats; the ranks below shift down, the last drops."""
+    scores, leaders = list(scores), list(leaders)
+    for i, f in enumerate(fitness.tolist()):
+        if f < scores[2]:
+            rank = 0 if f < scores[0] else 1 if f < scores[1] else 2
+            scores.insert(rank, f)
+            leaders.insert(rank, positions[i].copy())
+            del scores[3], leaders[3]
+    return scores, leaders
+
+
+def _argmin_global_best(pbest_f, pbest, gbest_f, gbest):
+    """Reference PSO global-best rule: the first argmin, if strictly better."""
+    best = int(np.argmin(pbest_f))
+    if pbest_f[best] < gbest_f:
+        gbest_f, gbest = float(pbest_f[best]), pbest[best].copy()
+    return gbest_f, gbest
+
+
+_SPECIAL_SCORES = st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 1.0, 2.0, math.inf])
+
+
 class TestUpdateLeaders:
     def test_ties_repeats_and_inf(self):
         # An agent must strictly beat a rank to take it, so on a tie the
         # earlier agent keeps the higher rank; +inf never enters.
         positions = np.arange(6.0)[:, None] * np.ones((6, 2))
-        scores, leaders = [math.inf] * 3, [np.zeros(2)] * 3
-        optimizer._update_leaders(np.array(_TIED_FITNESS[0]), positions, scores, leaders)
-        assert scores == [1.0, 1.0, 1.0]
+        scores, leaders = np.full(3, math.inf), np.zeros((3, 2))
+        scores, leaders = optimizer._update_leaders(np.array(_TIED_FITNESS[0]), positions,
+                                                    scores, leaders)
+        assert scores.tolist() == [1.0, 1.0, 1.0]
         assert [leader[0] for leader in leaders] == [1.0, 2.0, 5.0]
         moved = positions + 10.0
-        optimizer._update_leaders(np.array(_TIED_FITNESS[1]), moved, scores, leaders)
-        assert scores == [0.0, 0.5, 0.5]
+        scores, leaders = optimizer._update_leaders(np.array(_TIED_FITNESS[1]), moved,
+                                                    scores, leaders)
+        assert scores.tolist() == [0.0, 0.5, 0.5]
         assert [leader[0] for leader in leaders] == [15.0, 11.0, 13.0]
         moved[5] = -1.0  # the leaders are copies, not views
         assert leaders[0][0] == 15.0
+
+    @given(st.integers(3, 9).flatmap(lambda n: st.lists(
+        st.lists(_SPECIAL_SCORES, min_size=n, max_size=n), min_size=1, max_size=4)))
+    def test_matches_cascade_and_argmin_rules_bit_for_bit(self, rounds):
+        # Chained rounds with ties, -0.0 against 0.0 and +-inf, for the three
+        # wolf leaders (k = 3) and PSO's global best (k = 1). Each round's
+        # positions are overwritten afterwards, as the next move does.
+        n, dim = len(rounds[0]), 2
+        ref3 = [math.inf] * 3, [np.zeros(dim)] * 3
+        ref1 = math.inf, np.zeros(dim)
+        got3 = np.full(3, math.inf), np.zeros((3, dim))
+        got1 = np.full(1, math.inf), np.zeros((1, dim))
+        for r, row in enumerate(rounds):
+            fitness = np.array(row)
+            positions = np.arange(n * dim, dtype=float).reshape(n, dim) + 100.0 * (r + 1)
+            ref3 = _cascade_leaders(fitness, positions, *ref3)
+            ref1 = _argmin_global_best(fitness, positions, *ref1)
+            got3 = optimizer._update_leaders(fitness, positions, *got3)
+            got1 = optimizer._update_leaders(fitness, positions, *got1)
+            assert not np.shares_memory(got3[1], positions)
+            assert not np.shares_memory(got1[1], positions)
+            positions[:] = -1.0
+            assert np.array_equal(_bits(got3[0]), _bits(ref3[0]))
+            assert np.array_equal(_bits(got3[1]), _bits(np.stack(ref3[1])))
+            assert np.array_equal(_bits(got1[0]), _bits([ref1[0]]))
+            assert np.array_equal(_bits(got1[1]), _bits(ref1[1][None]))
 
     @pytest.mark.parametrize("variant", ["gwo", "acgwo"])
     def test_matches_reference_cascade_on_ties(self, variant):
