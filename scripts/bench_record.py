@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN_PY = ROOT / "perfbench" / "run.py"
+RUN_PY = Path("perfbench", "run.py")  # in a checkout
 SEEDS = (1, 2, 3, 4, 5)
 TRACE_SEED = 1
 
@@ -39,14 +39,16 @@ def parse_run_output(stdout):
     return json.loads(stdout.strip().splitlines()[-1])
 
 
-def run_perfbench(workload, seed, seconds, trace):
-    """One run.py process; returns its verdict and the result file it wrote."""
+def run_perfbench(workload, seed, seconds, trace, root=None):
+    """One run.py process of the checkout at ``root`` (this one by default);
+    returns its verdict and the result file it wrote."""
+    root = ROOT if root is None else Path(root)
     proc = subprocess.run(
-        [sys.executable, str(RUN_PY), "--workload", workload, "--seed", str(seed),
+        [sys.executable, str(root / RUN_PY), "--workload", workload, "--seed", str(seed),
          "--seconds", repr(seconds), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True, check=True,
+        cwd=root, capture_output=True, text=True, check=True,
     )
-    record = ROOT / ".perfbench" / workload / f"result-seed{seed}-trace{trace}.json"
+    record = root / ".perfbench" / workload / f"result-seed{seed}-trace{trace}.json"
     return parse_run_output(proc.stdout), json.loads(record.read_text())
 
 

@@ -311,16 +311,19 @@ def cmd_train(ctx, **_kwargs):
     """Clean, split, standardize, train, and persist the classifier."""
     p = _resolve(ctx, "train")
     out = Path(p["out"])
+    if p["mode"] == "acgwo":  # the run of acgwo-bp --bp-epochs 0, and reported as one
+        p["bp_epochs"] = 0
     swarm = None if p["mode"] == "bp" else optimizer.GwoConfig(
         variant="acgwo", n_agents=p["swarm"], max_iter=p["iters"])
     ds = dataprep.clean(dataprep.load_table(p["data"]), impute=p["impute"])
     model, loss_history, train_loss, train_eval, test_eval = mlp.fit_classifier(
-        ds, p["seed"], p["hidden"], swarm, p["bounds"],
-        0 if p["mode"] == "acgwo" else p["bp_epochs"], p["learning_rate"], p["threshold"],
-        p["train_fraction"])
+        ds, p["seed"], p["hidden"], swarm, p["bounds"], p["bp_epochs"], p["learning_rate"],
+        p["threshold"], p["train_fraction"])
     write_text_atomic(out / "model.json", mlp.model_to_json(model))
     report = {key: p[key] for key in ("seed", "bounds", "swarm", "iters", "bp_epochs",
                                       "learning_rate", "threshold", "train_fraction", "impute")}
+    if swarm is None:  # bp runs no swarm, so it has no swarm settings to report
+        report.update(bounds=None, swarm=None, iters=None)
     report.update(mode=model.mode, layer_sizes=model.layer_sizes,
                   loss_history=loss_history.tolist(), final_train_loss=train_loss,
                   train_metrics=dataclasses.asdict(train_eval),
@@ -387,9 +390,8 @@ def cmd_eda(ctx, **_kwargs):
 def main(argv=None):
     """Entry point with the documented exit-code mapping."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
+        # Click returns the code of an Exit (--help's 0) itself, and a command's None.
+        return cli.main(args=argv, standalone_mode=False) or 0
     except click.ClickException as exc:
         exc.show()
         return 1
@@ -407,4 +409,3 @@ def main(argv=None):
             traceback.print_exc()
         click.echo(f"internal error: {exc}", err=True)
         return 3
-    return 0

@@ -39,12 +39,8 @@ def confusion(y_true, y_pred) -> ConfusionCounts:
     yp = _as_binary(y_pred, "y_pred")
     if yt.shape != yp.shape:
         raise ValueError(f"length mismatch: {yt.size} labels vs {yp.size} predictions")
-    return ConfusionCounts(
-        tp=int(((yt == 1) & (yp == 1)).sum()),
-        tn=int(((yt == 0) & (yp == 0)).sum()),
-        fp=int(((yt == 0) & (yp == 1)).sum()),
-        fn=int(((yt == 1) & (yp == 0)).sum()),
-    )
+    tn, fp, fn, tp = np.bincount((2 * yt + yp).ravel(), minlength=4).tolist()
+    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
 
 
 def _ratio(num: int, den: int) -> Optional[float]:

@@ -15,10 +15,10 @@ it, in agent-index order, which keeps every run reproducible from its seed.
 
 RNG draw order is fixed so determinism is testable: initialization draws the
 full position matrix agent-major; each iteration first evaluates objectives
-in agent-index order (any noise draws happen there), then draws movement
-coefficients per agent, per leader, per coordinate, r1 before r2. The
-movement, :func:`_move`, takes them as one block and works in place one
-leader at a time; its rounding is that of the whole-array formulas.
+in agent-index order (any noise draws happen there), then, except the last,
+draws movement coefficients per agent, per leader, per coordinate, r1 before
+r2. The movement, :func:`_move`, takes them as one block and works in place
+one leader at a time; its rounding is that of the whole-array formulas.
 :func:`clamp` then trims that fresh array in place.
 """
 
@@ -64,7 +64,7 @@ class SearchSpace:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GwoConfig:
     """Settings of one grey-wolf run.
 
@@ -105,7 +105,7 @@ class GwoConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PsoConfig:
     """Settings of one global-best PSO run.
 
@@ -178,15 +178,14 @@ def clamp(pos, space: SearchSpace) -> np.ndarray:
 
 
 def _evaluate(objective: Objective, positions: np.ndarray, rng) -> np.ndarray:
-    # A NaN fitness ranks as +inf so a misbehaving objective can never become
-    # a leader.
+    # A NaN fitness ranks as +inf (fmin takes the operand that is not NaN), so
+    # a misbehaving objective can never become a leader.
     n = positions.shape[0]
-    fitness = np.array(objective(positions, rng), dtype=float)
+    fitness = np.fmin(np.asarray(objective(positions, rng), dtype=float), math.inf)
     if fitness.shape != (n,):
         raise LupusError(
             f"objective returned shape {fitness.shape} for {n} agents; expected ({n},)"
         )
-    fitness[np.isnan(fitness)] = math.inf
     return fitness
 
 
@@ -207,11 +206,11 @@ def _update_leaders(fitness, positions, scores, leaders):
 def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
     """Run one grey-wolf optimization to completion.
 
-    Per iteration: evaluate all agents, update the leaders, compute the
-    control scalar and the inertia weight, compute the leader weights (equal
-    for the non-adaptive variants), move every wolf through the weighted mean
-    of its three leader candidates, clamp to the box, and record the alpha
-    score. The last recorded alpha score is the best score.
+    Per iteration: evaluate all agents, update the leaders and record the
+    alpha score; then, unless it was the last, compute the control scalar,
+    the inertia weight and the leader weights (equal for the non-adaptive
+    variants), move every wolf through the weighted mean of its three leader
+    candidates and clamp to the box. The last alpha score is the best score.
     """
     n, dim = cfg.n_agents, space.dim
     rng = np.random.default_rng(cfg.seed)
@@ -228,6 +227,9 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
     for it in range(cfg.max_iter):
         fitness = _evaluate(objective, positions, rng)
         scores, leaders = _update_leaders(fitness, positions, scores, leaders)
+        history[it] = scores[0]
+        if it == cfg.max_iter - 1:
+            break
 
         wa = control_wa(it, cfg.max_iter)
         ww = curves.cauchy_inertia(it, cfg.max_iter, cfg.inertia) / ww_scale if use_curve else 1.0
@@ -237,7 +239,6 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
                                 for s in scores.tolist()])
 
         positions = clamp(_move(positions, leaders, weights, wa, ww, rng), space)
-        history[it] = scores[0]
 
     return RunResult(best_position=leaders[0], history=history)
 
@@ -246,8 +247,8 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
     """Run a global-best PSO with linearly decreasing inertia.
 
     Same result contract as :func:`run`; the history records the global-best
-    score after each iteration's evaluations. Movement draws one uniform pair
-    per particle per coordinate, r1 before r2.
+    score after each iteration's evaluations. Movement, none after the last,
+    draws one uniform pair per particle per coordinate, r1 before r2.
     """
     n, dim = cfg.n_agents, space.dim
     rng = np.random.default_rng(cfg.seed)
@@ -268,6 +269,8 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
         np.copyto(pbest_f, fitness, where=improved)
         gbest_f, gbest = _update_leaders(pbest_f, pbest, gbest_f, gbest)
         history[it] = gbest_f[0]
+        if it == cfg.max_iter - 1:
+            break
 
         w = W_MAX - (W_MAX - W_MIN) * it / cfg.max_iter
         draws = rng.random((n, dim, 2))

@@ -19,7 +19,7 @@ import lupus
 from lupus import cli, curves, dataprep, metrics, mlp, optimizer
 from lupus.cli import main
 from lupus.errors import DataError
-from lupus.fileio import json_text
+from lupus.fileio import json_text, write_text_atomic
 
 BENCH_SMALL = ["bench", "--functions", "f1", "--dims", "4", "--algs", "gwo,acgwo",
                "--runs", "2", "--agents", "5", "--iters", "15", "--seed", "42"]
@@ -517,6 +517,8 @@ class TestTrainCommand:
         assert model["mode"] == "hybrid"
         report = json.loads(Path("results/train_report.json").read_text())
         assert len(report["loss_history"]) == 30 + 20
+        assert (report["swarm"], report["iters"], report["bounds"], report["bp_epochs"]) == (
+            10, 30, [-5.0, 5.0], 20)
         assert 0.0 <= report["test_metrics"]["accuracy"] <= 1.0
 
     def test_bp_mode_writes_valid_model(self, workdir):
@@ -532,6 +534,29 @@ class TestTrainCommand:
         assert report["mode"] == "acgwo"
         losses = report["loss_history"]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
+
+    # The report records what ran. acgwo recorded the default 100 BP epochs,
+    # and bp the swarm settings of a swarm that never ran.
+    def test_acgwo_report_records_no_epoch(self, workdir):
+        assert run_cli(["train", "--mode", "acgwo", "--swarm", "8", "--iters", "5"]) == 0
+        report = json.loads(Path("results/train_report.json").read_text())
+        assert (report["bp_epochs"], len(report["loss_history"])) == (0, 5)
+        assert (report["swarm"], report["iters"]) == (8, 5)
+
+    def test_acgwo_is_acgwo_bp_without_epochs(self, workdir):
+        args = ["train", "--swarm", "8", "--iters", "5", "--seed", "2", "--bp-epochs"]
+        outputs = []
+        for mode, epochs in (("acgwo", "7"), ("acgwo-bp", "0")):
+            assert run_cli(args + [epochs, "--mode", mode]) == 0
+            outputs.append([Path("results", name).read_bytes()
+                            for name in ("model.json", "train_report.json")])
+        assert outputs[0] == outputs[1]
+
+    def test_bp_report_has_no_swarm_settings(self, workdir):
+        assert run_cli(["train", "--mode", "bp", "--bp-epochs", "3", "--swarm", "8"]) == 0
+        report = json.loads(Path("results/train_report.json").read_text())
+        assert (report["swarm"], report["iters"], report["bounds"]) == (None, None, None)
+        assert (report["bp_epochs"], len(report["loss_history"])) == (3, 3)
 
     def test_missing_dataset_exit_two(self, workdir):
         assert run_cli(TRAIN_SMALL + ["--data", "data/nope.csv"]) == 2
@@ -963,6 +988,11 @@ class TestHelp:
     def test_unknown_subcommand_exit_one(self):
         assert run_cli(["frobnicate"]) == 1
 
+    def test_group_help_returns_zero(self, capsys):
+        # Click returns --help's exit code from main(standalone_mode=False).
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("Usage:")
+
 
 class TestModuleEntryPoint:
     """``python -m lupus`` exits with main's code."""
@@ -995,6 +1025,26 @@ class TestInternalError:
         err = capsys.readouterr().err
         assert "internal error: boom" in err
         assert ("Traceback (most recent call last)" in err) == (debug == "1")
+
+
+def test_interrupt_exit_one(workdir, monkeypatch, capsys):
+    def interrupt(*_args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.curves, "cauchy_inertia", interrupt)
+    assert run_cli(["curves", "--iters", "3"]) == 1
+    assert capsys.readouterr().err == "\naborted\n"
+    assert not Path("results").exists()
+
+
+def test_interrupted_write_removes_temp_file(tmp_path, monkeypatch):
+    def interrupt(*_args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        write_text_atomic(tmp_path / "out.txt", "text")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestFailedWriteExitOne:

@@ -152,6 +152,11 @@ class TestStandardizer:
         z = apply_standardizer(stats, np.array([[1.0], [2.0], [3.0]]))
         assert z[:, 0] == pytest.approx([-1.224745, 0.0, 1.224745], abs=1e-6)
 
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
+    def test_empty_matrix_rejected(self, shape):
+        with pytest.raises(DataError, match="cannot standardize an empty matrix"):
+            fit_standardizer(np.empty(shape), ("u", "v"))
+
     def test_refit_of_standardized_is_identity(self):
         rng = np.random.default_rng(1)
         x = rng.normal(3.0, 2.5, size=(40, 4))

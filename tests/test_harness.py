@@ -49,6 +49,12 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match=f"{field} must not repeat"):
             ExperimentPlan(**plan)
 
+    @pytest.mark.parametrize("field", ["algorithms", "functions", "dims"])
+    def test_empty_entry_rejected(self, field):
+        plan = dict(algorithms=("gwo",), functions=("f1",), dims=(5,))
+        with pytest.raises(ConfigError, match="at least one algorithm, function and dim"):
+            ExperimentPlan(**dict(plan, **{field: ()}))
+
     def test_leader_curve_checked_before_any_cell(self):
         bad = curves.CurveParams(a=1.0, b=0.0, c=10.0, d=0.0)
         with pytest.raises(ConfigError, match="leader curve"):

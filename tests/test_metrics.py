@@ -53,6 +53,14 @@ class TestConfusion:
         assert (c.fp, c.fn) == (swapped.fn, swapped.fp)
         assert (c.tp, c.tn) == (swapped.tp, swapped.tn)
 
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=60))
+    def test_matches_per_cell_masks(self, pairs):
+        yt, yp = (np.array(v) for v in zip(*pairs))
+        c = confusion(yt, yp)
+        assert (c.tp, c.tn, c.fp, c.fn) == tuple(
+            int(((yt == t) & (yp == p)).sum()) for t, p in ((1, 1), (0, 0), (0, 1), (1, 0)))
+        assert all(type(v) is int for v in (c.tp, c.tn, c.fp, c.fn))
+
     def test_rejects_mismatch_and_empty(self):
         with pytest.raises(ValueError):
             confusion([1, 0], [1])
@@ -132,6 +140,11 @@ class TestRocAuc:
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
             roc_auc([1, 1, 1], [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("scores", [[0.1, 0.2, 0.3], [0.1]])
+    def test_rejects_length_mismatch(self, scores):
+        with pytest.raises(ValueError, match="2 labels vs"):
+            roc_auc([1, 0], scores)
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(2024)

@@ -258,6 +258,14 @@ class TestBceLoss:
         with pytest.raises(ValueError):
             bce_loss(arch, np.zeros(2), np.empty((0, 1)), np.empty(0))
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_rows_and_labels_must_align(self, rows):
+        arch = MlpArchitecture((1, 1))
+        X, y = np.ones((rows, 1)), np.array([1.0, 0.0])
+        for fn in (bce_loss, backward):
+            with pytest.raises(ValueError, match=f"{rows} rows but 2 labels"):
+                fn(arch, np.zeros(2), X, y)
+
     # The loss reads a label as "is it 1": any other value would count as 0.
     @pytest.mark.parametrize("label", [0.5, 2.0, -1.0, math.nan])
     def test_labels_other_than_zero_or_one_rejected(self, label):

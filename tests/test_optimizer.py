@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 from types import SimpleNamespace
 
@@ -85,6 +87,16 @@ class TestConfigs:
             PsoConfig(n_agents=0)
         with pytest.raises(ConfigError, match="max_iter"):
             PsoConfig(max_iter=0)
+
+    # fit_classifier's default swarm is one GwoConfig shared by every call.
+    @pytest.mark.parametrize("cfg", [
+        GwoConfig(), PsoConfig(),
+        inspect.signature(mlp.fit_classifier).parameters["swarm"].default,
+    ], ids=["gwo", "pso", "fit-classifier-default"])
+    def test_frozen(self, cfg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n_agents = 5
+        assert cfg.n_agents in (40, 100)
 
 
 def _initial_positions(space, cfg):
@@ -665,6 +677,39 @@ class TestPso:
         assert np.all(stacked >= -1.0) and np.all(stacked <= 3.0)
 
 
+class TestNoStepAfterLastEvaluation:
+    """Both swarms end once they have recorded the last iteration's best: no
+    leader weight, draw, movement or clamp follows the last evaluation."""
+
+    @pytest.mark.parametrize("max_iter", [1, 4])
+    @pytest.mark.parametrize("algorithm", VARIANTS + ("pso",))
+    def test_last_evaluation_ends_the_run(self, monkeypatch, algorithm, max_iter):
+        def counting(fn, calls):
+            return lambda *args: calls.append(1) or fn(*args)
+
+        clamps, weights, states = [], [], []
+        monkeypatch.setattr(optimizer, "clamp", counting(optimizer.clamp, clamps))
+        monkeypatch.setattr(curves, "leader_weight", counting(curves.leader_weight, weights))
+        quadric_noise = get_function("f5")  # draws one uniform per agent from the run's rng
+
+        def objective(X, rng):
+            fitness = quadric_noise(X, rng)
+            states.append((rng, rng.bit_generator.state))
+            return fitness
+
+        space = SearchSpace(3, -1.28, 1.28)
+        if algorithm == "pso":
+            result = pso_run(objective, space, PsoConfig(n_agents=5, max_iter=max_iter, seed=1))
+        else:
+            result = run(objective, space,
+                         GwoConfig(variant=algorithm, n_agents=5, max_iter=max_iter, seed=1))
+        rng, last_state = states[-1]
+        assert rng.bit_generator.state == last_state
+        assert (len(states), len(clamps)) == (max_iter, max_iter - 1)
+        assert len(weights) == (3 * (max_iter - 1) if algorithm in ("agwo", "acgwo") else 0)
+        assert result.history.size == max_iter
+
+
 class TestBatchedObjective:
     @pytest.mark.parametrize("fn_id", sorted(REGISTRY))
     @pytest.mark.parametrize("algorithm", VARIANTS + ("pso",))
@@ -707,6 +752,19 @@ class TestBatchedObjective:
         space = SearchSpace(2, -1.0, 1.0)
         result = run(objective, space, GwoConfig(variant="gwo", n_agents=6, max_iter=10, seed=5))
         assert math.isfinite(result.history[-1])
+
+    def test_nan_map_keeps_every_other_bit_pattern(self):
+        # -0.0, the infinities and the subnormals pass through unchanged, into
+        # a fresh array: the objective's own array is left as it was.
+        values = np.array([math.nan, -math.nan, -0.0, 0.0, math.inf, -math.inf, 5e-324,
+                           -5e-324, 1.5])
+        fitness = optimizer._evaluate(lambda X, rng: values, np.zeros((values.size, 1)), None)
+        expected = np.concatenate(([math.inf, math.inf], values[2:]))
+        assert fitness.tobytes() == expected.tobytes()
+        assert fitness is not values and np.isnan(values[:2]).all()
+        single = optimizer._evaluate(lambda X, rng: np.float32([2.5, math.nan]),
+                                     np.zeros((2, 1)), None)
+        assert single.dtype == np.float64 and single.tolist() == [2.5, math.inf]
 
     @pytest.mark.parametrize("wrong", [lambda X: X, lambda X: X.sum(), lambda X: X[1:, 0]])
     def test_wrong_shape_raises(self, wrong):
