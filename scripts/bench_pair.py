@@ -2,10 +2,11 @@
 
 The base revision is checked out with ``git worktree add`` in a temporary
 directory (locally, nothing is fetched) and removed again when the script
-ends, however it ends. For every workload of BENCHMARK.json, each seed then
-runs perfbench/run.py untraced once in the base checkout and once in this
-one, one process at a time. Which side runs first alternates from pair to
-pair, so a drift of the host's speed does not favour either side.
+ends, however it ends. For every workload of BENCHMARK.json, each of PAIRS
+seeds, from FIRST_SEED on, then runs perfbench/run.py untraced once in the
+base checkout and once in this one, one process at a time. Which side runs
+first alternates from pair to pair, so a drift of the host's speed does not
+favour either side.
 
 Every pair is printed as it finishes. Then, per workload, each end-to-end
 metric gets the base median with its quartiles, the change's median, the
@@ -20,7 +21,7 @@ Java performance evaluation", OOPSLA 2007.
 
 Run from the repository root, on a quiet machine:
 
-    python3 scripts/bench_pair.py --base HEAD~1 --pairs 10
+    python3 scripts/bench_pair.py --base HEAD~1
 
 It exits 1 if any run was not correct or had a failed unit.
 """
@@ -37,7 +38,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_record  # noqa: E402
 
-FIRST_SEED = 101
+PAIRS = 10
+FIRST_SEED = 301
 SIDES = ("base", "change")
 
 
@@ -100,26 +102,18 @@ def git(*args):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (>= 2)")
-    parser.add_argument("--first-seed", type=int, default=FIRST_SEED,
-                        help="seed of the first pair; each pair takes the next")
-    parser.add_argument("--workloads", help="comma-separated workloads (default: all)")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for quartiles")
     benchmark = json.loads((bench_record.ROOT / "BENCHMARK.json").read_text())
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in benchmark["workloads"]])
     metrics = {m["name"]: m for m in benchmark["end_to_end"]}
     metrics["raw_wall_s"] = {"better": "lower", "bound": metrics["wall_s"]["bound"]}
-    seeds = range(args.first_seed, args.first_seed + args.pairs)
+    seeds = range(FIRST_SEED, FIRST_SEED + PAIRS)
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-pair-"))
     base_root = tmp / "base"
     all_correct = True
     try:
         git("worktree", "add", "--detach", str(base_root), args.base)
-        for workload in workloads:
+        for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
             for pair in run_pairs(workload, seeds, benchmark["run_seconds"], base_root):
                 print(pair_line(workload, pair, metrics), flush=True)

@@ -91,8 +91,13 @@ def leader_weight(score: float, f_avg: float, p: CurveParams) -> float:
     which collapses all leader weights to a common value. Output lies in
     ``[d - c/(pi*a), d)`` for ``c > 0``; see :func:`leader_weight_floor`.
     """
-    ratio = score / f_avg if abs(f_avg) >= DEGENERATE_AVG_EPS else 1.0
-    return p.d - cauchy_pdf(1.0 if math.isnan(ratio) else ratio, p.b, p.a) * p.c
+    if abs(f_avg) < DEGENERATE_AVG_EPS:
+        ratio = 1.0
+    else:
+        ratio = score / f_avg
+        if math.isnan(ratio):
+            ratio = 1.0
+    return p.d - cauchy_pdf(ratio, p.b, p.a) * p.c
 
 
 def leader_weight_floor(p: CurveParams) -> float:

@@ -69,13 +69,15 @@ def fake(tmp_path, monkeypatch):
     (root / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     monkeypatch.setattr(bench_pair.bench_record, "ROOT", root)
     monkeypatch.setattr(bench_pair.tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(bench_pair, "PAIRS", 4)
+    monkeypatch.setattr(bench_pair, "FIRST_SEED", 1)
     processes = FakeProcesses(root)
     monkeypatch.setattr(subprocess, "run", processes)
     return processes
 
 
 def test_pairs_alternate_which_side_runs_first(fake, capsys):
-    assert bench_pair.main(["--base", "HEAD~1", "--pairs", "4", "--first-seed", "1"]) == 0
+    assert bench_pair.main(["--base", "HEAD~1"]) == 0
     expected = []
     for workload in ("bench-sweep", "train-hybrid"):
         for seed, first in zip(range(1, 5), ("base", "change") * 2):
@@ -87,8 +89,7 @@ def test_pairs_alternate_which_side_runs_first(fake, capsys):
 
 
 def test_summary_medians_quartiles_and_wins(fake, capsys):
-    bench_pair.main(["--base", "abc123", "--pairs", "4", "--first-seed", "1",
-                     "--workloads", "train-hybrid"])
+    bench_pair.main(["--base", "abc123"])
     lines = capsys.readouterr().out.splitlines()
     summary = lines[lines.index("train-hybrid: 4 pairs, base median [q1-q3] -> change median"):]
     # Base walls 1.01..1.04; change 0.9 but 1.4 at seed 3.
@@ -103,7 +104,7 @@ def test_summary_medians_quartiles_and_wins(fake, capsys):
 def test_worktree_added_and_removed_even_when_a_run_fails(fake, tmp_path):
     fake.fail_at = ("bench-sweep", 2, "change")
     with pytest.raises(subprocess.CalledProcessError):
-        bench_pair.main(["--base", "HEAD~1", "--pairs", "3", "--first-seed", "1"])
+        bench_pair.main(["--base", "HEAD~1"])
     (add,), (remove,) = ([c for c in fake.git if c[1] == verb] for verb in ("add", "remove"))
     assert add[-1] == "HEAD~1" and add[2] == "--detach"
     assert remove == ["worktree", "remove", "--force", add[3]]
@@ -119,11 +120,6 @@ def test_a_run_that_is_not_correct_exits_one(fake, monkeypatch, capsys):
         return dict(verdict, correct=False), record
 
     monkeypatch.setattr(bench_pair.bench_record, "run_perfbench", incorrect)
-    assert bench_pair.main(["--base", "HEAD", "--pairs", "2", "--workloads", "bench-sweep"]) == 1
+    assert bench_pair.main(["--base", "HEAD"]) == 1
     assert "(base first) NOT CORRECT:" in capsys.readouterr().out
 
-
-def test_fewer_than_two_pairs_rejected(fake):
-    with pytest.raises(SystemExit):
-        bench_pair.main(["--base", "HEAD", "--pairs", "1"])
-    assert fake.git == []

