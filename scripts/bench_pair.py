@@ -8,14 +8,16 @@ base checkout and once in this one, one process at a time. Which side runs
 first alternates from pair to pair, so a drift of the host's speed does not
 favour either side.
 
-Every pair is printed as it finishes. Then, per workload, each end-to-end
+Every pair is printed as it finishes, with whether both sides wrote the same
+outputs (run.py's output digests). Then, per workload, each end-to-end
 metric gets the base median with its quartiles, the change's median, the
 relative difference and the number of pairs the change won (strictly better
 in BENCHMARK.json's direction), and so does ``raw_wall_s``, the unscaled
 mean wall time of the timed calls. A metric whose base quartile range,
 relative to its median, is wider than its BENCHMARK.json bound is marked
 unresolved. Last come both sides' mean calibration passes, so that a drift
-of the calibration can be told apart from a change of the code. A paired sign
+of the calibration can be told apart from a change of the code, and the
+number of pairs whose outputs were identical. A paired sign
 count over interleaved runs follows Georges et al., "Statistically rigorous
 Java performance evaluation", OOPSLA 2007.
 
@@ -58,10 +60,12 @@ def run_pairs(workload, seeds, seconds, base_root):
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0], "correct": True}
+        digests = {}
         for side in order:
             verdict, record = bench_record.run_perfbench(workload, seed, seconds, 0, roots[side])
-            pair[side] = side_values(verdict, record)
+            pair[side], digests[side] = side_values(verdict, record), record["digests"]
             pair["correct"] &= verdict["correct"] is True and verdict["failed"] == 0
+        pair["identical"] = digests["base"] == digests["change"]
         yield pair
 
 
@@ -69,7 +73,8 @@ def pair_line(workload, pair, names):
     shown = ", ".join(f"{name} {pair['base'][name]:.6g} -> {pair['change'][name]:.6g}"
                       for name in names)
     flag = "" if pair["correct"] else " NOT CORRECT"
-    return f"{workload} seed {pair['seed']} ({pair['first']} first){flag}: {shown}"
+    outputs = "outputs identical" if pair["identical"] else "outputs DIFFER"
+    return f"{workload} seed {pair['seed']} ({pair['first']} first){flag}: {shown}; {outputs}"
 
 
 def summary(workload, pairs, metrics):
@@ -91,6 +96,7 @@ def summary(workload, pairs, metrics):
     lines.append("  calibration_pass_s mean: " + ", ".join(
         f"{side} {statistics.fmean(p[side]['calibration_pass_s'] for p in pairs):.6g}"
         for side in SIDES))
+    lines.append(f"  outputs identical in {sum(p['identical'] for p in pairs)}/{len(pairs)} pairs")
     return lines
 
 

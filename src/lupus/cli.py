@@ -147,12 +147,17 @@ def _load_config(path):
     return data
 
 
+# The options that a command's --mode never reads; a value given for one exits 1.
+_UNREAD = {("train", "bp"): ("bounds", "swarm", "iters"),
+           ("train", "acgwo"): ("bp_epochs", "learning_rate")}
+
+
 def _resolve(ctx, command):
     """Apply flag > config-file > environment > default precedence.
 
     A config value passes through its option's click type as the text of its
     flag would; a section key that names no option of the command is an
-    error.
+    error, and so is a flag or key that the chosen ``--mode`` never reads.
     """
     path = ctx.params.get("config")
     config = _load_config(path)
@@ -164,13 +169,15 @@ def _resolve(ctx, command):
         raise ConfigError(f"config file {path}: section {command!r} must be an object")
     params = {p.name: p for p in ctx.command.params if p.name != "config"}
     resolved = {name: ctx.params[name] for name in params}
+    given = {name: params[name].opts[0] for name in params
+             if ctx.get_parameter_source(name) == click.core.ParameterSource.COMMANDLINE}
     overrides = [("seed", "seed", config["seed"])] if "seed" in params and "seed" in config else []
     overrides += [(key, f"{command}.{key}", value) for key, value in section.items()]
     for name, label, value in overrides:
         if name not in params:
             raise ConfigError(f"config file {path}: section {command!r} has unknown key "
                               f"{name!r} (known: {', '.join(params)})")
-        if ctx.get_parameter_source(name) == click.core.ParameterSource.COMMANDLINE:
+        if name in given:
             continue
         if value is None:
             raise ConfigError(f"config file {path}: {label}: null is not a value")
@@ -183,6 +190,10 @@ def _resolve(ctx, command):
             resolved[name] = params[name].type_cast_value(ctx, text)
         except click.BadParameter as exc:
             raise ConfigError(f"config file {path}: {label}: {exc.message}") from None
+        given[name] = f"config file {path}: {label}"
+    for name in _UNREAD.get((command, resolved.get("mode")), ()):
+        if name in given:
+            raise ConfigError(f"{given[name]}: --mode {resolved['mode']} never reads it")
     for name, value in resolved.items():
         if isinstance(value, Path):  # an output default, checked once no config value replaced it
             resolved[name] = params[name].type_cast_value(ctx, str(value))

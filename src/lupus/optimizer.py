@@ -1,11 +1,13 @@
 """Grey-wolf family optimizers and an inertia-weight PSO baseline.
 
-Four variants share one loop and are selected by flags: the plain scheme
-(``gwo``), the curve-scheduled inertia weight (``cgwo``), the adaptive
-per-leader fitness weights (``agwo``), and both together (``acgwo``). Both
-swarms keep their best so far by one rule, :func:`_update_leaders`: the k best
-(three leaders, one PSO global best), ties to the old leader, then to the lower
-agent index.
+Four variants are selected by flags: the plain scheme (``gwo``), the
+curve-scheduled inertia weight (``cgwo``), the adaptive per-leader fitness
+weights (``agwo``), and both together (``acgwo``). They and PSO run one loop,
+:func:`_swarm`, and differ only in k and the move. The loop keeps the k best
+so far (three leaders, one PSO global best) by one rule,
+:func:`_update_leaders`, from the fresh fitness: ties go to the old leader,
+then to the lower agent index. For PSO this is the personal bests' global
+best: none is below it, and one that improves is its particle's fresh point.
 
 Objectives are callables ``objective(X, rng) -> (n,)`` minimized over a
 box-bounded space, called once per iteration with the whole ``(n, dim)``
@@ -203,84 +205,80 @@ def _update_leaders(fitness, positions, scores, leaders):
                                     for j in order.tolist()])
 
 
-def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
-    """Run one grey-wolf optimization to completion.
+def _swarm(objective: Objective, space: SearchSpace, cfg, k: int, move) -> RunResult:
+    """The loop both swarms share, given k and the move.
 
-    Per iteration: evaluate all agents, update the leaders and record the
-    alpha score; then, unless it was the last, compute the control scalar,
-    the inertia weight and the leader weights (equal for the non-adaptive
-    variants), move every wolf through the weighted mean of its three leader
-    candidates and clamp to the box. The last alpha score is the best score.
+    Per iteration: evaluate all agents, merge the k best so far from the fresh
+    fitness and positions, and record the best; then, except after the last,
+    clamp ``move(it, positions, fitness, scores, leaders, rng)`` to the box.
     """
-    n, dim = cfg.n_agents, space.dim
     rng = np.random.default_rng(cfg.seed)
-    positions = rng.uniform(space.lower, space.upper, size=(n, dim))
-    scores, leaders = np.full(3, math.inf), np.zeros((3, dim))
-
-    use_curve = cfg.variant in _CURVE_VARIANTS
-    use_weights = cfg.variant in _ADAPTIVE_VARIANTS
-    if use_curve:
-        ww_scale = curves.cauchy_inertia(0, cfg.max_iter, cfg.inertia)
-    weights = np.ones(3)
-
+    positions = rng.uniform(space.lower, space.upper, size=(cfg.n_agents, space.dim))
+    scores, leaders = np.full(k, math.inf), np.zeros((k, space.dim))
     history = np.empty(cfg.max_iter)
     for it in range(cfg.max_iter):
         fitness = _evaluate(objective, positions, rng)
         scores, leaders = _update_leaders(fitness, positions, scores, leaders)
         history[it] = scores[0]
         if it == cfg.max_iter - 1:
-            break
+            return RunResult(best_position=leaders[0], history=history)
+        positions = clamp(move(it, positions, fitness, scores, leaders, rng), space)
 
+
+def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
+    """Run one grey-wolf optimization to completion.
+
+    The three best so far lead. Each move computes the control scalar, the
+    inertia weight and the leader weights (equal for the non-adaptive
+    variants) and moves every wolf through the weighted mean of its three
+    leader candidates. The last alpha score is the best score.
+    """
+    use_weights = cfg.variant in _ADAPTIVE_VARIANTS
+    if use_curve := cfg.variant in _CURVE_VARIANTS:
+        ww_scale = curves.cauchy_inertia(0, cfg.max_iter, cfg.inertia)
+    equal = np.ones(3)
+
+    def move(it, positions, fitness, scores, leaders, rng):
         wa = control_wa(it, cfg.max_iter)
         ww = curves.cauchy_inertia(it, cfg.max_iter, cfg.inertia) / ww_scale if use_curve else 1.0
+        weights = equal
         if use_weights:
-            f_avg = float(fitness.sum()) / n  # as fitness.mean() rounds it
+            f_avg = float(fitness.sum()) / cfg.n_agents  # as fitness.mean() rounds it
             weights = np.array([curves.leader_weight(s, f_avg, cfg.leader)
                                 for s in scores.tolist()])
+        return _move(positions, leaders, weights, wa, ww, rng)
 
-        positions = clamp(_move(positions, leaders, weights, wa, ww, rng), space)
-
-    return RunResult(best_position=leaders[0], history=history)
+    return _swarm(objective, space, cfg, 3, move)
 
 
 def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResult:
     """Run a global-best PSO with linearly decreasing inertia.
 
-    Same result contract as :func:`run`; the history records the global-best
-    score after each iteration's evaluations. Movement, none after the last,
-    draws one uniform pair per particle per coordinate, r1 before r2.
+    Same result contract as :func:`run`. Each move takes each particle's fresh
+    point as its personal best where it improved, then draws one uniform pair
+    per particle per coordinate, r1 before r2, for the velocity update.
     """
     n, dim = cfg.n_agents, space.dim
-    rng = np.random.default_rng(cfg.seed)
-    positions = rng.uniform(space.lower, space.upper, size=(n, dim))
     velocities = np.zeros((n, dim))
     v_max = VELOCITY_CLAMP * (space.upper - space.lower)
     pull, gap = np.empty((n, dim)), np.empty((n, dim))
+    pbest, pbest_f = np.empty((n, dim)), np.full(n, math.inf)
 
-    pbest, pbest_f = positions.copy(), np.full(n, math.inf)
-    gbest_f, gbest = np.full(1, math.inf), np.zeros((1, dim))
-
-    history = np.empty(cfg.max_iter)
-    for it in range(cfg.max_iter):
-        fitness = _evaluate(objective, positions, rng)
-
+    def move(it, positions, fitness, _scores, gbest, rng):
+        if it == 0:  # the personal bests start at the start positions
+            np.copyto(pbest, positions)
         improved = fitness < pbest_f
         np.copyto(pbest, positions, where=improved[:, None])
         np.copyto(pbest_f, fitness, where=improved)
-        gbest_f, gbest = _update_leaders(pbest_f, pbest, gbest_f, gbest)
-        history[it] = gbest_f[0]
-        if it == cfg.max_iter - 1:
-            break
-
         w = W_MAX - (W_MAX - W_MIN) * it / cfg.max_iter
         draws = rng.random((n, dim, 2))
-        velocities *= w
+        np.multiply(velocities, w, out=velocities)
         for r, coef, best in ((draws[..., 0], C1, pbest), (draws[..., 1], C2, gbest)):
             np.multiply(r, coef, out=pull)
             np.subtract(best, positions, out=gap)
-            pull *= gap
-            velocities += pull
+            np.multiply(pull, gap, out=pull)
+            np.add(velocities, pull, out=velocities)
         velocities.clip(-v_max, v_max, out=velocities)
-        positions = clamp(positions + velocities, space)
+        return positions + velocities
 
-    return RunResult(best_position=gbest[0], history=history)
+    return _swarm(objective, space, cfg, 1, move)

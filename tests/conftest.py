@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import pickle
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from lupus import mlp
+from lupus import harness, mlp
 
 settings.register_profile(
     "suite",
@@ -49,3 +50,28 @@ def shared_fit(monkeypatch, _fit_results):
         return _fit_results[key]
 
     monkeypatch.setattr(mlp, "fit_classifier", shared)
+
+
+@pytest.fixture(scope="session")
+def shared_sweep():
+    """``shared_sweep(plan)`` is ``harness.run_plan(plan)``, except that a
+    cell-run that an earlier call ran is taken from it. A cell-run's seed
+    derives from the plan's base seed and its own algorithm, function, dim and
+    run index, not from the rest of the grid, so the seeded sweeps of several
+    tests share cells. ``reuse=False`` runs every cell-run, and keeps it for
+    later calls."""
+    results = {}
+    single = harness.run_single
+
+    def sweep(plan, reuse=True):
+        def shared(plan, algorithm, fn_id, dim, run_index):
+            key = (dataclasses.replace(plan, algorithms=(algorithm,), functions=(fn_id,),
+                                       dims=(dim,), n_runs=1), run_index)
+            if not reuse or key not in results:
+                results[key] = single(plan, algorithm, fn_id, dim, run_index)
+            return results[key]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "run_single", shared)
+            return harness.run_plan(plan)
+    return sweep

@@ -36,13 +36,14 @@ def _report(num, title, ok, detail=""):
 
 
 class TestAcceptance:
-    def test_01_benchmark_reproduction(self):
+    def test_01_benchmark_reproduction(self, shared_sweep):
         start = time.monotonic()
         plan = harness.ExperimentPlan(
             algorithms=("acgwo",), functions=("f1", "f2", "f3"), dims=(30,),
             n_runs=10, base_seed=BASE_SEED, n_agents=40, max_iter=500,
         )
-        finals = harness.cell_finals(harness.run_plan(plan))
+        # The 60 s check times these runs, so none is taken from another test.
+        finals = harness.cell_finals(shared_sweep(plan, reuse=False))
         elapsed = time.monotonic() - start
         means = {fn: x.mean() for (_, fn, _), x in finals.items()}
         ok = all(means[f] <= 1e-10 for f in ("f1", "f2", "f3")) and elapsed < 60.0
@@ -50,13 +51,13 @@ class TestAcceptance:
                   + f", {elapsed:.1f}s")
         _report(1, "benchmark reproduction f1-f3 dim=30", ok, detail)
 
-    def test_02_ordering_reproduction(self):
+    def test_02_ordering_reproduction(self, shared_sweep):
         plan = harness.ExperimentPlan(
             algorithms=("gwo", "cgwo", "agwo", "acgwo", "pso"),
             functions=("f1", "f6"), dims=(30,),
             n_runs=10, base_seed=BASE_SEED, n_agents=40, max_iter=500,
         )
-        finals = harness.cell_finals(harness.run_plan(plan))
+        finals = harness.cell_finals(shared_sweep(plan))
         means = {(alg, fn): x.mean() for (alg, fn, _), x in finals.items()}
         checks = []
         for fn in ("f1", "f6"):

@@ -23,10 +23,11 @@ BENCHMARK = {
 
 def _values(side, seed):
     """Canned metrics: the change is faster except at seed 3; setup_s spreads
-    widely on the base side."""
+    widely on the base side. Only the change's outputs at seed 3 differ."""
     wall = 1.0 + seed / 100 if side == "base" else 0.9 + (0.5 if seed == 3 else 0.0)
     setup = seed / 8 if side == "base" else 0.25
-    return wall, setup
+    digest = "b" if (side, seed) == ("change", 3) else "a"
+    return wall, setup, {"table.csv": digest}
 
 
 class FakeProcesses:
@@ -49,13 +50,14 @@ class FakeProcesses:
             raise subprocess.CalledProcessError(1, cmd)
         assert cmd[1] == str(Path(cwd) / "perfbench" / "run.py")
         assert cmd[-2:] == ["--trace", "0"]
-        wall, setup = _values(side, seed)
+        wall, setup, digests = _values(side, seed)
         verdict = {"correct": True, "attempted": 3, "failed": 0,
                    "metrics": {"wall_s": {"value": wall, "unit": "s"},
                                "evals_per_s": {"value": 100.0 / wall, "unit": "1/s"},
                                "setup_s": {"value": setup, "unit": "s"}}}
         record = {"run_walls_s": [9.0, 2 * wall],
-                  "calibration_passes_s": [0.25 if side == "base" else 0.5]}
+                  "calibration_passes_s": [0.25 if side == "base" else 0.5],
+                  "digests": digests}
         path = Path(cwd) / ".perfbench" / workload / f"result-seed{seed}-trace0.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(record))
@@ -86,6 +88,8 @@ def test_pairs_alternate_which_side_runs_first(fake, capsys):
     assert fake.runs == expected
     out = capsys.readouterr().out
     assert "bench-sweep seed 2 (change first): wall_s 1.02 -> 0.9," in out
+    assert "raw_wall_s 2.04 -> 1.8; outputs identical\n" in out
+    assert "raw_wall_s 2.06 -> 2.8; outputs DIFFER\n" in out
 
 
 def test_summary_medians_quartiles_and_wins(fake, capsys):
@@ -99,6 +103,7 @@ def test_summary_medians_quartiles_and_wins(fake, capsys):
                           "change better in 2/4; base spread wider than its bound: unresolved")
     assert summary[4] == "  raw_wall_s: 2.05 [2.035-2.065] -> 1.8 (-12.2%), change better in 3/4"
     assert summary[5] == "  calibration_pass_s mean: base 0.25, change 0.5"
+    assert summary[6] == "  outputs identical in 3/4 pairs"
 
 
 def test_worktree_added_and_removed_even_when_a_run_fails(fake, tmp_path):

@@ -544,16 +544,16 @@ class TestTrainCommand:
         assert (report["swarm"], report["iters"]) == (8, 5)
 
     def test_acgwo_is_acgwo_bp_without_epochs(self, workdir):
-        args = ["train", "--swarm", "8", "--iters", "5", "--seed", "2", "--bp-epochs"]
+        args = ["train", "--swarm", "8", "--iters", "5", "--seed", "2", "--mode"]
         outputs = []
-        for mode, epochs in (("acgwo", "7"), ("acgwo-bp", "0")):
-            assert run_cli(args + [epochs, "--mode", mode]) == 0
+        for mode in (["acgwo"], ["acgwo-bp", "--bp-epochs", "0"]):
+            assert run_cli(args + mode) == 0
             outputs.append([Path("results", name).read_bytes()
                             for name in ("model.json", "train_report.json")])
         assert outputs[0] == outputs[1]
 
     def test_bp_report_has_no_swarm_settings(self, workdir):
-        assert run_cli(["train", "--mode", "bp", "--bp-epochs", "3", "--swarm", "8"]) == 0
+        assert run_cli(["train", "--mode", "bp", "--bp-epochs", "3"]) == 0
         report = json.loads(Path("results/train_report.json").read_text())
         assert (report["swarm"], report["iters"], report["bounds"]) == (None, None, None)
         assert (report["bp_epochs"], len(report["loss_history"])) == (3, 3)
@@ -588,6 +588,24 @@ class TestTrainCommand:
         # A missing dataset exits 2, so exit 1 shows the option was checked first.
         assert run_cli(TRAIN_SMALL + [flag, value, "--data", "data/nope.csv"]) == 1
         assert flag in capsys.readouterr().err
+
+    # Each exited 0, and the report recorded what ran instead.
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("mode,key,value", [
+        ("bp", "swarm", 8), ("bp", "iters", 2), ("bp", "bounds", "-1,1"),
+        ("acgwo", "bp_epochs", 7), ("acgwo", "learning_rate", 0.2)])
+    def test_option_the_mode_never_reads_exit_one_before_loading(self, workdir, capsys,
+                                                                 mode, key, value, source):
+        args = ["train", "--mode", mode, "--data", "data/nope.csv"]
+        named = "--" + key.replace("_", "-")
+        if source == "flag":
+            args += [named, str(value)]
+        else:
+            Path("c.json").write_text(json.dumps({"train": {key: value}}))
+            args += ["--config", "c.json"]
+            named = f"config file c.json: train.{key}"
+        assert run_cli(args) == 1
+        assert named + f": --mode {mode} never reads it" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fraction", ["0.9999", "0.0001"])
     def test_fraction_leaving_a_part_empty_exit_one(self, workdir, capsys, fraction):
@@ -647,10 +665,12 @@ class TestTrainNeverInternalError:
             self, heart_csv, tmp_path_factory, mode, swarm, iters, bp_epochs, lo, hi,
             learning_rate, threshold, hidden, missing):
         out = tmp_path_factory.mktemp("train")
+        # Only the flags that the mode reads; the others exit 1.
+        swarm_flags = [f"--swarm={swarm}", f"--iters={iters}", f"--bounds={lo},{hi}"]
+        bp_flags = [f"--bp-epochs={bp_epochs}", f"--learning-rate={learning_rate}"]
         code = run_cli([
             "train", "--data", str(heart_csv), "--out", str(out), f"--mode={mode}",
-            f"--swarm={swarm}", f"--iters={iters}", f"--bp-epochs={bp_epochs}",
-            f"--bounds={lo},{hi}", f"--learning-rate={learning_rate}",
+            *(swarm_flags if mode != "bp" else []), *(bp_flags if mode != "acgwo" else []),
             f"--threshold={threshold}", f"--hidden={hidden}", missing, "--seed=0",
         ])
         assert code != 3

@@ -132,12 +132,13 @@ class TestRunPlan:
 
 
 class TestDeskScaleOrdering:
-    def test_curve_variant_beats_plain_beats_pso_on_f1_f3(self):
+    def test_curve_variant_beats_plain_beats_pso_on_f1_f3(self, shared_sweep):
         plan = ExperimentPlan(
             algorithms=("gwo", "acgwo", "pso"), functions=("f1", "f3"),
             dims=(30,), n_runs=10, base_seed=42, n_agents=40, max_iter=500,
         )
-        means = {(alg, fn): x.mean() for (alg, fn, _), x in cell_finals(run_plan(plan)).items()}
+        finals = cell_finals(shared_sweep(plan))
+        means = {(alg, fn): x.mean() for (alg, fn, _), x in finals.items()}
         for fn in ("f1", "f3"):
             assert means[("acgwo", fn)] <= means[("gwo", fn)] <= means[("pso", fn)]
 

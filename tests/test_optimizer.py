@@ -636,19 +636,49 @@ def _reference_pso_run(objective, space, cfg):
     return gbest, np.array(history)
 
 
-class TestPso:
-    @pytest.mark.parametrize("dim,n", [(1, 3), (30, 40), (241, 100), (1000, 40)])
-    def test_bit_identical_to_reference(self, dim, n):
-        # The optimum sits near the edge of the [-1, 1] box, so both the
-        # velocity clamp and the position clamp bind.
-        def objective(X, rng):
-            return sphere(X - 0.95, rng)
+def _pso_objective(case):
+    """A fresh objective for one run. The optimum sits near the edge of the
+    [-1, 1] box, so both the velocity clamp and the position clamp bind.
 
+    ``ties`` takes few distinct values, so fitness ties across particles and
+    with the global best. ``nonfinite`` gives every particle +inf at the first
+    call, so no global best is found there, then +inf where the first
+    coordinate is below -0.5 and NaN for particle 0 always, so its personal
+    best stays at its start.
+    """
+    calls = []
+
+    def objective(X, rng):
+        f = sphere(X - 0.95, rng)
+        if case == "ties":
+            f = np.floor(2 * f / X.shape[1])
+        elif case == "nonfinite":
+            f[X[:, 0] < -0.5] = math.inf
+            f[0] = math.nan
+            if not calls:
+                f[:] = math.inf
+        calls.append(1)
+        return f
+    return objective
+
+
+def _pso_cases():
+    """Each objective at four swarm shapes; an ``edge`` case's id is its shape."""
+    for case in ("edge", "ties", "nonfinite"):
+        for dim, n in ((1, 3), (30, 40), (241, 100), (1000, 40)):
+            yield pytest.param(dim, n, case,
+                               id=f"{dim}-{n}" + ("" if case == "edge" else f"-{case}"))
+
+
+class TestPso:
+    @pytest.mark.parametrize("dim,n,case", _pso_cases())
+    def test_bit_identical_to_reference(self, dim, n, case):
         space = SearchSpace(dim, -1.0, 1.0)
         cfg = PsoConfig(n_agents=n, max_iter=8, seed=dim + n)
         seen, ref_seen = [], []
-        result = pso_run(recording(seen, objective), space, cfg)
-        ref_pos, ref_history = _reference_pso_run(recording(ref_seen, objective), space, cfg)
+        result = pso_run(recording(seen, _pso_objective(case)), space, cfg)
+        ref_pos, ref_history = _reference_pso_run(
+            recording(ref_seen, _pso_objective(case)), space, cfg)
         assert np.array_equal(_bits(seen), _bits(ref_seen))
         assert np.array_equal(_bits(result.best_position), _bits(ref_pos))
         assert np.array_equal(_bits(result.history), _bits(ref_history))
