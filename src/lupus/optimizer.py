@@ -18,10 +18,14 @@ it, in agent-index order, which keeps every run reproducible from its seed.
 RNG draw order is fixed so determinism is testable: initialization draws the
 full position matrix agent-major; each iteration first evaluates objectives
 in agent-index order (any noise draws happen there), then, except the last,
-draws movement coefficients per agent, per leader, per coordinate, r1 before
-r2. The movement, :func:`_move`, takes them as one block and works in place
-one leader at a time; its rounding is that of the whole-array formulas.
-:func:`clamp` then trims that fresh array in place.
+draws movement coefficients per agent, per leader (the wolves only), per
+coordinate, r1 before r2. :func:`_swarm` draws them as one block and hands
+it to the move; :func:`_move` works in place one leader at a time, and its
+rounding is that of the whole-array formulas. :func:`clamp` then trims that
+fresh array in place. A large block is drawn ahead, on a worker thread, from
+a copy of the stream's state; it is used only if nothing drew from the
+stream in between, so the block and the stream's end state are those of the
+inline draw.
 """
 
 import math
@@ -43,6 +47,12 @@ _ADAPTIVE_VARIANTS = ("agwo", "acgwo")
 C1 = C2 = 2.0  # PSO acceleration coefficients; see PsoConfig for the rest
 W_MAX, W_MIN = 0.9, 0.4
 VELOCITY_CLAMP = 0.2
+# A movement block of at least this many doubles is drawn ahead on a worker
+# thread. On a 2-vCPU guest (numpy 2.4.6) that cut bench-highdim's raw wall
+# time about 20%; drawing every block ahead slowed bench-sweep's 2,400- and
+# 7,200-double blocks from about 1.0 to 1.74 s, as the handoff costs more
+# than the draw.
+DRAW_AHEAD_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -142,20 +152,19 @@ def control_wa(iteration: int, max_iter: int) -> float:
     return 2.0 - iteration * (2.0 / max_iter)
 
 
-def _move(positions, leaders, weights, wa: float, ww: float,
-          rng: np.random.Generator) -> np.ndarray:
+def _move(positions, leaders, weights, wa: float, ww: float, draws) -> np.ndarray:
     """Every wolf's weighted mean of its three leader candidates, unclamped.
 
-    Per leader L: A = 2*wa*r1 - wa, C = 2*r2, D = |C*L - X| and the candidate
-    is ww*L - A*D, in place on ``(n, dim)`` scratch arrays (C*L is not r2*(2*L),
-    which overflows for |L| >= 2**1023). The weighted candidates are summed
-    from zero in leader order, as ``sum(axis=-2)`` does, and divided by the weight sum.
+    Per leader L, with r1, r2 from the ``(n, 3, dim, 2)`` block ``draws``:
+    A = 2*wa*r1 - wa, C = 2*r2, D = |C*L - X| and the candidate is ww*L - A*D,
+    in place on ``(n, dim)`` scratch arrays (C*L is not r2*(2*L), which
+    overflows for |L| >= 2**1023). The weighted candidates are summed from
+    zero in leader order, as ``sum(axis=-2)`` does, and divided by the weight sum.
     """
     total = weights.sum()
     if total <= 0:
         raise LupusError(f"non-positive leader weight sum {total}")
     n, dim = positions.shape
-    draws = rng.random((n, 3, dim, 2))
     acc, a, d = np.zeros((n, dim)), np.empty((n, dim)), np.empty((n, dim))
     for k, leader in enumerate(leaders):
         np.multiply(draws[:, k, :, 0], 2.0 * wa, out=a)
@@ -205,24 +214,48 @@ def _update_leaders(fitness, positions, scores, leaders):
                                     for j in order.tolist()])
 
 
-def _swarm(objective: Objective, space: SearchSpace, cfg, k: int, move) -> RunResult:
-    """The loop both swarms share, given k and the move.
+def _swarm(objective: Objective, space: SearchSpace, cfg, k: int, move, block) -> RunResult:
+    """The loop both swarms share, given k, the move and its draw block's shape.
 
     Per iteration: evaluate all agents, merge the k best so far from the fresh
     fitness and positions, and record the best; then, except after the last,
-    clamp ``move(it, positions, fitness, scores, leaders, rng)`` to the box.
+    draw the block and clamp ``move(it, positions, fitness, scores, leaders,
+    draws)`` to the box. From ``DRAW_AHEAD_ELEMENTS`` doubles on, a worker
+    thread draws the next move's block into the other of two buffers while
+    this one runs, from a twin generator set to the stream's state. The block
+    is used, and the stream takes the twin's end state, only if the stream is
+    still at that state (a stochastic objective moves it); otherwise it is
+    drawn again inline.
     """
     rng = np.random.default_rng(cfg.seed)
     positions = rng.uniform(space.lower, space.upper, size=(cfg.n_agents, space.dim))
     scores, leaders = np.full(k, math.inf), np.zeros((k, space.dim))
     history = np.empty(cfg.max_iter)
-    for it in range(cfg.max_iter):
-        fitness = _evaluate(objective, positions, rng)
-        scores, leaders = _update_leaders(fitness, positions, scores, leaders)
-        history[it] = scores[0]
-        if it == cfg.max_iter - 1:
-            return RunResult(best_position=leaders[0], history=history)
-        positions = clamp(move(it, positions, fitness, scores, leaders, rng), space)
+    pool = ahead = None
+    if math.prod(block) >= DRAW_AHEAD_ELEMENTS:
+        from concurrent.futures import ThreadPoolExecutor
+        pool, twin = ThreadPoolExecutor(1), np.random.Generator(np.random.PCG64())
+        buffers = np.empty((2, *block))
+    try:
+        for it in range(cfg.max_iter):
+            fitness = _evaluate(objective, positions, rng)
+            scores, leaders = _update_leaders(fitness, positions, scores, leaders)
+            history[it] = scores[0]
+            if it == cfg.max_iter - 1:
+                return RunResult(best_position=leaders[0], history=history)
+            draws = None if ahead is None else ahead.result()  # waits for the worker
+            if draws is not None and ahead_state == rng.bit_generator.state:
+                rng.bit_generator.state = twin.bit_generator.state
+            else:
+                draws = rng.random(block)
+            ahead = None
+            if pool is not None and it + 2 < cfg.max_iter:  # a move follows this one
+                twin.bit_generator.state = ahead_state = rng.bit_generator.state
+                ahead = pool.submit(twin.random, out=buffers[(it + 1) % 2])
+            positions = clamp(move(it, positions, fitness, scores, leaders, draws), space)
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
@@ -238,7 +271,7 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
         ww_scale = curves.cauchy_inertia(0, cfg.max_iter, cfg.inertia)
     equal = np.ones(3)
 
-    def move(it, positions, fitness, scores, leaders, rng):
+    def move(it, positions, fitness, scores, leaders, draws):
         wa = control_wa(it, cfg.max_iter)
         ww = curves.cauchy_inertia(it, cfg.max_iter, cfg.inertia) / ww_scale if use_curve else 1.0
         weights = equal
@@ -246,9 +279,9 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
             f_avg = float(fitness.sum()) / cfg.n_agents  # as fitness.mean() rounds it
             weights = np.array([curves.leader_weight(s, f_avg, cfg.leader)
                                 for s in scores.tolist()])
-        return _move(positions, leaders, weights, wa, ww, rng)
+        return _move(positions, leaders, weights, wa, ww, draws)
 
-    return _swarm(objective, space, cfg, 3, move)
+    return _swarm(objective, space, cfg, 3, move, (cfg.n_agents, 3, space.dim, 2))
 
 
 def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResult:
@@ -264,14 +297,13 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
     pull, gap = np.empty((n, dim)), np.empty((n, dim))
     pbest, pbest_f = np.empty((n, dim)), np.full(n, math.inf)
 
-    def move(it, positions, fitness, _scores, gbest, rng):
+    def move(it, positions, fitness, _scores, gbest, draws):
         if it == 0:  # the personal bests start at the start positions
             np.copyto(pbest, positions)
         improved = fitness < pbest_f
         np.copyto(pbest, positions, where=improved[:, None])
         np.copyto(pbest_f, fitness, where=improved)
         w = W_MAX - (W_MAX - W_MIN) * it / cfg.max_iter
-        draws = rng.random((n, dim, 2))
         np.multiply(velocities, w, out=velocities)
         for r, coef, best in ((draws[..., 0], C1, pbest), (draws[..., 1], C2, gbest)):
             np.multiply(r, coef, out=pull)
@@ -281,4 +313,4 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
         velocities.clip(-v_max, v_max, out=velocities)
         return positions + velocities
 
-    return _swarm(objective, space, cfg, 1, move)
+    return _swarm(objective, space, cfg, 1, move, (n, dim, 2))

@@ -1,6 +1,8 @@
 import dataclasses
 import inspect
 import math
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -240,7 +242,7 @@ class TestMove:
         for wa, ww, weights in ((1.7, 1.0, [1.0, 1.0, 1.0]), (0.3, 0.81, [1.46, 0.2, 2.9])):
             weights = np.array(weights)
             moved = optimizer._move(positions, leaders, weights, wa, ww,
-                                    np.random.default_rng(5))
+                                    np.random.default_rng(5).random((n, 3, dim, 2)))
             expected = _reference_move(positions, leaders, weights, wa, ww,
                                        np.random.default_rng(5))
             assert np.array_equal(_bits(moved), _bits(expected))
@@ -256,7 +258,7 @@ class TestMove:
             weights = np.array(weights)
             with np.errstate(over="ignore", invalid="ignore"):
                 moved = optimizer._move(positions, leaders, weights, wa, ww,
-                                        np.random.default_rng(5))
+                                        np.random.default_rng(5).random((40, 3, 30, 2)))
                 expected = _reference_move(positions, leaders, weights, wa, ww,
                                            np.random.default_rng(5))
             assert np.array_equal(_bits(moved), _bits(expected))
@@ -272,7 +274,7 @@ class TestMove:
         cands = candidate_from_leader(positions[:, None, :], np.stack(leaders), a, c, 1.0)
         assert np.signbit(cands).all(axis=1).any()
         moved = optimizer._move(positions, leaders, np.ones(3), 0.5, 1.0,
-                                np.random.default_rng(0))
+                                np.random.default_rng(0).random((20, 3, 10, 2)))
         assert not np.signbit(moved).any()
 
     def test_zero_wa_gives_weighted_mean_of_scaled_leaders(self):
@@ -280,23 +282,16 @@ class TestMove:
         positions = np.array([[10.0, -4.0], [0.5, 7.0]])
         leaders = [np.array([0.0, 2.0]), np.array([3.0, 2.0]), np.array([6.0, 2.0])]
         moved = optimizer._move(positions, leaders, np.array([2.0, 1.0, 1.0]), 0.0, 1.5,
-                                np.random.default_rng(3))
+                                np.random.default_rng(3).random((2, 3, 2, 2)))
         # (2*0 + 1*4.5 + 1*9) / 4 = 3.375 and (2*3 + 3 + 3) / 4 = 3.
         assert moved.tolist() == [[3.375, 3.0], [3.375, 3.0]]
-
-    def test_draws_one_block(self):
-        rng = np.random.default_rng(9)
-        optimizer._move(np.zeros((4, 5)), [np.ones(5)] * 3, np.ones(3), 1.0, 1.0, rng)
-        expected = np.random.default_rng(9)
-        expected.random((4, 3, 5, 2))
-        assert rng.random() == expected.random()
 
     @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]],
                              ids=["zero", "mixed-sign"])
     def test_rejects_nonpositive_weight_sum(self, weights):
         with pytest.raises(LupusError, match="non-positive leader weight sum"):
             optimizer._move(np.zeros((3, 2)), [np.ones(2)] * 3, np.array(weights), 1.0, 1.0,
-                            np.random.default_rng(0))
+                            np.random.default_rng(0).random((3, 3, 2, 2)))
 
 
 class TestClamp:
@@ -738,6 +733,96 @@ class TestNoStepAfterLastEvaluation:
         assert (len(states), len(clamps)) == (max_iter, max_iter - 1)
         assert len(weights) == (3 * (max_iter - 1) if algorithm in ("agwo", "acgwo") else 0)
         assert result.history.size == max_iter
+
+
+def _swarm_run(algorithm, objective, space, n, max_iter, seed=3):
+    if algorithm == "pso":
+        return pso_run(objective, space, PsoConfig(n_agents=n, max_iter=max_iter, seed=seed))
+    return run(objective, space,
+               GwoConfig(variant=algorithm, n_agents=n, max_iter=max_iter, seed=seed))
+
+
+def _noisy_on(iterations, threads):
+    """sphere plus one uniform per agent from the run's stream on the chosen
+    iterations, so a block drawn ahead across those is stale; every call
+    appends the live thread count to ``threads``."""
+    def objective(X, rng):
+        fitness = sphere(X, rng)
+        if len(threads) in iterations:
+            fitness += rng.random(X.shape[0])
+        threads.append(threading.active_count())
+        return fitness
+    return objective
+
+
+class TestSwarmDraws:
+    """The swarm loop draws each move's block; from DRAW_AHEAD_ELEMENTS
+    doubles on, a worker thread draws it ahead from a copy of the stream."""
+
+    # (20, 1000) puts both blocks above the limit, (4, 5) both below.
+    @pytest.mark.parametrize("n,dim", [(4, 5), (20, 1000)])
+    @pytest.mark.parametrize("algorithm", ["acgwo", "pso"])
+    def test_draws_one_block(self, algorithm, n, dim):
+        states, space, max_iter = [], SearchSpace(dim, -2.0, 2.0), 4
+        _swarm_run(algorithm, lambda X, rng: states.append(rng) or sphere(X, rng),
+                   space, n, max_iter)
+        expected = np.random.default_rng(3)
+        expected.uniform(space.lower, space.upper, size=(n, dim))
+        for _ in range(max_iter - 1):
+            expected.random((n, dim, 2) if algorithm == "pso" else (n, 3, dim, 2))
+        assert states[-1].bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("noisy", [(), (2, 4), (1, 2, 3, 4)],
+                             ids=["never", "some", "all"])
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 6])
+    @pytest.mark.parametrize("algorithm", ["gwo", "acgwo", "pso"])
+    def test_bit_identical_to_inline_draws(self, monkeypatch, algorithm, max_iter, noisy):
+        space, before = SearchSpace(1000, -2.0, 2.0), threading.active_count()
+        ahead_threads, inline_threads = [], []
+        ahead = _swarm_run(algorithm, _noisy_on(noisy, ahead_threads), space, 20, max_iter)
+        monkeypatch.setattr(optimizer, "DRAW_AHEAD_ELEMENTS", math.inf)
+        inline = _swarm_run(algorithm, _noisy_on(noisy, inline_threads), space, 20, max_iter)
+        assert np.array_equal(_bits(ahead.history), _bits(inline.history))
+        assert np.array_equal(_bits(ahead.best_position), _bits(inline.best_position))
+        # The worker starts with the first move that has a move after it, so
+        # from the second evaluation on when max_iter >= 3.
+        assert ahead_threads == [before] + [before + (max_iter >= 3)] * (max_iter - 1)
+        assert inline_threads == [before] * max_iter
+        assert threading.active_count() == before
+
+    def test_block_is_not_written_during_its_move(self, monkeypatch):
+        # The worker fills the other buffer: a move that outlasts the worker
+        # still reads the block it was handed.
+        moves = []
+
+        def slow_move(positions, leaders, weights, wa, ww, draws):
+            kept = draws.copy()
+            time.sleep(0.02)
+            moves.append(np.array_equal(_bits(draws), _bits(kept)))
+            return move(positions, leaders, weights, wa, ww, draws)
+
+        move = optimizer._move
+        monkeypatch.setattr(optimizer, "_move", slow_move)
+        _swarm_run("acgwo", sphere_objective, SearchSpace(1000, -2.0, 2.0), 20, 5)
+        assert moves == [True] * 4
+
+    @pytest.mark.parametrize("algorithm", ["acgwo", "pso"])
+    def test_objective_error_passes_through_and_ends_the_worker(self, algorithm):
+        space, before = SearchSpace(1000, -2.0, 2.0), threading.active_count()
+        threads = []
+
+        def failing(X, rng):
+            threads.append(threading.active_count())
+            if len(threads) == 3:
+                raise ValueError("objective failed")
+            return sphere(X, rng)
+
+        with pytest.raises(ValueError, match="objective failed"):
+            _swarm_run(algorithm, failing, space, 20, 6)
+        assert threads[-1] == before + 1  # it raised while the worker was alive
+        assert threading.active_count() == before
+        _swarm_run(algorithm, sphere_objective, space, 20, 6)
+        assert threading.active_count() == before
 
 
 class TestBatchedObjective:
