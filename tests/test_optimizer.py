@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -805,6 +806,31 @@ class TestSwarmDraws:
         monkeypatch.setattr(optimizer, "_move", slow_move)
         _swarm_run("acgwo", sphere_objective, SearchSpace(1000, -2.0, 2.0), 20, 5)
         assert moves == [True] * 4
+
+    def test_concurrent_runs_under_a_short_switch_interval(self, monkeypatch):
+        # Four runs at once, each with its own worker (eight threads on a
+        # 2-CPU machine), switching threads every microsecond: a handoff that
+        # shared a buffer or a twin stream with another move would move bits.
+        from concurrent.futures import ThreadPoolExecutor
+        space, cases = SearchSpace(1000, -2.0, 2.0), [
+            (algorithm, noisy) for algorithm in ("acgwo", "pso") for noisy in ((), (2, 4))]
+
+        def results():
+            with ThreadPoolExecutor(len(cases)) as pool:
+                futures = [pool.submit(_swarm_run, algorithm, _noisy_on(noisy, []), space, 20, 6)
+                           for algorithm, noisy in cases]
+                return [future.result(timeout=60) for future in futures]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ahead = results()
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(optimizer, "DRAW_AHEAD_ELEMENTS", math.inf)
+        for got, want in zip(ahead, results()):
+            assert np.array_equal(_bits(got.history), _bits(want.history))
+            assert np.array_equal(_bits(got.best_position), _bits(want.best_position))
 
     @pytest.mark.parametrize("algorithm", ["acgwo", "pso"])
     def test_objective_error_passes_through_and_ends_the_worker(self, algorithm):
