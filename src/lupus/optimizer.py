@@ -225,13 +225,13 @@ def _swarm(objective: Objective, space: SearchSpace, cfg, k: int, move, block) -
     this one runs, from a twin generator set to the stream's state. The block
     is used, and the stream takes the twin's end state, only if the stream is
     still at that state (a stochastic objective moves it); otherwise it is
-    drawn again inline.
+    drawn again inline into the same buffer.
     """
     rng = np.random.default_rng(cfg.seed)
     positions = rng.uniform(space.lower, space.upper, size=(cfg.n_agents, space.dim))
     scores, leaders = np.full(k, math.inf), np.zeros((k, space.dim))
     history = np.empty(cfg.max_iter)
-    pool = ahead = None
+    pool = ahead = ahead_state = None
     if math.prod(block) >= DRAW_AHEAD_ELEMENTS:
         from concurrent.futures import ThreadPoolExecutor
         pool, twin = ThreadPoolExecutor(1), np.random.Generator(np.random.PCG64())
@@ -243,15 +243,20 @@ def _swarm(objective: Objective, space: SearchSpace, cfg, k: int, move, block) -
             history[it] = scores[0]
             if it == cfg.max_iter - 1:
                 return RunResult(best_position=leaders[0], history=history)
-            draws = None if ahead is None else ahead.result()  # waits for the worker
-            if draws is not None and ahead_state == rng.bit_generator.state:
-                rng.bit_generator.state = twin.bit_generator.state
-            else:
+            if pool is None:
                 draws = rng.random(block)
-            ahead = None
-            if pool is not None and it + 2 < cfg.max_iter:  # a move follows this one
-                twin.bit_generator.state = ahead_state = rng.bit_generator.state
-                ahead = pool.submit(twin.random, out=buffers[(it + 1) % 2])
+            else:
+                draws = buffers[it % 2]  # inline draws too: a fresh block adds to the peak
+                if ahead is not None:
+                    ahead.result()  # the worker has filled draws and is done with the twin
+                if ahead_state == rng.bit_generator.state:
+                    rng.bit_generator.state = twin.bit_generator.state
+                else:
+                    rng.random(out=draws)
+                ahead = ahead_state = None
+                if it + 2 < cfg.max_iter:  # a move follows this one
+                    twin.bit_generator.state = ahead_state = rng.bit_generator.state
+                    ahead = pool.submit(twin.random, out=buffers[(it + 1) % 2])
             positions = clamp(move(it, positions, fitness, scores, leaders, draws), space)
     finally:
         if pool is not None:
