@@ -49,9 +49,9 @@ W_MAX, W_MIN = 0.9, 0.4
 VELOCITY_CLAMP = 0.2
 # A movement block of at least this many doubles is drawn ahead on a worker
 # thread. On a 2-vCPU guest (numpy 2.4.6) that cut bench-highdim's raw wall
-# time about 20%; drawing every block ahead slowed bench-sweep's 2,400- and
-# 7,200-double blocks from about 1.0 to 1.74 s, as the handoff costs more
-# than the draw.
+# time by about 23%. Drawing every block ahead took bench-sweep's raw wall
+# time from 0.83-0.86 s to 1.57-1.74 s: for its 2,400- and 7,200-double
+# blocks the handoff costs more than the draw.
 DRAW_AHEAD_ELEMENTS = 2 ** 15
 
 
