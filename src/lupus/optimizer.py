@@ -23,7 +23,8 @@ coordinate, r1 before r2. :func:`_swarm` draws them as one block and hands
 it to the move; :func:`_move` works in place one leader at a time, and its
 rounding is that of the whole-array formulas. :func:`clamp` then trims that
 fresh array in place. A large block is drawn ahead, on a worker thread, from
-a copy of the stream's state; it is used only if nothing drew from the
+a copy of the stream's state, except for a head of it that the loop's own
+thread draws when the worker lags; it is used only if nothing drew from the
 stream in between, so the block and the stream's end state are those of the
 inline draw.
 """
@@ -214,6 +215,15 @@ def _update_leaders(fitness, positions, scores, leaders):
                                     for j in order.tolist()])
 
 
+def _draw_ahead(twin, state, skip: int, out) -> dict:
+    """Fill ``out`` on ``twin`` with the doubles that follow the first ``skip``
+    of a stream at ``state``, and return the PCG64 state after them."""
+    twin.bit_generator.state = state
+    twin.bit_generator.advance(skip)  # one 64-bit output per double
+    twin.random(out=out)
+    return twin.bit_generator.state["state"]
+
+
 def _swarm(objective: Objective, space: SearchSpace, cfg, k: int, move, block) -> RunResult:
     """The loop both swarms share, given k, the move and its draw block's shape.
 
@@ -225,17 +235,22 @@ def _swarm(objective: Objective, space: SearchSpace, cfg, k: int, move, block) -
     this one runs, from a twin generator set to the stream's state. The block
     is used, and the stream takes the twin's end state, only if the stream is
     still at that state (a stochastic objective moves it); otherwise it is
-    drawn again inline into the same buffer.
+    drawn again inline into the same buffer. The worker skips the block's
+    first ``head`` doubles, which this thread draws when the block is due: a
+    sixteenth of the block more after a move that found the worker still
+    drawing, a sixteenth less after one that did not, so a worker on a slower
+    CPU hands part of its draw back instead of holding up the loop.
     """
     rng = np.random.default_rng(cfg.seed)
     positions = rng.uniform(space.lower, space.upper, size=(cfg.n_agents, space.dim))
     scores, leaders = np.full(k, math.inf), np.zeros((k, space.dim))
     history = np.empty(cfg.max_iter)
+    size, head = math.prod(block), 0
     pool = ahead = ahead_state = None
-    if math.prod(block) >= DRAW_AHEAD_ELEMENTS:
+    if size >= DRAW_AHEAD_ELEMENTS:
         from concurrent.futures import ThreadPoolExecutor
         pool, twin = ThreadPoolExecutor(1), np.random.Generator(np.random.PCG64())
-        buffers = np.empty((2, *block))
+        buffers = np.empty((2, size))
     try:
         for it in range(cfg.max_iter):
             fitness = _evaluate(objective, positions, rng)
@@ -247,16 +262,23 @@ def _swarm(objective: Objective, space: SearchSpace, cfg, k: int, move, block) -
                 draws = rng.random(block)
             else:
                 draws = buffers[it % 2]  # inline draws too: a fresh block adds to the peak
-                if ahead is not None:
-                    ahead.result()  # the worker has filled draws and is done with the twin
                 if ahead_state == rng.bit_generator.state:
-                    rng.bit_generator.state = twin.bit_generator.state
+                    rng.random(out=draws[:head])  # the worker fills draws[head:]
+                    late = not ahead.done()
+                    state = rng.bit_generator.state  # keeps its buffered 32-bit draw
+                    state["state"] = ahead.result()
+                    rng.bit_generator.state = state
+                    head = min(head + size // 16, size) if late else max(head - size // 16, 0)
                 else:
+                    if ahead is not None:
+                        ahead.result()  # the worker is done with draws and the twin
                     rng.random(out=draws)
                 ahead = ahead_state = None
                 if it + 2 < cfg.max_iter:  # a move follows this one
-                    twin.bit_generator.state = ahead_state = rng.bit_generator.state
-                    ahead = pool.submit(twin.random, out=buffers[(it + 1) % 2])
+                    ahead_state = rng.bit_generator.state
+                    ahead = pool.submit(_draw_ahead, twin, ahead_state, head,
+                                        buffers[(it + 1) % 2][head:])
+                draws = draws.reshape(block)
             positions = clamp(move(it, positions, fitness, scores, leaders, draws), space)
     finally:
         if pool is not None:

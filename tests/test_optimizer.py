@@ -850,6 +850,48 @@ class TestSwarmDraws:
         _swarm_run(algorithm, sphere_objective, space, 20, 6)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("algorithm,doubles", [("acgwo", 20 * 3 * 1000 * 2),
+                                                   ("pso", 20 * 1000 * 2)])
+    def test_late_worker_hands_the_head_back(self, monkeypatch, algorithm, doubles):
+        # A worker that is still drawing at every move: each used block moves
+        # the head this thread draws by a sixteenth, up to the whole block; a
+        # stale block (the objective draws on iterations 5 and 6) leaves it.
+        skips, draw_ahead = [], optimizer._draw_ahead
+
+        def late(twin, state, skip, out):
+            skips.append(skip)
+            time.sleep(0.03)
+            return draw_ahead(twin, state, skip, out)
+
+        space, max_iter = SearchSpace(1000, -2.0, 2.0), 22
+        monkeypatch.setattr(optimizer, "_draw_ahead", late)
+        ahead = _swarm_run(algorithm, _noisy_on((5, 6), []), space, 20, max_iter)
+        monkeypatch.setattr(optimizer, "DRAW_AHEAD_ELEMENTS", math.inf)
+        inline = _swarm_run(algorithm, _noisy_on((5, 6), []), space, 20, max_iter)
+        assert np.array_equal(_bits(ahead.history), _bits(inline.history))
+        assert np.array_equal(_bits(ahead.best_position), _bits(inline.best_position))
+        sixteenths = [0, 1, 2, 3, 4, 4, 4] + [min(k, 16) for k in range(5, 18)]
+        assert skips == [k * doubles // 16 for k in sixteenths]
+
+    def test_buffered_32_bit_draw_survives_the_handoff(self, monkeypatch):
+        # A 32-bit draw leaves half of a 64-bit output buffered in the stream's
+        # state. The twin's advance clears the twin's; the run's must stay, so
+        # the 32-bit draw after the last move reads as it does inline.
+        def objective(X, rng):
+            if len(seen) in (0, 4):
+                seen.append(int(rng.integers(2 ** 32, dtype=np.uint32)))
+            seen.append(rng.bit_generator.state)
+            return sphere(X, rng)
+
+        space = SearchSpace(1000, -2.0, 2.0)
+        seen = []
+        _swarm_run("acgwo", objective, space, 20, 4)
+        ahead, seen = seen, []
+        monkeypatch.setattr(optimizer, "DRAW_AHEAD_ELEMENTS", math.inf)
+        _swarm_run("acgwo", objective, space, 20, 4)
+        assert ahead[1]["has_uint32"] == 1
+        assert ahead == seen
+
 
 class TestBatchedObjective:
     @pytest.mark.parametrize("fn_id", sorted(REGISTRY))
