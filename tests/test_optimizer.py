@@ -854,8 +854,9 @@ class TestSwarmDraws:
                                                    ("pso", 20 * 1000 * 2)])
     def test_late_worker_hands_the_head_back(self, monkeypatch, algorithm, doubles):
         # A worker that is still drawing at every move: each used block moves
-        # the head this thread draws by a sixteenth, up to the whole block; a
-        # stale block (the objective draws on iterations 5 and 6) leaves it.
+        # the head the loop draws itself by a sixteenth, up to the whole
+        # block; a stale block (the objective draws on iterations 5 and 6)
+        # leaves it.
         skips, draw_ahead = [], optimizer._draw_ahead
 
         def late(twin, state, skip, out):
