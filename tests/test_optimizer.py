@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import inspect
 import math
@@ -756,6 +757,17 @@ def _noisy_on(iterations, threads):
     return objective
 
 
+class _LateExecutor(concurrent.futures.ThreadPoolExecutor):
+    """A pool whose worker starts each job 30 ms late, so the loop reaches the
+    next move while the block is still being drawn."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        def late():
+            time.sleep(0.03)
+            return fn(*args, **kwargs)
+        return super().submit(late)
+
+
 class TestSwarmDraws:
     """The swarm loop draws each move's block; from DRAW_AHEAD_ELEMENTS
     doubles on, a worker thread draws it ahead from a copy of the stream."""
@@ -773,11 +785,17 @@ class TestSwarmDraws:
             expected.random((n, dim, 2) if algorithm == "pso" else (n, 3, dim, 2))
         assert states[-1].bit_generator.state == expected.bit_generator.state
 
-    @pytest.mark.parametrize("noisy", [(), (2, 4), (1, 2, 3, 4)],
-                             ids=["never", "some", "all"])
+    @pytest.mark.parametrize("noisy,late", [
+        pytest.param(noisy, late, id=name + "-late" * late)
+        for late in (False, True)
+        for name, noisy in (("never", ()), ("some", (2, 4)), ("all", (1, 2, 3, 4)))])
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 6])
     @pytest.mark.parametrize("algorithm", ["gwo", "acgwo", "pso"])
-    def test_bit_identical_to_inline_draws(self, monkeypatch, algorithm, max_iter, noisy):
+    def test_bit_identical_to_inline_draws(self, monkeypatch, algorithm, max_iter, noisy, late):
+        # A late worker is still drawing when its block is due: the loop must
+        # wait for it before it reads the twin or reuses the buffer.
+        if late:
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _LateExecutor)
         space, before = SearchSpace(1000, -2.0, 2.0), threading.active_count()
         ahead_threads, inline_threads = [], []
         ahead = _swarm_run(algorithm, _noisy_on(noisy, ahead_threads), space, 20, max_iter)
@@ -850,34 +868,11 @@ class TestSwarmDraws:
         _swarm_run(algorithm, sphere_objective, space, 20, 6)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("algorithm,doubles", [("acgwo", 20 * 3 * 1000 * 2),
-                                                   ("pso", 20 * 1000 * 2)])
-    def test_late_worker_hands_the_head_back(self, monkeypatch, algorithm, doubles):
-        # A worker that is still drawing at every move: each used block moves
-        # the head the loop draws itself by a sixteenth, up to the whole
-        # block; a stale block (the objective draws on iterations 5 and 6)
-        # leaves it.
-        skips, draw_ahead = [], optimizer._draw_ahead
-
-        def late(twin, state, skip, out):
-            skips.append(skip)
-            time.sleep(0.03)
-            return draw_ahead(twin, state, skip, out)
-
-        space, max_iter = SearchSpace(1000, -2.0, 2.0), 22
-        monkeypatch.setattr(optimizer, "_draw_ahead", late)
-        ahead = _swarm_run(algorithm, _noisy_on((5, 6), []), space, 20, max_iter)
-        monkeypatch.setattr(optimizer, "DRAW_AHEAD_ELEMENTS", math.inf)
-        inline = _swarm_run(algorithm, _noisy_on((5, 6), []), space, 20, max_iter)
-        assert np.array_equal(_bits(ahead.history), _bits(inline.history))
-        assert np.array_equal(_bits(ahead.best_position), _bits(inline.best_position))
-        sixteenths = [0, 1, 2, 3, 4, 4, 4] + [min(k, 16) for k in range(5, 18)]
-        assert skips == [k * doubles // 16 for k in sixteenths]
-
     def test_buffered_32_bit_draw_survives_the_handoff(self, monkeypatch):
         # A 32-bit draw leaves half of a 64-bit output buffered in the stream's
-        # state. The twin's advance clears the twin's; the run's must stay, so
-        # the 32-bit draw after the last move reads as it does inline.
+        # state. The twin takes the stream's whole state, buffered draw
+        # included, and hands it back whole, so the 32-bit draw after the last
+        # move reads as it does inline.
         def objective(X, rng):
             if len(seen) in (0, 4):
                 seen.append(int(rng.integers(2 ** 32, dtype=np.uint32)))
