@@ -147,17 +147,19 @@ def _load_config(path):
     return data
 
 
-# The options that a command's --mode never reads; a value given for one exits 1.
-_UNREAD = {("train", "bp"): ("bounds", "swarm", "iters"),
-           ("train", "acgwo"): ("bp_epochs", "learning_rate")}
+# Each `train --mode` and the value it uses for each option it never reads (a
+# value given for one exits 1): acgwo is acgwo-bp --bp-epochs 0; bp has no swarm.
+_MODES = {"acgwo": {"bp_epochs": 0, "learning_rate": _TRAIN["learning_rate"]},
+          "bp": {"bounds": None, "swarm": None, "iters": None}, "acgwo-bp": {}}
 
 
 def _resolve(ctx, command):
     """Apply flag > config-file > environment > default precedence.
 
-    A config value passes through its option's click type as the text of its
-    flag would; a section key that names no option of the command is an
-    error, and so is a flag or key that the chosen ``--mode`` never reads.
+    The config values are the section's keys, plus the shared ``seed`` where
+    the section has none; each passes once through its option's click type, as
+    its flag's text would, unless the flag was given. A section key that names
+    no option is an error, and so is a flag or key that ``--mode`` never reads.
     """
     path = ctx.params.get("config")
     config = _load_config(path)
@@ -171,9 +173,9 @@ def _resolve(ctx, command):
     resolved = {name: ctx.params[name] for name in params}
     given = {name: params[name].opts[0] for name in params
              if ctx.get_parameter_source(name) == click.core.ParameterSource.COMMANDLINE}
-    overrides = [("seed", "seed", config["seed"])] if "seed" in params and "seed" in config else []
-    overrides += [(key, f"{command}.{key}", value) for key, value in section.items()]
-    for name, label, value in overrides:
+    values = {"seed": ("seed", config["seed"])} if "seed" in params and "seed" in config else {}
+    values.update((key, (f"{command}.{key}", value)) for key, value in section.items())
+    for name, (label, value) in values.items():
         if name not in params:
             raise ConfigError(f"config file {path}: section {command!r} has unknown key "
                               f"{name!r} (known: {', '.join(params)})")
@@ -191,7 +193,7 @@ def _resolve(ctx, command):
         except click.BadParameter as exc:
             raise ConfigError(f"config file {path}: {label}: {exc.message}") from None
         given[name] = f"config file {path}: {label}"
-    for name in _UNREAD.get((command, resolved.get("mode")), ()):
+    for name in _MODES.get(resolved.get("mode"), ()):
         if name in given:
             raise ConfigError(f"{given[name]}: --mode {resolved['mode']} never reads it")
     for name, value in resolved.items():
@@ -293,7 +295,7 @@ def _print_report(label, report):
 
 @cli.command("train")
 @_data_option
-@click.option("--mode", type=click.Choice(list(mlp.MODES)), default="acgwo-bp",
+@click.option("--mode", type=click.Choice(list(_MODES)), default="acgwo-bp",
               help="Training mode; acgwo-bp is the hybrid.")
 @click.option("--hidden", default=_TRAIN["hidden"],
               type=_Parsed("N,N,...", lambda text: _sizes(text) if text.strip() else ()),
@@ -322,9 +324,8 @@ def cmd_train(ctx, **_kwargs):
     """Clean, split, standardize, train, and persist the classifier."""
     p = _resolve(ctx, "train")
     out = Path(p["out"])
-    if p["mode"] == "acgwo":  # the run of acgwo-bp --bp-epochs 0, and reported as one
-        p["bp_epochs"] = 0
-    swarm = None if p["mode"] == "bp" else optimizer.GwoConfig(
+    p.update(_MODES[p["mode"]])
+    swarm = None if p["swarm"] is None else optimizer.GwoConfig(
         variant="acgwo", n_agents=p["swarm"], max_iter=p["iters"])
     ds = dataprep.clean(dataprep.load_table(p["data"]), impute=p["impute"])
     model, loss_history, train_loss, train_eval, test_eval = mlp.fit_classifier(
@@ -333,8 +334,6 @@ def cmd_train(ctx, **_kwargs):
     write_text_atomic(out / "model.json", mlp.model_to_json(model))
     report = {key: p[key] for key in ("seed", "bounds", "swarm", "iters", "bp_epochs",
                                       "learning_rate", "threshold", "train_fraction", "impute")}
-    if swarm is None:  # bp runs no swarm, so it has no swarm settings to report
-        report.update(bounds=None, swarm=None, iters=None)
     report.update(mode=model.mode, layer_sizes=model.layer_sizes,
                   loss_history=loss_history.tolist(), final_train_loss=train_loss,
                   train_metrics=dataclasses.asdict(train_eval),

@@ -88,8 +88,8 @@ def leader_weight(score: float, f_avg: float, p: CurveParams) -> float:
 
     Evaluates ``d - cauchy_pdf(score/f_avg, b, a) * c``. The ratio is
     forced to 1 when ``|f_avg| < DEGENERATE_AVG_EPS`` (or is not a number),
-    which collapses all leader weights to a common value. Output lies in
-    ``[d - c/(pi*a), d)`` for ``c > 0``; see :func:`leader_weight_floor`.
+    which collapses all leader weights to a common value. No weight falls
+    below :func:`leader_weight_floor`, the weight at ratio ``b`` for ``c > 0``.
     """
     if abs(f_avg) < DEGENERATE_AVG_EPS:
         ratio = 1.0
@@ -103,7 +103,8 @@ def leader_weight(score: float, f_avg: float, p: CurveParams) -> float:
 def leader_weight_floor(p: CurveParams) -> float:
     """Greatest lower bound of :func:`leader_weight` over every score ratio.
 
-    ``d - c/(pi*a)`` for ``c > 0``, reached where the ratio equals ``b``;
-    ``d`` for ``c <= 0``, approached as the ratio grows without bound.
+    For ``c > 0``, the weight at ratio ``b``, bit for bit as
+    :func:`leader_weight` computes it; ``d`` for ``c <= 0``, approached as the
+    ratio grows without bound.
     """
-    return p.d - max(p.c, 0.0) / (math.pi * p.a)
+    return p.d - max(p.c, 0.0) * cauchy_pdf(p.b, p.b, p.a)

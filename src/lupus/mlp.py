@@ -68,9 +68,8 @@ class MlpArchitecture:
         )
 
 
-# Each `lupus train --mode` choice and the mode that model.json records for it
-# (acgwo-bp with no BP epoch trains, and records, an acgwo model).
-MODES = {"acgwo": "acgwo", "bp": "bp", "acgwo-bp": "hybrid"}
+# The modes that model.json records; only fit_classifier sets them.
+MODES = ("acgwo", "bp", "hybrid")
 
 
 def _stable_sigmoid(z: np.ndarray, out=None) -> np.ndarray:
@@ -169,9 +168,7 @@ def bce_loss(arch: MlpArchitecture, params, X, y):
     """
     X, y = _labeled_data(X, y)
     params = np.asarray(params, dtype=float)
-    layers = unflatten(arch, params)
-    if params.ndim == 1:  # a stack of one
-        layers = [(w[None], b[None]) for w, b in layers]
+    layers = unflatten(arch, np.atleast_2d(params))
     chunk = max(1, LOSS_CHUNK_ELEMENTS // (X.shape[0] * max(arch.layer_sizes)))
     p = np.empty((layers[0][1].shape[0], X.shape[0]))
     for start in range(0, p.shape[0], chunk):
@@ -369,7 +366,7 @@ def model_from_json(text: str, source: str = "model") -> TrainedModel:
         metrics.check_unit_interval(fields[name], f"{source}: {name}", DataError)
     check("split_seed", lambda v: type(v) is int and v >= 0, "a non-negative integer")
     check("impute", lambda v: type(v) is bool, "true or false")
-    check("mode", lambda v: v in MODES.values(), "one of " + ", ".join(MODES.values()))
+    check("mode", lambda v: v in MODES, "one of " + ", ".join(MODES))
     model = TrainedModel(**dict(fields, layer_sizes=tuple(fields["layer_sizes"])))
     try:
         arch = model.architecture

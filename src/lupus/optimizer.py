@@ -112,8 +112,8 @@ class GwoConfig:
                 not (floor := curves.leader_weight_floor(self.leader)) > 0:
             raise ConfigError(
                 f"leader curve a,b,c,d = {','.join(map(repr, astuple(self.leader)))} "
-                f"lets leader weights fall to {floor:.6g}, its lower bound d - c/(pi*a) "
-                f"(d when c <= 0); the bound must be > 0"
+                f"lets leader weights fall to {floor:.6g}, its lower bound "
+                f"d - c*cauchy_pdf(b; b, a) (d when c <= 0); the bound must be > 0"
             )
 
 

@@ -201,6 +201,8 @@ class TestBenchCommand:
         ("agwo", "1,0,10,0", 1),
         ("gwo,acgwo", "1,0,2,0.5", 1),
         ("agwo", "1,0,-2,0", 1),
+        # d - c/(pi*a) read 2.2e-16, but the weight at the peak is 0.0 (exit 3)
+        ("agwo", "1.4302060167127721,1.0,8.489593995678604,1.8894632430103642", 1),
         ("agwo", "1.0,0.0,2.0,2.1", 0),  # the default curve
         ("gwo,cgwo", "1,0,10,0", 0),  # no adaptive variant reads the curve
     ])
@@ -211,7 +213,7 @@ class TestBenchCommand:
                         "--leader", leader]) == code
         if code:
             err = capsys.readouterr().err
-            assert "leader curve a,b,c,d" in err and "d - c/(pi*a)" in err
+            assert "leader curve a,b,c,d" in err and "d - c*cauchy_pdf(b; b, a)" in err
             assert not Path("results").exists()
 
     def test_seed_changes_results(self, workdir):
@@ -309,6 +311,9 @@ class TestConfigFile:
         pytest.param(BENCH_SMALL, {"bench": {"workers": 1.5}}, ["bench.workers", "1.5"],
                      id="range-float"),
         pytest.param(BENCH_SMALL[:-2], {"seed": 3.0}, ["seed", "3.0"], id="seed-float"),
+        # The shared seed was applied first, and the section's went unread (exit 0).
+        pytest.param(BENCH_SMALL[:-2], {"seed": 7, "bench": {"seed": "abc"}},
+                     ["bench.seed", "'abc'"], id="section-seed"),
         pytest.param([a for a in TRAIN_SMALL if a not in ("--learning-rate", "0.1")],
                      {"train": {"learning_rate": True}}, ["train.learning_rate", "true"],
                      id="float-bool"),
@@ -397,6 +402,14 @@ class TestConfigFile:
         Path("cfg.json").write_text('{"seed": ' + "[" * 100000 + "]" * 100000 + "}")
         assert run_cli(["curves", "--config", "cfg.json"]) == 1
         assert "cfg.json" in capsys.readouterr().err
+
+    def test_section_seed_wins_over_shared_seed(self, workdir):
+        # The shared seed was applied, and the section's ignored.
+        assert run_cli(BENCH_SMALL) == 0
+        flagged = Path("results/table.csv").read_bytes()
+        Path("cfg.json").write_text(json.dumps({"seed": 7, "bench": {"seed": 42}}))
+        assert run_cli(BENCH_SMALL[:-2] + ["--config", "cfg.json"]) == 0
+        assert Path("results/table.csv").read_bytes() == flagged
 
     def test_config_values_typed_like_flags(self, workdir):
         assert run_cli(TRAIN_SMALL) == 0
