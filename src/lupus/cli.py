@@ -153,13 +153,28 @@ _MODES = {"acgwo": {"bp_epochs": 0, "learning_rate": _TRAIN["learning_rate"]},
           "bp": {"bounds": None, "swarm": None, "iters": None}, "acgwo-bp": {}}
 
 
+def _config_value(ctx, path, label, value, param_type):
+    """A config value passed once through ``param_type``, as its flag's text would."""
+    if value is None:
+        raise ConfigError(f"config file {path}: {label}: null is not a value")
+    # A JSON number or boolean is read as its JSON text, as a flag's text is:
+    # int() and float() would truncate 2.5 and read true as 1.
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        if "\0" in text:  # argv cannot hold a NUL, a file can; no path can
+            raise click.BadParameter(f"{text!r} holds a NUL character")
+        return param_type(text, None, ctx)
+    except click.BadParameter as exc:
+        raise ConfigError(f"config file {path}: {label}: {exc.message}") from None
+
+
 def _resolve(ctx, command):
     """Apply flag > config-file > environment > default precedence.
 
-    The config values are the section's keys, plus the shared ``seed`` where
-    the section has none; each passes once through its option's click type, as
-    its flag's text would, unless the flag was given. A section key that names
-    no option is an error, and so is a flag or key that ``--mode`` never reads.
+    The config values are the section's keys, each used unless its flag was
+    given, and the shared ``seed``, which every command checks with ``--seed``'s
+    type, and which the flag or a section's own ``seed`` overrides. A section key
+    that names no option is an error, and so is a flag or key ``--mode`` never reads.
     """
     path = ctx.params.get("config")
     config = _load_config(path)
@@ -173,26 +188,17 @@ def _resolve(ctx, command):
     resolved = {name: ctx.params[name] for name in params}
     given = {name: params[name].opts[0] for name in params
              if ctx.get_parameter_source(name) == click.core.ParameterSource.COMMANDLINE}
-    values = {"seed": ("seed", config["seed"])} if "seed" in params and "seed" in config else {}
-    values.update((key, (f"{command}.{key}", value)) for key, value in section.items())
-    for name, (label, value) in values.items():
+    if "seed" in config:  # checked whatever the command; the section's own seed wins
+        seed = _config_value(ctx, path, "seed", config["seed"], click.INT)
+        if "seed" in params and "seed" not in given:
+            resolved["seed"] = seed
+    for name, value in section.items():
         if name not in params:
             raise ConfigError(f"config file {path}: section {command!r} has unknown key "
                               f"{name!r} (known: {', '.join(params)})")
-        if name in given:
-            continue
-        if value is None:
-            raise ConfigError(f"config file {path}: {label}: null is not a value")
-        # A JSON number or boolean is read as its JSON text, as a flag's text
-        # is: int() and float() would truncate 2.5 and read true as 1.
-        text = value if isinstance(value, str) else json.dumps(value)
-        try:
-            if "\0" in text:  # argv cannot hold a NUL, a file can; no path can
-                raise click.BadParameter(f"{text!r} holds a NUL character")
-            resolved[name] = params[name].type_cast_value(ctx, text)
-        except click.BadParameter as exc:
-            raise ConfigError(f"config file {path}: {label}: {exc.message}") from None
-        given[name] = f"config file {path}: {label}"
+        if name not in given:
+            resolved[name] = _config_value(ctx, path, f"{command}.{name}", value, params[name].type)
+            given[name] = f"config file {path}: {command}.{name}"
     for name in _MODES.get(resolved.get("mode"), ()):
         if name in given:
             raise ConfigError(f"{given[name]}: --mode {resolved['mode']} never reads it")
@@ -204,7 +210,7 @@ def _resolve(ctx, command):
 
 _config_option = click.option("--config", type=click.Path(), default=None,
                               help="JSON config file; flags override its values.")
-_seed_option = click.option("--seed", type=int, default=DEFAULT_SEED, envvar="LUPUS_SEED",
+_seed_option = click.option("--seed", type=click.INT, default=DEFAULT_SEED, envvar="LUPUS_SEED",
                             help="Base seed; every stream derives from it.")
 _inertia_option = click.option("--inertia", type=_CURVE, default=_INERTIA_DEFAULT,
                                help="Inertia curve a,b,c,d.")

@@ -12,8 +12,9 @@ best: none is below it, and one that improves is its particle's fresh point.
 Objectives are callables ``objective(X, rng) -> (n,)`` minimized over a
 box-bounded space, called once per iteration with the whole ``(n, dim)``
 position matrix and returning the fitness of every agent. Deterministic
-objectives must ignore the ``rng`` argument; stochastic ones draw only from
-it, in agent-index order, which keeps every run reproducible from its seed.
+objectives must ignore the ``rng`` argument, which may be ``None``;
+stochastic ones draw only from it, from their first call on and in
+agent-index order, which keeps every run reproducible from its seed.
 
 RNG draw order is fixed so determinism is testable: initialization draws the
 full position matrix agent-major; each iteration first evaluates objectives
@@ -22,15 +23,15 @@ draws movement coefficients per agent, per leader (the wolves only), per
 coordinate, r1 before r2. :func:`_swarm` draws them as one block and hands
 it to the move; :func:`_move` works in place one leader at a time, and its
 rounding is that of the whole-array formulas. :func:`clamp` then trims that
-fresh array in place. A large block is drawn ahead, on a worker thread, from
-a copy of the stream's state; it is used only if nothing drew from the stream
-in between, so the block and the stream's end state are those of the inline
-draw.
+fresh array in place. A large block is drawn ahead on a worker thread, from
+the run's own stream, if the objective's first call left that stream alone;
+the objective then gets ``None`` for ``rng``. The blocks, and the stream's end
+state, are those of the inline draw.
 """
 
 import math
 from dataclasses import astuple, dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from . import curves
 from .curves import CurveParams
 from .errors import ConfigError, LupusError
 
-Objective = Callable[[np.ndarray, np.random.Generator], np.ndarray]
+Objective = Callable[[np.ndarray, Optional[np.random.Generator]], np.ndarray]
 
 VARIANTS = ("gwo", "cgwo", "agwo", "acgwo")
 _CURVE_VARIANTS = ("cgwo", "acgwo")
@@ -47,11 +48,10 @@ _ADAPTIVE_VARIANTS = ("agwo", "acgwo")
 C1 = C2 = 2.0  # PSO acceleration coefficients; see PsoConfig for the rest
 W_MAX, W_MIN = 0.9, 0.4
 VELOCITY_CLAMP = 0.2
-# A movement block of at least this many doubles is drawn ahead on a worker
-# thread. On a 2-vCPU guest (numpy 2.4.6) that cut bench-highdim's raw wall
-# time by about 23%. Drawing every block ahead took bench-sweep's raw wall
-# time from 0.83-0.86 s to 1.57-1.74 s: for its 2,400- and 7,200-double
-# blocks the handoff costs more than the draw.
+# A movement block of at least this many doubles may be drawn ahead on a worker
+# thread: on a 2-vCPU guest (numpy 2.4.6) that cut bench-highdim's raw wall
+# time by about 23%, but drawing every block ahead took bench-sweep's from
+# 0.83-0.86 s to 1.57-1.74 s: its small blocks cost less to draw than to hand over.
 DRAW_AHEAD_ELEMENTS = 2 ** 15
 
 
@@ -221,40 +221,32 @@ def _swarm(objective: Objective, space: SearchSpace, cfg, k: int, move, block) -
     fitness and positions, and record the best; then, except after the last,
     draw the block and clamp ``move(it, positions, fitness, scores, leaders,
     draws)`` to the box. Every block is drawn into one of two kept buffers, in
-    turn. From ``DRAW_AHEAD_ELEMENTS`` doubles on, a worker thread draws the
-    next move's block into the other buffer while this one runs, from a twin
-    generator set to the stream's state. The block is used, and the stream
-    takes the twin's whole state, only if the stream is still at the state the
-    twin was set to (a stochastic objective moves it); otherwise it is drawn
-    again inline into the same buffer.
+    turn. From ``DRAW_AHEAD_ELEMENTS`` doubles on, if the first evaluation left
+    the stream untouched, a worker thread draws each next block from it into
+    the other buffer while this one runs, and the objective gets ``None`` from
+    then on, so that a late draw raises instead of racing the worker.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = noise = np.random.default_rng(cfg.seed)
     positions = rng.uniform(space.lower, space.upper, size=(cfg.n_agents, space.dim))
     scores, leaders = np.full(k, math.inf), np.zeros((k, space.dim))
     history = np.empty(cfg.max_iter)
     buffers = np.empty((2, *block))  # a fresh block per move would add to the peak
     pool = ahead = None
-    if math.prod(block) >= DRAW_AHEAD_ELEMENTS:
-        from concurrent.futures import ThreadPoolExecutor
-        pool, twin = ThreadPoolExecutor(1), np.random.Generator(np.random.PCG64())
+    start = rng.bit_generator.state if math.prod(block) >= DRAW_AHEAD_ELEMENTS else None
     try:
         for it in range(cfg.max_iter):
-            fitness = _evaluate(objective, positions, rng)
+            fitness = _evaluate(objective, positions, noise)
             scores, leaders = _update_leaders(fitness, positions, scores, leaders)
             history[it] = scores[0]
             if it == cfg.max_iter - 1:
                 return RunResult(best_position=leaders[0], history=history)
-            draws = buffers[it % 2]
-            if ahead is not None:
-                ahead.result()  # the worker is done with draws and the twin
-            if ahead is not None and ahead_state == rng.bit_generator.state:
-                rng.bit_generator.state = twin.bit_generator.state
-            else:
-                rng.random(out=draws)
-            ahead = None
+            if it == 0 and start == rng.bit_generator.state:
+                from concurrent.futures import ThreadPoolExecutor
+                pool, noise = ThreadPoolExecutor(1), None
+            # the worker's block, once it is done with the stream, or one drawn now
+            draws = ahead.result() if ahead is not None else rng.random(out=buffers[it % 2])
             if pool is not None and it + 2 < cfg.max_iter:  # a move follows this one
-                twin.bit_generator.state = ahead_state = rng.bit_generator.state
-                ahead = pool.submit(twin.random, out=buffers[(it + 1) % 2])
+                ahead = pool.submit(rng.random, out=buffers[(it + 1) % 2])
             positions = clamp(move(it, positions, fitness, scores, leaders, draws), space)
     finally:
         if pool is not None:

@@ -314,6 +314,16 @@ class TestConfigFile:
         # The shared seed was applied first, and the section's went unread (exit 0).
         pytest.param(BENCH_SMALL[:-2], {"seed": 7, "bench": {"seed": "abc"}},
                      ["bench.seed", "'abc'"], id="section-seed"),
+        # The shared seed went unchecked by a command that never reads it, or
+        # whose section or flag overrode it (exit 0, or 2 for eval's model).
+        pytest.param(["curves", "--iters", "3"], {"seed": "abc"},
+                     ["config file cfg.json: seed: ", "'abc'"], id="seed-curves"),
+        pytest.param(["eval"], {"seed": "abc"},
+                     ["config file cfg.json: seed: ", "'abc'"], id="seed-eval"),
+        pytest.param(BENCH_SMALL[:-2], {"seed": "abc", "bench": {"seed": 3}},
+                     ["config file cfg.json: seed: ", "'abc'"], id="seed-under-section-seed"),
+        pytest.param(BENCH_SMALL, {"seed": "abc"},
+                     ["config file cfg.json: seed: ", "'abc'"], id="seed-under-flag"),
         pytest.param([a for a in TRAIN_SMALL if a not in ("--learning-rate", "0.1")],
                      {"train": {"learning_rate": True}}, ["train.learning_rate", "true"],
                      id="float-bool"),

@@ -746,8 +746,8 @@ def _swarm_run(algorithm, objective, space, n, max_iter, seed=3):
 
 def _noisy_on(iterations, threads):
     """sphere plus one uniform per agent from the run's stream on the chosen
-    iterations, so a block drawn ahead across those is stale; every call
-    appends the live thread count to ``threads``."""
+    iterations (0 is the first call); every call appends the live thread
+    count to ``threads``."""
     def objective(X, rng):
         fitness = sphere(X, rng)
         if len(threads) in iterations:
@@ -770,12 +770,14 @@ class _LateExecutor(concurrent.futures.ThreadPoolExecutor):
 
 class TestSwarmDraws:
     """The swarm loop draws each move's block; from DRAW_AHEAD_ELEMENTS
-    doubles on, a worker thread draws it ahead from a copy of the stream."""
+    doubles on, a worker thread draws it ahead from the run's own stream,
+    unless the objective drew from that stream at its first call."""
 
     # (20, 1000) puts both blocks above the limit, (4, 5) both below.
     @pytest.mark.parametrize("n,dim", [(4, 5), (20, 1000)])
     @pytest.mark.parametrize("algorithm", ["acgwo", "pso"])
     def test_draws_one_block(self, algorithm, n, dim):
+        # The first call is handed the run's stream; later ones may get None.
         states, space, max_iter = [], SearchSpace(dim, -2.0, 2.0), 4
         _swarm_run(algorithm, lambda X, rng: states.append(rng) or sphere(X, rng),
                    space, n, max_iter)
@@ -783,17 +785,17 @@ class TestSwarmDraws:
         expected.uniform(space.lower, space.upper, size=(n, dim))
         for _ in range(max_iter - 1):
             expected.random((n, dim, 2) if algorithm == "pso" else (n, 3, dim, 2))
-        assert states[-1].bit_generator.state == expected.bit_generator.state
+        assert states[0].bit_generator.state == expected.bit_generator.state
 
     @pytest.mark.parametrize("noisy,late", [
         pytest.param(noisy, late, id=name + "-late" * late)
         for late in (False, True)
-        for name, noisy in (("never", ()), ("some", (2, 4)), ("all", (1, 2, 3, 4)))])
+        for name, noisy in (("never", ()), ("some", (0, 2, 4)), ("all", range(6)))])
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 6])
     @pytest.mark.parametrize("algorithm", ["gwo", "acgwo", "pso"])
     def test_bit_identical_to_inline_draws(self, monkeypatch, algorithm, max_iter, noisy, late):
         # A late worker is still drawing when its block is due: the loop must
-        # wait for it before it reads the twin or reuses the buffer.
+        # wait for it before it moves with that block or draws the next one.
         if late:
             monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _LateExecutor)
         space, before = SearchSpace(1000, -2.0, 2.0), threading.active_count()
@@ -804,8 +806,10 @@ class TestSwarmDraws:
         assert np.array_equal(_bits(ahead.history), _bits(inline.history))
         assert np.array_equal(_bits(ahead.best_position), _bits(inline.best_position))
         # The worker starts with the first move that has a move after it, so
-        # from the second evaluation on when max_iter >= 3.
-        assert ahead_threads == [before] + [before + (max_iter >= 3)] * (max_iter - 1)
+        # from the second evaluation on when max_iter >= 3, and never for an
+        # objective that draws.
+        worker = max_iter >= 3 and not noisy
+        assert ahead_threads == [before] + [before + worker] * (max_iter - 1)
         assert inline_threads == [before] * max_iter
         assert threading.active_count() == before
 
@@ -826,12 +830,13 @@ class TestSwarmDraws:
         assert moves == [True] * 4
 
     def test_concurrent_runs_under_a_short_switch_interval(self, monkeypatch):
-        # Four runs at once, each with its own worker (eight threads on a
-        # 2-CPU machine), switching threads every microsecond: a handoff that
-        # shared a buffer or a twin stream with another move would move bits.
+        # Four runs at once, the two whose objective never draws with their
+        # own worker (six threads on a 2-CPU machine), switching threads every
+        # microsecond: a worker that shared a buffer or a stream with another
+        # run would move bits.
         from concurrent.futures import ThreadPoolExecutor
         space, cases = SearchSpace(1000, -2.0, 2.0), [
-            (algorithm, noisy) for algorithm in ("acgwo", "pso") for noisy in ((), (2, 4))]
+            (algorithm, noisy) for algorithm in ("acgwo", "pso") for noisy in ((), (0, 2, 4))]
 
         def results():
             with ThreadPoolExecutor(len(cases)) as pool:
@@ -868,25 +873,34 @@ class TestSwarmDraws:
         _swarm_run(algorithm, sphere_objective, space, 20, 6)
         assert threading.active_count() == before
 
-    def test_buffered_32_bit_draw_survives_the_handoff(self, monkeypatch):
-        # A 32-bit draw leaves half of a 64-bit output buffered in the stream's
-        # state. The twin takes the stream's whole state, buffered draw
-        # included, and hands it back whole, so the 32-bit draw after the last
-        # move reads as it does inline.
-        def objective(X, rng):
-            if len(seen) in (0, 4):
-                seen.append(int(rng.integers(2 ** 32, dtype=np.uint32)))
-            seen.append(rng.bit_generator.state)
-            return sphere(X, rng)
+    @pytest.mark.parametrize("algorithm", ["acgwo", "pso"])
+    def test_stochastic_objective_draws_inline(self, monkeypatch, algorithm):
+        # f5 draws at every call, its first included: no worker starts, and
+        # the run is the inline run bit for bit.
+        space, before = SearchSpace(1000, -1.28, 1.28), threading.active_count()
+        threads = []
 
-        space = SearchSpace(1000, -2.0, 2.0)
-        seen = []
-        _swarm_run("acgwo", objective, space, 20, 4)
-        ahead, seen = seen, []
+        def quadric_noise(X, rng):
+            threads.append(threading.active_count())
+            return get_function("f5")(X, rng)
+
+        ahead = _swarm_run(algorithm, quadric_noise, space, 20, 5)
         monkeypatch.setattr(optimizer, "DRAW_AHEAD_ELEMENTS", math.inf)
-        _swarm_run("acgwo", objective, space, 20, 4)
-        assert ahead[1]["has_uint32"] == 1
-        assert ahead == seen
+        inline = _swarm_run(algorithm, quadric_noise, space, 20, 5)
+        assert threads == [before] * 10
+        assert np.array_equal(_bits(ahead.history), _bits(inline.history))
+        assert np.array_equal(_bits(ahead.best_position), _bits(inline.best_position))
+
+    @pytest.mark.parametrize("algorithm", ["acgwo", "pso"])
+    def test_first_draw_after_the_first_call_raises(self, algorithm):
+        # The first call left the stream alone, so the worker owns it and the
+        # second call is handed None: its draw fails instead of racing the worker.
+        space, before = SearchSpace(1000, -2.0, 2.0), threading.active_count()
+        threads = []
+        with pytest.raises(AttributeError, match="NoneType"):
+            _swarm_run(algorithm, _noisy_on((1,), threads), space, 20, 6)
+        assert threads == [before]
+        assert threading.active_count() == before
 
 
 class TestBatchedObjective:
