@@ -17,6 +17,10 @@ The loss runs only the hidden layers per chunk of agents, in place on each
 fresh ``a @ w``, and gathers the output unit's pre-activations in one
 ``(m, rows)`` array; the output sigmoid, the clip and the BCE mean run once
 over it. Each element sees the same ufuncs in the same order as alone.
+
+:func:`train` evaluates the swarm's loss in two halves, where the process may
+use two CPUs: a worker thread takes the tail half of each stack while the
+loop's own thread takes the head. Each row's loss is the same either way.
 """
 
 import dataclasses
@@ -38,10 +42,12 @@ from .seeding import derive_seed
 BCE_CLIP = 1e-12
 
 # A stacked loss runs its hidden layers in chunks of agents whose widest
-# activation holds about this many float64 values (256 KiB); whole-swarm
-# activations fall out of cache. The output unit's tail (sigmoid, clip, BCE
-# mean) runs once on all agents: per chunk, its call overhead dominated.
-LOSS_CHUNK_ELEMENTS = 2 ** 15
+# activation holds about this many float64 values (512 KiB); whole-swarm
+# activations fall out of cache. With the swarm's loss in two halves, 2^16
+# beat 2^15 (fewer, longer ufunc calls per thread) and 2^17 in paired runs.
+# The output unit's tail (sigmoid, clip, BCE mean) runs once on all agents:
+# per chunk, its call overhead dominated.
+LOSS_CHUNK_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -227,6 +233,20 @@ def check_learning_rate(learning_rate: float) -> None:
         raise ConfigError(f"learning_rate must be finite and > 0, got {learning_rate}")
 
 
+def _swarm_loss(arch: MlpArchitecture, X, y, pool=None):
+    """The swarm's objective: the losses of an ``(m, n_params)`` stack. With a
+    one-thread ``pool``, its thread evaluates the rows from ``m // 2`` on while
+    this one evaluates those before, and the two arrays are joined in order."""
+    def objective(P, rng):
+        if pool is None:
+            return bce_loss(arch, P, X, y)
+        half = P.shape[0] // 2
+        tail = pool.submit(bce_loss, arch, P[half:], X, y)
+        head = bce_loss(arch, P[:half], X, y)
+        return np.concatenate((head, tail.result()))
+    return objective
+
+
 def train(arch: MlpArchitecture, X, y, swarm: Optional[GwoConfig],
           bounds: Tuple[float, float], bp_epochs: int, learning_rate: float,
           seed: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -236,7 +256,9 @@ def train(arch: MlpArchitecture, X, y, swarm: Optional[GwoConfig],
     ``bounds``, and the descent starts from its best position; without a
     swarm it starts from the Glorot init of ``seed``. Returns the final
     parameters and the loss history: the swarm's alpha scores, then the loss
-    after each of the ``bp_epochs`` steps.
+    after each of the ``bp_epochs`` steps. On two CPUs or more, the swarm's
+    loss is evaluated in two halves, the tail half on a worker thread that
+    lives as long as the swarm.
     """
     if bp_epochs < 0:
         raise ConfigError(f"bp_epochs must be >= 0, got {bp_epochs}")
@@ -246,7 +268,12 @@ def train(arch: MlpArchitecture, X, y, swarm: Optional[GwoConfig],
         params = init_params(arch, seed)
     else:
         space = SearchSpace(arch.n_params, *bounds)
-        result = optimizer.run(lambda P, rng: bce_loss(arch, P, X, y), space, swarm)
+        if optimizer.usable_cpus() < 2:
+            result = optimizer.run(_swarm_loss(arch, X, y), space, swarm)
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(1) as pool:
+                result = optimizer.run(_swarm_loss(arch, X, y, pool), space, swarm)
         params, history = result.best_position, [result.history]
     losses = np.empty(bp_epochs)
     for epoch in range(bp_epochs):

@@ -24,12 +24,14 @@ coordinate, r1 before r2. :func:`_swarm` draws them as one block and hands
 it to the move; :func:`_move` works in place one leader at a time, and its
 rounding is that of the whole-array formulas. :func:`clamp` then trims that
 fresh array in place. A large block is drawn ahead on a worker thread, from
-the run's own stream, if the objective's first call left that stream alone;
-the objective then gets ``None`` for ``rng``. The blocks, and the stream's end
-state, are those of the inline draw.
+the run's own stream, if the objective's first call left that stream alone
+and the process may use two CPUs (:func:`usable_cpus`); the objective then
+gets ``None`` for ``rng``. The blocks, and the stream's end state, are those
+of the inline draw.
 """
 
 import math
+import os
 from dataclasses import astuple, dataclass
 from typing import Callable, Optional
 
@@ -146,6 +148,16 @@ class RunResult:
     history: np.ndarray
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else ``os.cpu_count()``. A cgroup CPU quota is not seen. A worker
+    thread starts only from two on: on one it can only take turns with the
+    thread that waits for it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def control_wa(iteration: int, max_iter: int) -> float:
     """Exploration control scalar decaying linearly from 2 to 0."""
     curves._check_iteration(iteration, max_iter)
@@ -221,10 +233,11 @@ def _swarm(objective: Objective, space: SearchSpace, cfg, k: int, move, block) -
     fitness and positions, and record the best; then, except after the last,
     draw the block and clamp ``move(it, positions, fitness, scores, leaders,
     draws)`` to the box. Every block is drawn into one of two kept buffers, in
-    turn. From ``DRAW_AHEAD_ELEMENTS`` doubles on, if the first evaluation left
-    the stream untouched, a worker thread draws each next block from it into
-    the other buffer while this one runs, and the objective gets ``None`` from
-    then on, so that a late draw raises instead of racing the worker.
+    turn. From ``DRAW_AHEAD_ELEMENTS`` doubles on, on two CPUs or more, if the
+    first evaluation left the stream untouched, a worker thread draws each
+    next block from it into the other buffer while this one runs, and the
+    objective gets ``None`` from then on, so that a late draw raises instead
+    of racing the worker.
     """
     rng = noise = np.random.default_rng(cfg.seed)
     positions = rng.uniform(space.lower, space.upper, size=(cfg.n_agents, space.dim))
@@ -232,7 +245,8 @@ def _swarm(objective: Objective, space: SearchSpace, cfg, k: int, move, block) -
     history = np.empty(cfg.max_iter)
     buffers = np.empty((2, *block))  # a fresh block per move would add to the peak
     pool = ahead = None
-    start = rng.bit_generator.state if math.prod(block) >= DRAW_AHEAD_ELEMENTS else None
+    ahead_ok = math.prod(block) >= DRAW_AHEAD_ELEMENTS and usable_cpus() >= 2
+    start = rng.bit_generator.state if ahead_ok else None
     try:
         for it in range(cfg.max_iter):
             fitness = _evaluate(objective, positions, noise)

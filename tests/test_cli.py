@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -543,6 +544,23 @@ class TestTrainCommand:
         assert (report["swarm"], report["iters"], report["bounds"], report["bp_epochs"]) == (
             10, 30, [-5.0, 5.0], 20)
         assert 0.0 <= report["test_metrics"]["accuracy"] <= 1.0
+
+    def test_one_cpu_starts_no_thread_and_writes_the_same_bytes(self, workdir, monkeypatch):
+        # 30 wolves at 13-16-1 draw blocks above DRAW_AHEAD_ELEMENTS: on two
+        # CPUs the draw-ahead worker and the loss worker start, on one neither.
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        runs = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(optimizer, "usable_cpus", lambda n=cpus: n)
+            started.clear()
+            assert run_cli(TRAIN_SMALL + ["--swarm", "30", "--iters", "5", "--bp-epochs", "2",
+                                          "--out", f"cpus{cpus}"]) == 0
+            runs[cpus] = (len(started), [Path(f"cpus{cpus}", name).read_bytes()
+                                         for name in ("model.json", "train_report.json")])
+        assert (runs[2][0], runs[1][0]) == (2, 0)
+        assert runs[1][1] == runs[2][1]
 
     def test_bp_mode_writes_valid_model(self, workdir):
         assert run_cli(["train", "--mode", "bp", "--bp-epochs", "20",

@@ -771,7 +771,13 @@ class _LateExecutor(concurrent.futures.ThreadPoolExecutor):
 class TestSwarmDraws:
     """The swarm loop draws each move's block; from DRAW_AHEAD_ELEMENTS
     doubles on, a worker thread draws it ahead from the run's own stream,
-    unless the objective drew from that stream at its first call."""
+    unless the objective drew from that stream at its first call. The worker
+    starts only on two CPUs or more, so these tests report two, and the
+    one-CPU CI step still runs the worker path."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "usable_cpus", lambda: 2)
 
     # (20, 1000) puts both blocks above the limit, (4, 5) both below.
     @pytest.mark.parametrize("n,dim", [(4, 5), (20, 1000)])
@@ -892,6 +898,18 @@ class TestSwarmDraws:
         assert np.array_equal(_bits(ahead.best_position), _bits(inline.best_position))
 
     @pytest.mark.parametrize("algorithm", ["acgwo", "pso"])
+    def test_one_cpu_draws_inline(self, monkeypatch, algorithm):
+        space, before = SearchSpace(1000, -2.0, 2.0), threading.active_count()
+        two, one = [], []
+        ahead = _swarm_run(algorithm, _noisy_on((), two), space, 20, 5)
+        monkeypatch.setattr(optimizer, "usable_cpus", lambda: 1)
+        inline = _swarm_run(algorithm, _noisy_on((), one), space, 20, 5)
+        assert two == [before] + [before + 1] * 4
+        assert one == [before] * 5
+        assert np.array_equal(_bits(ahead.history), _bits(inline.history))
+        assert np.array_equal(_bits(ahead.best_position), _bits(inline.best_position))
+
+    @pytest.mark.parametrize("algorithm", ["acgwo", "pso"])
     def test_first_draw_after_the_first_call_raises(self, algorithm):
         # The first call left the stream alone, so the worker owns it and the
         # second call is handed None: its draw fails instead of racing the worker.
@@ -901,6 +919,17 @@ class TestSwarmDraws:
             _swarm_run(algorithm, _noisy_on((1,), threads), space, 20, 6)
         assert threads == [before]
         assert threading.active_count() == before
+
+
+class TestUsableCpus:
+    def test_affinity_mask_where_the_platform_has_one(self, monkeypatch):
+        monkeypatch.setattr(optimizer.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert optimizer.usable_cpus() == 1
+        monkeypatch.delattr(optimizer.os, "sched_getaffinity")
+        monkeypatch.setattr(optimizer.os, "cpu_count", lambda: 4)
+        assert optimizer.usable_cpus() == 4
+        monkeypatch.setattr(optimizer.os, "cpu_count", lambda: None)
+        assert optimizer.usable_cpus() == 1
 
 
 class TestBatchedObjective:
