@@ -44,7 +44,8 @@ BCE_CLIP = 1e-12
 # A stacked loss runs its hidden layers in chunks of agents whose widest
 # activation holds about this many float64 values (512 KiB); whole-swarm
 # activations fall out of cache. With the swarm's loss in two halves, 2^16
-# beat 2^15 (fewer, longer ufunc calls per thread) and 2^17 in paired runs.
+# beat 2^15 in paired runs (fewer, longer ufunc calls per thread); 2^17 was
+# no faster and held more memory.
 # The output unit's tail (sigmoid, clip, BCE mean) runs once on all agents:
 # per chunk, its call overhead dominated.
 LOSS_CHUNK_ELEMENTS = 2 ** 16
