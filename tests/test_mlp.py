@@ -668,10 +668,10 @@ class TestSwarmLossHalves:
 
     def test_error_on_the_workers_half_passes_through_and_ends_the_worker(
             self, monkeypatch):
-        before = threading.active_count()
+        before, here = threading.active_count(), threading.get_ident()
 
         def failing(*args):
-            if threading.get_ident() != threading.main_thread().ident:
+            if threading.get_ident() != here:
                 raise ValueError("worker half failed")
             return bce_loss(*args)
 

@@ -951,13 +951,13 @@ class TestBatchedObjective:
         assert batched.history.tobytes() == per_row.history.tobytes()
 
     def test_mlp_loss_matches_per_row_path(self):
-        # 208 rows at 13-16-1 give chunks of 9 agents, so 20 agents take two
-        # full chunks and a partial one.
+        # 208 rows at 13-16-1 give chunks of 19 agents, and train evaluates
+        # 50 agents in two halves of 25: a full chunk and a partial one each.
         arch = mlp.MlpArchitecture((13, 16, 1))
         rng = np.random.default_rng(8)
         X = rng.normal(size=(208, 13))
         y = rng.integers(0, 2, 208).astype(float)
-        cfg = GwoConfig(variant="acgwo", n_agents=20, max_iter=12, seed=21)
+        cfg = GwoConfig(variant="acgwo", n_agents=50, max_iter=12, seed=21)
         params, history = mlp.train(arch, X, y, cfg, (-5.0, 5.0), 0, 0.1, 0)
         per_row = run(lambda P, rng: np.array([mlp.bce_loss(arch, v, X, y) for v in P]),
                       SearchSpace(arch.n_params, -5.0, 5.0), cfg)
