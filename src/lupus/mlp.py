@@ -18,9 +18,9 @@ fresh ``a @ w``, and gathers the output unit's pre-activations in one
 ``(m, rows)`` array; the output sigmoid, the clip and the BCE mean run once
 over it. Each element sees the same ufuncs in the same order as alone.
 
-:func:`train` evaluates the swarm's loss in two halves, where the process may
-use two CPUs: a worker thread takes the tail half of each stack while the
-loop's own thread takes the head. Each row's loss is the same either way.
+:func:`train` evaluates the swarm's loss in two halves where
+:func:`optimizer.worker` gives a pool: its thread takes the tail half of each
+stack, the loop's own thread the head. Each row's loss is the same either way.
 """
 
 import dataclasses
@@ -234,7 +234,7 @@ def check_learning_rate(learning_rate: float) -> None:
         raise ConfigError(f"learning_rate must be finite and > 0, got {learning_rate}")
 
 
-def _swarm_loss(arch: MlpArchitecture, X, y, pool=None):
+def _swarm_loss(arch: MlpArchitecture, X, y, pool):
     """The swarm's objective: the losses of an ``(m, n_params)`` stack. With a
     one-thread ``pool``, its thread evaluates the rows from ``m // 2`` on while
     this one evaluates those before, and the two arrays are joined in order."""
@@ -257,9 +257,9 @@ def train(arch: MlpArchitecture, X, y, swarm: Optional[GwoConfig],
     ``bounds``, and the descent starts from its best position; without a
     swarm it starts from the Glorot init of ``seed``. Returns the final
     parameters and the loss history: the swarm's alpha scores, then the loss
-    after each of the ``bp_epochs`` steps. On two CPUs or more, the swarm's
-    loss is evaluated in two halves, the tail half on a worker thread that
-    lives as long as the swarm.
+    after each of the ``bp_epochs`` steps. Where :func:`optimizer.worker`
+    gives a pool, the swarm's loss is evaluated in two halves, the tail half
+    on its thread, which lives as long as the swarm.
     """
     if bp_epochs < 0:
         raise ConfigError(f"bp_epochs must be >= 0, got {bp_epochs}")
@@ -269,12 +269,8 @@ def train(arch: MlpArchitecture, X, y, swarm: Optional[GwoConfig],
         params = init_params(arch, seed)
     else:
         space = SearchSpace(arch.n_params, *bounds)
-        if optimizer.usable_cpus() < 2:
-            result = optimizer.run(_swarm_loss(arch, X, y), space, swarm)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(1) as pool:
-                result = optimizer.run(_swarm_loss(arch, X, y, pool), space, swarm)
+        with optimizer.worker() as pool:
+            result = optimizer.run(_swarm_loss(arch, X, y, pool), space, swarm)
         params, history = result.best_position, [result.history]
     losses = np.empty(bp_epochs)
     for epoch in range(bp_epochs):

@@ -23,15 +23,15 @@ draws movement coefficients per agent, per leader (the wolves only), per
 coordinate, r1 before r2. :func:`_swarm` draws them as one block and hands
 it to the move; :func:`_move` works in place one leader at a time, and its
 rounding is that of the whole-array formulas. :func:`clamp` then trims that
-fresh array in place. A large block is drawn ahead on a worker thread, from
-the run's own stream, if the objective's first call left that stream alone
-and the process may use two CPUs (:func:`usable_cpus`); the objective then
-gets ``None`` for ``rng``. The blocks, and the stream's end state, are those
-of the inline draw.
+fresh array in place. A large block is drawn ahead on a :func:`worker`
+thread, from the run's own stream, if the objective's first call left that
+stream alone; the objective then gets ``None`` for ``rng``. The blocks, and
+the stream's end state, are those of the inline draw.
 """
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from typing import Callable, Optional
 
@@ -148,14 +148,20 @@ class RunResult:
     history: np.ndarray
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform
-    has one, else ``os.cpu_count()``. A cgroup CPU quota is not seen. A worker
-    thread starts only from two on: on one it can only take turns with the
-    thread that waits for it."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+@contextmanager
+def worker(wanted: bool = True):
+    """A one-thread pool for the ``with`` block if ``wanted`` and the process
+    may run on two CPUs (its affinity mask, else ``os.cpu_count()``; a cgroup
+    CPU quota is not seen), else ``None``: on one CPU a worker only takes turns
+    with the thread that waits for it. The thread starts at the pool's first
+    ``submit`` and ends with the block, also when the block raises."""
+    if wanted and (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1) >= 2:
+        import concurrent.futures
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            yield pool
+    else:
+        yield None
 
 
 def control_wa(iteration: int, max_iter: int) -> float:
@@ -233,9 +239,9 @@ def _swarm(objective: Objective, space: SearchSpace, cfg, k: int, move, block) -
     fitness and positions, and record the best; then, except after the last,
     draw the block and clamp ``move(it, positions, fitness, scores, leaders,
     draws)`` to the box. Every block is drawn into one of two kept buffers, in
-    turn. From ``DRAW_AHEAD_ELEMENTS`` doubles on, on two CPUs or more, if the
-    first evaluation left the stream untouched, a worker thread draws each
-    next block from it into the other buffer while this one runs, and the
+    turn. From ``DRAW_AHEAD_ELEMENTS`` doubles on, where :func:`worker` gives a
+    pool, if the first evaluation left the stream untouched, the worker draws
+    each next block from it into the other buffer while this one runs, and the
     objective gets ``None`` from then on, so that a late draw raises instead
     of racing the worker.
     """
@@ -244,27 +250,22 @@ def _swarm(objective: Objective, space: SearchSpace, cfg, k: int, move, block) -
     scores, leaders = np.full(k, math.inf), np.zeros((k, space.dim))
     history = np.empty(cfg.max_iter)
     buffers = np.empty((2, *block))  # a fresh block per move would add to the peak
-    pool = ahead = None
-    ahead_ok = math.prod(block) >= DRAW_AHEAD_ELEMENTS and usable_cpus() >= 2
-    start = rng.bit_generator.state if ahead_ok else None
-    try:
+    ahead = None
+    with worker(math.prod(block) >= DRAW_AHEAD_ELEMENTS) as pool:
+        start = rng.bit_generator.state if pool is not None else None
         for it in range(cfg.max_iter):
             fitness = _evaluate(objective, positions, noise)
             scores, leaders = _update_leaders(fitness, positions, scores, leaders)
             history[it] = scores[0]
             if it == cfg.max_iter - 1:
                 return RunResult(best_position=leaders[0], history=history)
-            if it == 0 and start == rng.bit_generator.state:
-                from concurrent.futures import ThreadPoolExecutor
-                pool, noise = ThreadPoolExecutor(1), None
+            if it == 0:  # the worker owns the stream only if the objective left it alone
+                noise, pool = (None, pool) if start == rng.bit_generator.state else (noise, None)
             # the worker's block, once it is done with the stream, or one drawn now
             draws = ahead.result() if ahead is not None else rng.random(out=buffers[it % 2])
             if pool is not None and it + 2 < cfg.max_iter:  # a move follows this one
                 ahead = pool.submit(rng.random, out=buffers[(it + 1) % 2])
             positions = clamp(move(it, positions, fitness, scores, leaders, draws), space)
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
 
 def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:

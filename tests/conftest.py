@@ -1,6 +1,9 @@
+import concurrent.futures
 import dataclasses
 import inspect
+import os
 import pickle
+import time
 from pathlib import Path
 
 import pytest
@@ -75,3 +78,27 @@ def shared_sweep():
             mp.setattr(harness, "run_single", shared)
             return harness.run_plan(plan)
     return sweep
+
+
+class _LatePool(concurrent.futures.ThreadPoolExecutor):
+    """A thread pool whose worker starts each job 30 ms late, so the thread
+    that hands it a job is done with its own work long before the job is."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        def late():
+            time.sleep(0.03)
+            return fn(*args, **kwargs)
+        return super().submit(late)
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """``cpus(n)`` has ``optimizer.worker`` see a process that may run on ``n``
+    CPUs, through the affinity mask it reads, so that a one-CPU host can still
+    run the worker path; ``cpus(n, late=True)`` also has the pool it yields
+    start each job 30 ms late."""
+    def report(n, late=False):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        if late:
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _LatePool)
+    return report

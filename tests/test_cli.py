@@ -545,20 +545,21 @@ class TestTrainCommand:
             10, 30, [-5.0, 5.0], 20)
         assert 0.0 <= report["test_metrics"]["accuracy"] <= 1.0
 
-    def test_one_cpu_starts_no_thread_and_writes_the_same_bytes(self, workdir, monkeypatch):
+    def test_one_cpu_starts_no_thread_and_writes_the_same_bytes(self, workdir, monkeypatch,
+                                                                 cpus):
         # 30 wolves at 13-16-1 draw blocks above DRAW_AHEAD_ELEMENTS: on two
         # CPUs the draw-ahead worker and the loss worker start, on one neither.
         started, start = [], threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: started.append(thread) or start(thread))
         runs = {}
-        for cpus in (2, 1):
-            monkeypatch.setattr(optimizer, "usable_cpus", lambda n=cpus: n)
+        for n in (2, 1):
+            cpus(n)
             started.clear()
             assert run_cli(TRAIN_SMALL + ["--swarm", "30", "--iters", "5", "--bp-epochs", "2",
-                                          "--out", f"cpus{cpus}"]) == 0
-            runs[cpus] = (len(started), [Path(f"cpus{cpus}", name).read_bytes()
-                                         for name in ("model.json", "train_report.json")])
+                                          "--out", f"cpus{n}"]) == 0
+            runs[n] = (len(started), [Path(f"cpus{n}", name).read_bytes()
+                                      for name in ("model.json", "train_report.json")])
         assert (runs[2][0], runs[1][0]) == (2, 0)
         assert runs[1][1] == runs[2][1]
 

@@ -1,8 +1,6 @@
 import json
 import math
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -599,20 +597,6 @@ class TestTrainHybrid:
         assert np.array_equal(a, b)
 
 
-class _LatePool(ThreadPoolExecutor):
-    """A one-thread pool whose worker starts each job 20 ms late, so the
-    loop's own half is done long before the worker's."""
-
-    def __init__(self):
-        super().__init__(1)
-
-    def submit(self, fn, /, *args, **kwargs):
-        def late():
-            time.sleep(0.02)
-            return fn(*args, **kwargs)
-        return super().submit(late)
-
-
 def _heart_like(rows=208, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((rows, 13)), (rng.random(rows) < 0.45).astype(float)
@@ -624,22 +608,21 @@ class TestSwarmLossHalves:
 
     ARCH = MlpArchitecture((13, 16, 1))
 
-    @pytest.mark.parametrize("pool_type", [lambda: ThreadPoolExecutor(1), _LatePool],
-                             ids=["pool", "late-pool"])
+    @pytest.mark.parametrize("late", [False, True], ids=["pool", "late-pool"])
     @pytest.mark.parametrize("m", [1, 2, 3, 9, 10, 99, 100])
-    def test_equals_whole_stack_bit_for_bit(self, m, pool_type):
+    def test_equals_whole_stack_bit_for_bit(self, cpus, m, late):
+        cpus(2, late=late)  # late: the loop's own half is done long before the worker's
         X, y = _heart_like()
         P = np.random.default_rng(m).uniform(-5.0, 5.0, (m, self.ARCH.n_params))
-        with pool_type() as pool:
+        with optimizer.worker() as pool:
             halves = mlp._swarm_loss(self.ARCH, X, y, pool)(P, None)
         assert halves.shape == (m,)
         assert_same_bits(halves, bce_loss(self.ARCH, P, X, y))
-        assert_same_bits(mlp._swarm_loss(self.ARCH, X, y)(P, None), halves)
+        assert_same_bits(mlp._swarm_loss(self.ARCH, X, y, None)(P, None), halves)
 
-    def _train(self, monkeypatch, cpus, loss=None):
-        """train on heart-like data with ``cpus`` CPUs reported; returns the
-        params, the history and the threads that ran bce_loss."""
-        monkeypatch.setattr(optimizer, "usable_cpus", lambda: cpus)
+    def _train(self, monkeypatch, loss=None):
+        """train on heart-like data; returns the params, the history and the
+        threads that ran bce_loss."""
         callers = []
 
         def recorded(*args):
@@ -652,23 +635,26 @@ class TestSwarmLossHalves:
         params, history = train(self.ARCH, X, y, cfg, BOUNDS, 3, 0.1, 2)
         return params, history, callers
 
-    def test_train_bit_identical_with_the_split_off(self, monkeypatch):
+    def test_train_bit_identical_with_the_split_off(self, monkeypatch, cpus):
         before = threading.active_count()
-        params, history, callers = self._train(monkeypatch, 2)
+        cpus(2)
+        params, history, callers = self._train(monkeypatch)
         assert threading.active_count() == before
         # Six evaluations in two halves, the tails on one other thread, then
         # three BP epochs on this thread.
         here = threading.get_ident()
         assert callers.count(here) == 6 + 3 and len(set(callers)) == 2
         assert len(callers) == 2 * 6 + 3
-        one_params, one_history, one_callers = self._train(monkeypatch, 1)
+        cpus(1)
+        one_params, one_history, one_callers = self._train(monkeypatch)
         assert one_callers == [here] * (6 + 3)
         assert_same_bits(params, one_params)
         assert_same_bits(history, one_history)
 
     def test_error_on_the_workers_half_passes_through_and_ends_the_worker(
-            self, monkeypatch):
+            self, monkeypatch, cpus):
         before, here = threading.active_count(), threading.get_ident()
+        cpus(2)
 
         def failing(*args):
             if threading.get_ident() != here:
@@ -676,7 +662,7 @@ class TestSwarmLossHalves:
             return bce_loss(*args)
 
         with pytest.raises(ValueError, match="worker half failed"):
-            self._train(monkeypatch, 2, failing)
+            self._train(monkeypatch, failing)
         assert threading.active_count() == before
 
 

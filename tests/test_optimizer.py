@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import inspect
 import math
@@ -757,17 +756,6 @@ def _noisy_on(iterations, threads):
     return objective
 
 
-class _LateExecutor(concurrent.futures.ThreadPoolExecutor):
-    """A pool whose worker starts each job 30 ms late, so the loop reaches the
-    next move while the block is still being drawn."""
-
-    def submit(self, fn, /, *args, **kwargs):
-        def late():
-            time.sleep(0.03)
-            return fn(*args, **kwargs)
-        return super().submit(late)
-
-
 class TestSwarmDraws:
     """The swarm loop draws each move's block; from DRAW_AHEAD_ELEMENTS
     doubles on, a worker thread draws it ahead from the run's own stream,
@@ -776,8 +764,8 @@ class TestSwarmDraws:
     one-CPU CI step still runs the worker path."""
 
     @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "usable_cpus", lambda: 2)
+    def two_cpus(self, cpus):
+        cpus(2)
 
     # (20, 1000) puts both blocks above the limit, (4, 5) both below.
     @pytest.mark.parametrize("n,dim", [(4, 5), (20, 1000)])
@@ -799,11 +787,11 @@ class TestSwarmDraws:
         for name, noisy in (("never", ()), ("some", (0, 2, 4)), ("all", range(6)))])
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 6])
     @pytest.mark.parametrize("algorithm", ["gwo", "acgwo", "pso"])
-    def test_bit_identical_to_inline_draws(self, monkeypatch, algorithm, max_iter, noisy, late):
+    def test_bit_identical_to_inline_draws(self, monkeypatch, cpus, algorithm, max_iter, noisy,
+                                           late):
         # A late worker is still drawing when its block is due: the loop must
         # wait for it before it moves with that block or draws the next one.
-        if late:
-            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _LateExecutor)
+        cpus(2, late=late)
         space, before = SearchSpace(1000, -2.0, 2.0), threading.active_count()
         ahead_threads, inline_threads = [], []
         ahead = _swarm_run(algorithm, _noisy_on(noisy, ahead_threads), space, 20, max_iter)
@@ -898,11 +886,11 @@ class TestSwarmDraws:
         assert np.array_equal(_bits(ahead.best_position), _bits(inline.best_position))
 
     @pytest.mark.parametrize("algorithm", ["acgwo", "pso"])
-    def test_one_cpu_draws_inline(self, monkeypatch, algorithm):
+    def test_one_cpu_draws_inline(self, cpus, algorithm):
         space, before = SearchSpace(1000, -2.0, 2.0), threading.active_count()
         two, one = [], []
         ahead = _swarm_run(algorithm, _noisy_on((), two), space, 20, 5)
-        monkeypatch.setattr(optimizer, "usable_cpus", lambda: 1)
+        cpus(1)
         inline = _swarm_run(algorithm, _noisy_on((), one), space, 20, 5)
         assert two == [before] + [before + 1] * 4
         assert one == [before] * 5
@@ -921,15 +909,52 @@ class TestSwarmDraws:
         assert threading.active_count() == before
 
 
-class TestUsableCpus:
+class TestWorker:
+    """``optimizer.worker`` yields a one-thread pool only where it is wanted and
+    the process may run on two CPUs; its thread starts at the first submit and
+    is gone when the block ends, however it ends."""
+
+    def test_none_unless_wanted_on_two_cpus(self, cpus):
+        cpus(2)
+        with optimizer.worker() as pool:
+            assert pool is not None
+        with optimizer.worker(False) as pool:
+            assert pool is None
+        cpus(1)
+        with optimizer.worker() as pool:
+            assert pool is None
+
     def test_affinity_mask_where_the_platform_has_one(self, monkeypatch):
-        monkeypatch.setattr(optimizer.os, "sched_getaffinity", lambda pid: {3}, raising=False)
-        assert optimizer.usable_cpus() == 1
-        monkeypatch.delattr(optimizer.os, "sched_getaffinity")
         monkeypatch.setattr(optimizer.os, "cpu_count", lambda: 4)
-        assert optimizer.usable_cpus() == 4
-        monkeypatch.setattr(optimizer.os, "cpu_count", lambda: None)
-        assert optimizer.usable_cpus() == 1
+        monkeypatch.setattr(optimizer.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        with optimizer.worker() as pool:
+            assert pool is None
+
+    @pytest.mark.parametrize("count,pooled", [(4, True), (2, True), (1, False), (None, False)])
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch, count, pooled):
+        monkeypatch.delattr(optimizer.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(optimizer.os, "cpu_count", lambda: count)
+        with optimizer.worker() as pool:
+            assert (pool is not None) == pooled
+
+    def test_thread_starts_at_the_first_submit_and_ends_with_the_block(self, cpus):
+        cpus(2)
+        before = threading.active_count()
+        with optimizer.worker() as pool:
+            assert threading.active_count() == before
+            assert pool.submit(threading.get_ident).result(timeout=10) != threading.get_ident()
+            assert threading.active_count() == before + 1
+        assert threading.active_count() == before
+
+    def test_block_that_raises_ends_the_thread_after_its_job(self, cpus):
+        cpus(2, late=True)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="block failed"):
+            with optimizer.worker() as pool:
+                job = pool.submit(math.sqrt, 4.0)
+                raise ValueError("block failed")
+        assert job.done() and job.result() == 2.0
+        assert threading.active_count() == before
 
 
 class TestBatchedObjective:
