@@ -23,6 +23,7 @@ machine:
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -41,12 +42,18 @@ def parse_run_output(stdout):
 
 def run_perfbench(workload, seed, seconds, trace, root=None):
     """One run.py process of the checkout at ``root`` (this one by default);
-    returns its verdict and the result file it wrote."""
+    returns its verdict and the result file it wrote. The process reads and
+    writes its bytecode under the checkout's ``.perfbench/pycache`` only, so no
+    run loads ``__pycache__`` files that tests or earlier commands left in a
+    source tree. Writes stay on even under ``PYTHONDONTWRITEBYTECODE``: with an
+    empty prefix every process would compile the standard library and numpy."""
     root = ROOT if root is None else Path(root)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(root / ".perfbench" / "pycache")
     proc = subprocess.run(
         [sys.executable, str(root / RUN_PY), "--workload", workload, "--seed", str(seed),
          "--seconds", repr(seconds), "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True, check=True,
+        cwd=root, env=env, capture_output=True, text=True, check=True,
     )
     record = root / ".perfbench" / workload / f"result-seed{seed}-trace{trace}.json"
     return parse_run_output(proc.stdout), json.loads(record.read_text())

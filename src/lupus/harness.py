@@ -55,8 +55,6 @@ class ExperimentPlan:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} must not repeat an entry, got {values}")
-        if any(d < 1 for d in self.dims):
-            raise ConfigError(f"dims must be positive, got {self.dims}")
         for fn_id in self.functions:
             bf = benchfns.get_function(fn_id)
             for dim in self.dims:

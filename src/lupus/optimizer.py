@@ -19,14 +19,11 @@ agent-index order, which keeps every run reproducible from its seed.
 RNG draw order is fixed so determinism is testable: initialization draws the
 full position matrix agent-major; each iteration first evaluates objectives
 in agent-index order (any noise draws happen there), then, except the last,
-draws movement coefficients per agent, per leader (the wolves only), per
-coordinate, r1 before r2. :func:`_swarm` draws them as one block and hands
-it to the move; :func:`_move` works in place one leader at a time, and its
-rounding is that of the whole-array formulas. :func:`clamp` then trims that
-fresh array in place. A large block is drawn ahead on a :func:`worker`
-thread, from the run's own stream, if the objective's first call left that
-stream alone; the objective then gets ``None`` for ``rng``. The blocks, and
-the stream's end state, are those of the inline draw.
+draws movement coefficients per agent, per leader (one for PSO), per
+coordinate, r1 before r2. :func:`_swarm` draws them as one block, which its
+docstring says when a worker thread draws ahead, and hands it to the move;
+:func:`_move` works in place one leader at a time, and its rounding is that of
+the whole-array formulas. :func:`clamp` then trims that fresh array in place.
 """
 
 import math
@@ -232,26 +229,28 @@ def _update_leaders(fitness, positions, scores, leaders):
                                     for j in order.tolist()])
 
 
-def _swarm(objective: Objective, space: SearchSpace, cfg, k: int, move, block) -> RunResult:
-    """The loop both swarms share, given k, the move and its draw block's shape.
+def _swarm(objective: Objective, space: SearchSpace, cfg, k: int, move) -> RunResult:
+    """The loop both swarms share, given k and the move.
 
     Per iteration: evaluate all agents, merge the k best so far from the fresh
     fitness and positions, and record the best; then, except after the last,
-    draw the block and clamp ``move(it, positions, fitness, scores, leaders,
-    draws)`` to the box. Every block is drawn into one of two kept buffers, in
-    turn. From ``DRAW_AHEAD_ELEMENTS`` doubles on, where :func:`worker` gives a
-    pool, if the first evaluation left the stream untouched, the worker draws
-    each next block from it into the other buffer while this one runs, and the
-    objective gets ``None`` from then on, so that a late draw raises instead
-    of racing the worker.
+    draw the ``(n_agents, k, dim, 2)`` block of r1, r2 pairs into one of two
+    kept buffers, in turn, and clamp ``move(it, positions, fitness, scores,
+    leaders, draws)`` to the box. From ``DRAW_AHEAD_ELEMENTS`` doubles on, where
+    :func:`worker` gives a pool, if the first evaluation left the stream
+    untouched (a stochastic objective draws at its first call), the worker
+    draws each next block from that stream into the other buffer while this
+    one runs; the objective gets ``None`` from then on, so that a late draw
+    raises instead of racing the worker. The blocks, and the stream's end
+    state, are those of the inline draw.
     """
     rng = noise = np.random.default_rng(cfg.seed)
     positions = rng.uniform(space.lower, space.upper, size=(cfg.n_agents, space.dim))
     scores, leaders = np.full(k, math.inf), np.zeros((k, space.dim))
     history = np.empty(cfg.max_iter)
-    buffers = np.empty((2, *block))  # a fresh block per move would add to the peak
+    buffers = np.empty((2, cfg.n_agents, k, space.dim, 2))  # fresh blocks would add to the peak
     ahead = None
-    with worker(math.prod(block) >= DRAW_AHEAD_ELEMENTS) as pool:
+    with worker(buffers[0].size >= DRAW_AHEAD_ELEMENTS) as pool:
         start = rng.bit_generator.state if pool is not None else None
         for it in range(cfg.max_iter):
             fitness = _evaluate(objective, positions, noise)
@@ -291,7 +290,7 @@ def run(objective: Objective, space: SearchSpace, cfg: GwoConfig) -> RunResult:
                                 for s in scores.tolist()])
         return _move(positions, leaders, weights, wa, ww, draws)
 
-    return _swarm(objective, space, cfg, 3, move, (cfg.n_agents, 3, space.dim, 2))
+    return _swarm(objective, space, cfg, 3, move)
 
 
 def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResult:
@@ -315,7 +314,7 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
         np.copyto(pbest_f, fitness, where=improved)
         w = W_MAX - (W_MAX - W_MIN) * it / cfg.max_iter
         np.multiply(velocities, w, out=velocities)
-        for r, coef, best in ((draws[..., 0], C1, pbest), (draws[..., 1], C2, gbest)):
+        for r, coef, best in ((draws[:, 0, :, 0], C1, pbest), (draws[:, 0, :, 1], C2, gbest)):
             np.multiply(r, coef, out=pull)
             np.subtract(best, positions, out=gap)
             np.multiply(pull, gap, out=pull)
@@ -323,4 +322,4 @@ def pso_run(objective: Objective, space: SearchSpace, cfg: PsoConfig) -> RunResu
         velocities.clip(-v_max, v_max, out=velocities)
         return positions + velocities
 
-    return _swarm(objective, space, cfg, 1, move, (n, dim, 2))
+    return _swarm(objective, space, cfg, 1, move)

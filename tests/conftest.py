@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import importlib.util
 import inspect
 import os
 import pickle
@@ -20,6 +21,15 @@ settings.load_profile("suite")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 HEART_CSV = REPO_ROOT / "data" / "heart.csv"
+
+
+def load_script(name):
+    """The module ``scripts/<name>.py``, freshly executed; the scripts are not a
+    package, so tests import them by path."""
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,15 @@
 """scripts/bench_pair.py on canned run.py output, with git and run.py faked."""
 
-import importlib.util
 import json
+import os
 import subprocess
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_pair", Path(__file__).resolve().parent.parent / "scripts" / "bench_pair.py")
-bench_pair = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pair)
+from conftest import load_script
+
+bench_pair = load_script("bench_pair")
 
 BENCHMARK = {
     "run_seconds": 30,
@@ -35,7 +34,7 @@ class FakeProcesses:
 
     def __init__(self, root, fail_at=None):
         self.root, self.fail_at = root, fail_at
-        self.git, self.runs = [], []
+        self.git, self.runs, self.prefixes = [], [], {}
 
     def __call__(self, cmd, cwd=None, **kwargs):
         if cmd[0] == "git":
@@ -46,6 +45,10 @@ class FakeProcesses:
         workload, seed = cmd[cmd.index("--workload") + 1], int(cmd[cmd.index("--seed") + 1])
         side = "change" if Path(cwd) == self.root else "base"
         self.runs.append((workload, seed, side))
+        env = kwargs["env"]
+        assert env["PATH"] == os.environ["PATH"] and "PYTHONDONTWRITEBYTECODE" not in env
+        assert env["PYTHONPYCACHEPREFIX"] == str(Path(cwd) / ".perfbench" / "pycache")
+        self.prefixes.setdefault(side, set()).add(env["PYTHONPYCACHEPREFIX"])
         if (workload, seed, side) == self.fail_at:
             raise subprocess.CalledProcessError(1, cmd)
         assert cmd[1] == str(Path(cwd) / "perfbench" / "run.py")
@@ -73,6 +76,7 @@ def fake(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pair.tempfile, "tempdir", str(tmp_path))
     monkeypatch.setattr(bench_pair, "PAIRS", 4)
     monkeypatch.setattr(bench_pair, "FIRST_SEED", 1)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     processes = FakeProcesses(root)
     monkeypatch.setattr(subprocess, "run", processes)
     return processes
@@ -86,6 +90,9 @@ def test_pairs_alternate_which_side_runs_first(fake, capsys):
             second = "change" if first == "base" else "base"
             expected += [(workload, seed, first), (workload, seed, second)]
     assert fake.runs == expected
+    # Each side keeps its bytecode in its own checkout, never in the other's.
+    (base,), (change,) = fake.prefixes["base"], fake.prefixes["change"]
+    assert change == str(fake.root / ".perfbench" / "pycache") and base != change
     out = capsys.readouterr().out
     assert "bench-sweep seed 2 (change first): wall_s 1.02 -> 0.9," in out
     assert "raw_wall_s 2.04 -> 1.8; outputs identical\n" in out

@@ -1,16 +1,13 @@
 """scripts/bench_record.py's aggregation, on canned run.py output lines."""
 
-import importlib.util
 import json
 import subprocess
-from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_record", Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py")
-bench_record = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_record)
+from conftest import load_script
+
+bench_record = load_script("bench_record")
 
 
 def _line(correct=True, attempted=4, failed=0, **metrics):

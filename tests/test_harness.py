@@ -30,7 +30,7 @@ class TestPlanValidation:
             ExperimentPlan(algorithms=("gwo",), functions=("f1",), dims=(5,), n_runs=0)
 
     def test_dims_must_be_positive(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="needs dim >= 1"):
             ExperimentPlan(algorithms=("gwo",), functions=("f1",), dims=(0,))
 
     def test_agents_checked_for_every_algorithm(self):

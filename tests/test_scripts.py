@@ -2,28 +2,18 @@
 calls they make shows up here."""
 
 import dataclasses
-import importlib.util
 import json
-from pathlib import Path
 
+from conftest import load_script
 from lupus import dataprep
 from lupus.cli import main as cli_main
 from lupus.fileio import json_text
 from lupus.optimizer import GwoConfig
 
-_SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, _SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_search_xor_seed_one_seed(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["search_xor_seed.py", "1"])
-    _load("search_xor_seed").main()
+    load_script("search_xor_seed").main()
     out = capsys.readouterr().out
     assert "seed 0: training accuracy 1.00" in out
     assert "perfect seeds: [0]" in out
@@ -33,7 +23,7 @@ def test_search_train_seed_witness_accuracy(heart_csv, shared_fit):
     # The recorded seed-0 witness at the `lupus train` defaults; when
     # test_acceptance's criterion 6 ran first, its CLI run is shared here.
     ds = dataprep.clean(dataprep.load_table(heart_csv))
-    report = _load("search_train_seed").evaluate_seed(ds, 0)
+    report = load_script("search_train_seed").evaluate_seed(ds, 0)
     assert round(report.accuracy, 4) == 0.8876
 
 
@@ -42,11 +32,11 @@ def test_search_train_seed_matches_cli(heart_csv, tmp_path):
                      "--swarm", "5", "--iters", "3", "--bp-epochs", "2"]) == 0
     trained = json.loads((tmp_path / "train_report.json").read_text())
     ds = dataprep.clean(dataprep.load_table(heart_csv))
-    report = _load("search_train_seed").evaluate_seed(
+    report = load_script("search_train_seed").evaluate_seed(
         ds, 0, swarm=GwoConfig(n_agents=5, max_iter=3), bp_epochs=2)
     assert json.loads(json_text(dataclasses.asdict(report))) == trained["test_metrics"]
 
 
 def test_ordering_pass_rate_checks_a_base():
-    passed = _load("ordering_pass_rate").check_base(42, n_runs=2, n_agents=5, max_iter=10)
+    passed = load_script("ordering_pass_rate").check_base(42, n_runs=2, n_agents=5, max_iter=10)
     assert isinstance(passed, bool)
